@@ -74,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--model", required=True, help="model file (.clm)")
     ex.add_argument("--reqs", required=True, help="requirements file (.ltl)")
     ex.add_argument("--suite", required=True, help="suite file (.cts)")
-    ex.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for unwinding tests")
     ex.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP,
                     help="abort any single unwinding beyond this many steps")
     ex.add_argument("--check-expectations", action="store_true",
@@ -92,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="maximum test case length")
     pipe.add_argument("--goals", choices=("maximal", "all", "all-kinds"),
                       default="maximal", help="coverage goal selection")
-    pipe.add_argument("--jobs", type=int, default=1,
-                      help="worker threads for unwinding tests")
     pipe.add_argument("--out-dir", required=True,
                       help="directory for suite.cts, generation.txt and "
                            "execution.txt")
@@ -133,8 +129,7 @@ def _cmd_execute(args) -> int:
     model = load_model(args.model)
     reqs = load_reqs(args.reqs, model)
     suite = load_suite(args.suite, model)
-    report = execute_suite(model, reqs, suite, jobs=args.jobs,
-                           step_cap=args.step_cap)
+    report = execute_suite(model, reqs, suite, step_cap=args.step_cap)
     sys.stdout.write(report.text())
     if args.check_expectations:
         misses = report.expectation_misses(reqs)
@@ -160,8 +155,7 @@ def _cmd_pipeline(args) -> int:
                   serialize_suite(suite))
     _write_atomic(os.path.join(args.out_dir, "generation.txt"),
                   gen_report.text())
-    report = execute_suite(model, reqs, suite, jobs=args.jobs,
-                           step_cap=args.step_cap)
+    report = execute_suite(model, reqs, suite, step_cap=args.step_cap)
     _write_atomic(os.path.join(args.out_dir, "execution.txt"),
                   report.text())
     summary = (f"generated={gen_report.test_count}"

@@ -3,6 +3,13 @@
 Formulas are evaluated on lasso traces (finite prefix followed by a loop)
 by dynamic programming over the positions, so G, F and U get their exact
 infinite-word semantics.
+
+A trace is evaluated over its position rows (position_rows): one row per
+position, one slot per declared variable.  Atoms are compiled once per
+model (model.CompiledModel.predicate) and run on every row.  Each
+subformula's table is memoized per trace, and the tables of the trace
+evaluated last are kept, so requirements checked one after another on the
+same trace share them.
 """
 
 from __future__ import annotations
@@ -10,17 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Binary, Expr, Ref, Unary, eval_expr, referenced_names
+from .model import Binary, Expr, Unary, referenced_names
 
 
 class Formula:
-    """Base class for LTL nodes; comparison is structural."""
+    """Base class for LTL nodes; comparison is structural.  Nodes are never
+    changed after construction, so each computes its hash once."""
+
+    _hash = None
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((type(self),) + self._key())
+        if self._hash is None:
+            self._hash = hash((type(self),) + self._key())
+        return self._hash
 
     def _key(self):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -270,77 +282,104 @@ def formula_names(f: Formula) -> set:
 # Evaluation on lassos
 
 
+# The last trace evaluated on: (trace, rows, prefix, memo).  Replaced as a
+# whole, so at most one trace's tables are alive at a time.
+_last = (None, None, 0, None)
+
+
 def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
     """Decide the formula at a position of the infinite unwinding of a lasso.
 
     The trace is a sim.LassoTrace.  Position indexes the stored part of the
     trace (0 <= position < prefix_len + loop_len).
+
+    Calls on the same trace object share its position rows and one memo of
+    subformula tables, so checking many requirements on one trace, as
+    runner.execute_suite does, evaluates each distinct subformula once.
+    The trace must not be changed in between.
     """
-    envs, prefix = position_envs(trace)
+    global _last
+    held = _last
+    if held[0] is not trace:
+        rows, prefix = position_rows(trace)
+        held = (trace, rows, prefix, {})
+        _last = held
+    _, rows, prefix, memo = held
     if not 0 <= position < trace.prefix_len + trace.loop_len:
         raise ValueError(f"position {position} outside lasso")
-    table = _eval_table(f, envs, prefix, {})
+    table = _eval_table(f, rows, prefix, memo,
+                        trace.model.compiled().predicate)
     return table[position]
 
 
-def position_envs(trace) -> tuple:
-    """Evaluation environments per position, plus the effective prefix length.
+def position_rows(trace) -> tuple:
+    """One row per evaluated position, plus the effective prefix length.
 
-    Position 0 has no applied nondeterministic values, so when the loop starts
-    at 0 the stored word is not purely periodic in its nondet extension.  In
-    that case one loop copy is unrolled and the second copy becomes the loop.
+    A row holds every declared variable in declaration order: the state,
+    and the nondet values applied by the step into the position (domain
+    defaults at position 0).  Position 0 has no applied nondeterministic
+    values, so when the loop starts at 0 the stored word is not purely
+    periodic in its nondet extension.  In that case one loop copy is
+    unrolled and the second copy becomes the loop.
     """
-    states = trace.states
-    nondet = trace.nondet
-    defaults = trace.model.nondet_defaults()
-    envs = []
-    for s, nd in zip(states, nondet):
-        env = s.as_dict()
-        env.update(defaults if nd is None else nd)
-        envs.append(env)
+    model = trace.model
+    row = model.compiled().row
+    defaults = model.nondet_defaults()
+    rows = [row(s.values, defaults if nd is None else nd)
+            for s, nd in zip(trace.states, trace.nondet)]
     prefix = trace.prefix_len
     if prefix == 0:
         q = trace.loop_len
-        wrap = envs[0].copy()
-        wrap.update(trace.wrap_nondet)
-        envs = envs + [wrap] + envs[1:q]
+        wrap = row(trace.states[0].values, {**defaults, **trace.wrap_nondet})
+        rows = rows + [wrap] + rows[1:q]
         prefix = q
-    return envs, prefix
+    return rows, prefix
 
 
-def _eval_table(f: Formula, envs: list, prefix: int, memo: dict):
-    """Satisfaction of f at every stored position, by structural recursion."""
-    key = f
-    hit = memo.get(key)
+def position_envs(trace) -> tuple:
+    """position_rows with each row as a dict from variable name to value."""
+    rows, prefix = position_rows(trace)
+    names = [v.name for v in trace.model.variables]
+    return [dict(zip(names, row)) for row in rows], prefix
+
+
+def _eval_table(f: Formula, rows: list, prefix: int, memo: dict, lower):
+    """Satisfaction of f at every position row, by structural recursion.
+
+    memo maps subformulas to their finished tables; lower compiles an atom's
+    expression to a function of a row.
+    """
+    hit = memo.get(f)
     if hit is not None:
         return hit
-    m = len(envs)
+    m = len(rows)
 
     def succ(i: int) -> int:
         return i + 1 if i + 1 < m else prefix
 
     if isinstance(f, Atom):
-        table = [bool(eval_expr(f.expr, env)) for env in envs]
+        test = lower(f.expr)
+        table = [bool(test(row)) for row in rows]
     elif isinstance(f, Not):
-        sub = _eval_table(f.operand, envs, prefix, memo)
+        sub = _eval_table(f.operand, rows, prefix, memo, lower)
         table = [not v for v in sub]
     elif isinstance(f, And):
-        a = _eval_table(f.lhs, envs, prefix, memo)
-        b = _eval_table(f.rhs, envs, prefix, memo)
+        a = _eval_table(f.lhs, rows, prefix, memo, lower)
+        b = _eval_table(f.rhs, rows, prefix, memo, lower)
         table = [x and y for x, y in zip(a, b)]
     elif isinstance(f, Or):
-        a = _eval_table(f.lhs, envs, prefix, memo)
-        b = _eval_table(f.rhs, envs, prefix, memo)
+        a = _eval_table(f.lhs, rows, prefix, memo, lower)
+        b = _eval_table(f.rhs, rows, prefix, memo, lower)
         table = [x or y for x, y in zip(a, b)]
     elif isinstance(f, Implies):
-        a = _eval_table(f.lhs, envs, prefix, memo)
-        b = _eval_table(f.rhs, envs, prefix, memo)
+        a = _eval_table(f.lhs, rows, prefix, memo, lower)
+        b = _eval_table(f.rhs, rows, prefix, memo, lower)
         table = [(not x) or y for x, y in zip(a, b)]
     elif isinstance(f, Next):
-        sub = _eval_table(f.operand, envs, prefix, memo)
+        sub = _eval_table(f.operand, rows, prefix, memo, lower)
         table = [sub[succ(i)] for i in range(m)]
     elif isinstance(f, Globally):
-        sub = _eval_table(f.operand, envs, prefix, memo)
+        sub = _eval_table(f.operand, rows, prefix, memo, lower)
         loop_all = all(sub[prefix:])
         table = [False] * m
         for i in range(prefix, m):
@@ -348,7 +387,7 @@ def _eval_table(f: Formula, envs: list, prefix: int, memo: dict):
         for i in range(prefix - 1, -1, -1):
             table[i] = sub[i] and table[i + 1]
     elif isinstance(f, Finally):
-        sub = _eval_table(f.operand, envs, prefix, memo)
+        sub = _eval_table(f.operand, rows, prefix, memo, lower)
         loop_any = any(sub[prefix:])
         table = [False] * m
         for i in range(prefix, m):
@@ -356,8 +395,8 @@ def _eval_table(f: Formula, envs: list, prefix: int, memo: dict):
         for i in range(prefix - 1, -1, -1):
             table[i] = sub[i] or table[i + 1]
     elif isinstance(f, Until):
-        a = _eval_table(f.lhs, envs, prefix, memo)
-        b = _eval_table(f.rhs, envs, prefix, memo)
+        a = _eval_table(f.lhs, rows, prefix, memo, lower)
+        b = _eval_table(f.rhs, rows, prefix, memo, lower)
         table = [False] * m
         # two backward sweeps reach the least fixpoint around the loop
         for _ in range(2):
@@ -367,5 +406,5 @@ def _eval_table(f: Formula, envs: list, prefix: int, memo: dict):
             table[i] = b[i] or (a[i] and table[i + 1])
     else:
         raise ValueError(f"cannot evaluate {f!r}")
-    memo[key] = table
+    memo[f] = table
     return table

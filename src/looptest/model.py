@@ -4,6 +4,11 @@ A closed-loop model pairs a plant block with a controller block over a shared
 set of typed scalar variables.  One step of the composed system runs the plant
 assignments first, then the controller assignments, both in source order with
 read-latest semantics.
+
+eval_expr walks an expression over a dict.  Everything that evaluates
+expressions many times (step, the explicit search, LTL atoms, subsumption
+scans) instead uses the model lowered once, at first use, to compiled Python
+over flat rows (CompiledModel).
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ class BoolDomain:
     def contains(self, value: object) -> bool:
         return isinstance(value, bool)
 
+    def test_source(self, name: str) -> str:
+        """contains() as Python source over the variable called name."""
+        return f"isinstance({name}, bool)"
+
     def first(self):
         return False
 
@@ -81,6 +90,10 @@ class IntRange:
         return isinstance(value, int) and not isinstance(value, bool) \
             and self.lo <= value <= self.hi
 
+    def test_source(self, name: str) -> str:
+        return (f"isinstance({name}, int) and not isinstance({name}, bool) "
+                f"and {self.lo!r} <= {name} <= {self.hi!r}")
+
     def first(self):
         return self.lo
 
@@ -105,6 +118,9 @@ class EnumDomain:
 
     def contains(self, value: object) -> bool:
         return value in self.labels
+
+    def test_source(self, name: str) -> str:
+        return f"{name} in {self.labels!r}"
 
     def first(self):
         return self.labels[0]
@@ -137,13 +153,21 @@ class Variable:
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes compare structurally."""
+    """Base class for expression nodes.  Nodes compare structurally.
+
+    Nodes are never changed after construction, so each computes its
+    structural hash once.
+    """
+
+    _hash = None
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((type(self),) + self._key())
+        if self._hash is None:
+            self._hash = hash((type(self),) + self._key())
+        return self._hash
 
     def _key(self):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -392,6 +416,7 @@ class ClosedLoopModel:
     _nondet: tuple = field(default=None, compare=False, repr=False)
     _state: tuple = field(default=None, compare=False, repr=False)
     _state_names: tuple = field(default=None, compare=False, repr=False)
+    _compiled: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", {v.name: v for v in self.variables})
@@ -400,6 +425,13 @@ class ClosedLoopModel:
         object.__setattr__(self, "_state", tuple(
             v for v in self.variables if v.kind is not VarKind.NONDET))
         object.__setattr__(self, "_state_names", tuple(v.name for v in self._state))
+        object.__setattr__(self, "_compiled", None)
+
+    def compiled(self) -> "CompiledModel":
+        """The model lowered to compiled Python, built on first use."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", CompiledModel(self))
+        return self._compiled
 
     def var(self, name: str) -> Variable:
         return self._by_name[name]
@@ -430,11 +462,6 @@ class SystemState:
     def __init__(self, names: tuple, values: tuple):
         self._names = names
         self._values = values
-
-    @classmethod
-    def from_env(cls, model: ClosedLoopModel, env: Mapping[str, object]) -> "SystemState":
-        names = model._state_names
-        return cls(names, tuple(env[n] for n in names))
 
     @property
     def values(self) -> tuple:
@@ -645,19 +672,238 @@ def step(model: ClosedLoopModel, state: SystemState,
     readable by both blocks but never assigned.  Every assignment is checked
     against the target's domain.
     """
-    env = state.as_dict()
-    for v in model.nondet_variables():
-        value = nondet[v.name]
-        if not v.domain.contains(value):
-            raise DomainViolation(v.name, value, "nondet value")
-        env[v.name] = value
-    for block_name, block in (("plant", model.plant), ("controller", model.controller)):
-        for i, asn in enumerate(block.assignments):
-            value = eval_expr(asn.expr, env)
-            target = model.var(asn.target)
-            if not target.domain.contains(value):
-                raise DomainViolation(
-                    asn.target, value,
-                    f"{block_name} assignment {i + 1}")
-            env[asn.target] = value
-    return SystemState.from_env(model, env)
+    return SystemState(model._state_names,
+                       model.compiled().step(state.values, nondet))
+
+
+# --------------------------------------------------------------------------
+# Lowering: expressions as Python source over a flat row
+#
+# A row holds one value per declared variable, in declaration order.  An
+# expression lowers to Python source over the row ``r``, compiled once per
+# assignment or predicate.  The helpers keep eval_expr's floored division
+# and its error messages, and errors are raised only where eval_expr would
+# evaluate the failing node.
+
+
+def floor_div(a: int, b: int) -> int:
+    """Floored a / b; division by zero raises EvalError."""
+    if b == 0:
+        raise EvalError("division by zero")
+    return a // b
+
+
+def floor_mod(a: int, b: int) -> int:
+    """Floored a mod b; mod by zero raises EvalError."""
+    if b == 0:
+        raise EvalError("mod by zero")
+    return a % b
+
+
+def _raise(message: str, *_operands):
+    raise EvalError(message)
+
+
+#: Marks a row slot whose value a search has not chosen yet.
+UNSET = object()
+
+
+class NeedValue(Exception):
+    """A guarded read found UNSET in a row slot."""
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+
+def _need(slot: int):
+    raise NeedValue(slot)
+
+
+_HELPERS = {"floor_div": floor_div, "floor_mod": floor_mod, "_raise": _raise,
+            "_violation": DomainViolation, "UNSET": UNSET, "_need": _need}
+
+# Python binding strength of each emitted form, larger binds tighter:
+# 1 conditional, 2 or, 3 and, 4 not, 5 comparison, 6 + -, 7 *, 8 unary
+# minus, 9 atoms and calls.  Binary entries map a model operator to its
+# Python one, its own strength and the strengths its operands need;
+# comparisons never chain.
+_BINARY = {
+    "||": ("or", 2, 2, 2),
+    "&&": ("and", 3, 3, 3),
+    "==": ("==", 5, 6, 6), "!=": ("!=", 5, 6, 6),
+    "<": ("<", 5, 6, 6), "<=": ("<=", 5, 6, 6),
+    ">": (">", 5, 6, 6), ">=": (">=", 5, 6, 6),
+    "+": ("+", 6, 6, 7), "-": ("-", 6, 6, 7),
+    "*": ("*", 7, 7, 8),
+}
+
+
+def lower_expr(expr: Expr, slot_of: Mapping[str, int],
+               guarded: frozenset = frozenset()) -> str:
+    """Python source computing an expression over the row ``r``.
+
+    Reading a slot in guarded that holds UNSET raises NeedValue.  Built
+    bottom-up from an explicit stack, so deeply nested expressions do not
+    run into the interpreter's recursion limit.
+    """
+    done = []  # (source, binding strength) of finished subexpressions
+    todo = [(expr, False)]
+    while todo:
+        node, ready = todo.pop()
+        kids = _children(node)
+        if kids and not ready:
+            todo.append((node, True))
+            todo.extend((kid, False) for kid in reversed(kids))
+            continue
+        parts = done[len(done) - len(kids):]
+        del done[len(done) - len(kids):]
+        done.append(_emit(node, parts, slot_of, guarded))
+    return done[0][0]
+
+
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Cond):
+        return (node.cond, node.then, node.other)
+    return ()
+
+
+def _emit(node: Expr, parts: list, slot_of, guarded) -> tuple:
+    """(source, binding strength) of a node, given those of its children."""
+
+    def arg(i: int, need: int) -> str:
+        text, level = parts[i]
+        return text if level >= need else f"({text})"
+
+    if isinstance(node, Lit):
+        text = repr(node.value)
+        return text, 8 if text.startswith("-") else 9
+    if isinstance(node, Ref):
+        slot = slot_of.get(node.name)
+        if slot is None:
+            message = f"undefined variable '{node.name}'"
+            return f"_raise({message!r})", 9
+        if slot in guarded:
+            return (f"(_v if (_v := r[{slot}]) is not UNSET "
+                    f"else _need({slot}))"), 9
+        return f"r[{slot}]", 9
+    if isinstance(node, Unary):
+        if node.op == "!":
+            return f"not {arg(0, 4)}", 4
+        return f"-{arg(0, 8)}", 8
+    if isinstance(node, Binary):
+        op = node.op
+        if op == "->":
+            return f"not {arg(0, 4)} or {arg(1, 2)}", 2
+        if op in _BINARY:
+            py, level, left, right = _BINARY[op]
+            return f"{arg(0, left)} {py} {arg(1, right)}", level
+        # an unknown operator raises after evaluating both operands
+        message = f"unknown operator '{op}'"
+        call = {"/": "floor_div(", "mod": "floor_mod("}.get(
+            op, f"_raise({message!r}, ")
+        return f"{call}{arg(0, 1)}, {arg(1, 1)})", 9
+    if isinstance(node, Cond):
+        return f"{arg(1, 2)} if {arg(0, 2)} else {arg(2, 1)}", 1
+    message = f"cannot evaluate {node!r}"
+    return f"_raise({message!r})", 9
+
+
+class CompiledModel:
+    """A model lowered once to compiled Python over rows.
+
+    step() is the concrete step over tuples of state values.  row() builds
+    the row of a position from its state values and nondet mapping, and
+    state_of() reads the state values back out of a row.
+    predicate() compiles an expression to a function of a row, once per
+    structurally distinct expression.  branching_assigns() serves a search
+    that chooses nondet values only when they are read.
+    """
+
+    def __init__(self, model: ClosedLoopModel):
+        self.slot_of = {v.name: i for i, v in enumerate(model.variables)}
+        self._filename = f"<looptest model {model.name}>"
+        self.row = self._row_function(model, checked=False)
+        self._enter = self._row_function(model, checked=True)
+        items = "".join(f"r[{self.slot_of[name]}], "
+                        for name in model._state_names)
+        self.state_of = self._compile(f"lambda r: ({items})")
+        self._nondet_slots = frozenset(
+            self.slot_of[v.name] for v in model.nondet_variables())
+        self._assignments = [
+            (asn.expr, asn.target, self.slot_of[asn.target],
+             model.var(asn.target).domain.test_source("v"),
+             f"{block_name} assignment {i + 1}")
+            for block_name, block in (("plant", model.plant),
+                                      ("controller", model.controller))
+            for i, asn in enumerate(block.assignments)]
+        self._assigns = self._assign_functions(frozenset())
+        self._branching = None
+        self._predicates = {}
+
+    def step(self, values: tuple, nondet: Mapping[str, object]) -> tuple:
+        """State values after one step from the given ones."""
+        r = self._enter(values, nondet)
+        for assign in self._assigns:
+            assign(r)
+        return self.state_of(r)
+
+    def branching_assigns(self) -> list:
+        """The assignments in order, as functions that update a row in
+        place.  A nondet slot may hold UNSET: reading it raises NeedValue
+        before the assignment writes anything, so a search can choose the
+        value and call the same function again."""
+        if self._branching is None:
+            self._branching = self._assign_functions(self._nondet_slots)
+        return self._branching
+
+    def predicate(self, expr: Expr):
+        """The expression as a function of a row, compiled on first use."""
+        fn = self._predicates.get(expr)
+        if fn is None:
+            fn = self._compile(f"lambda r: {lower_expr(expr, self.slot_of)}")
+            self._predicates[expr] = fn
+        return fn
+
+    def _assign_functions(self, guarded: frozenset) -> list:
+        return [self._define(
+            "def assign(r):\n"
+            f"    v = {lower_expr(expr, self.slot_of, guarded)}\n"
+            f"    if not ({test}):\n"
+            f"        raise _violation({target!r}, v, {where!r})\n"
+            f"    r[{slot}] = v\n")
+            for expr, target, slot, test, where in self._assignments]
+
+    def _row_function(self, model: ClosedLoopModel, checked: bool):
+        """row(state values, nondet mapping) -> list, reading the nondet
+        values in declaration order and, when checked, testing each against
+        its domain."""
+        lines = ["def row(s, nd):"]
+        items = []
+        state_index = 0
+        for slot, v in enumerate(model.variables):
+            if v.kind is not VarKind.NONDET:
+                items.append(f"s[{state_index}]")
+                state_index += 1
+                continue
+            name = f"n{slot}"
+            lines.append(f"    {name} = nd[{v.name!r}]")
+            if checked:
+                lines.append(f"    if not ({v.domain.test_source(name)}):")
+                lines.append(f"        raise _violation({v.name!r}, {name}, "
+                             "'nondet value')")
+            items.append(name)
+        lines.append(f"    return [{', '.join(items)}]\n")
+        return self._define("\n".join(lines))
+
+    def _compile(self, source: str):
+        return eval(compile(source, self._filename, "eval"), _HELPERS)
+
+    def _define(self, source: str):
+        space = {}
+        exec(compile(source, self._filename, "exec"), _HELPERS, space)
+        (fn,) = space.values()
+        return fn

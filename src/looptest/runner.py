@@ -6,11 +6,14 @@ on the suite when it holds at position 0 of every trace; the first failing
 test (in suite order) is reported as the violation witness.  Passing on a
 suite is weaker than a proof: it says nothing about inputs the suite never
 plays.
+
+Checking is trace-major: each trace's position rows and subformula tables
+are built once and shared by every requirement still undecided on it (see
+ltl.eval_on_lasso).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,40 +84,40 @@ class ExecutionReport:
 
 
 def execute_suite(model: ClosedLoopModel, reqs: list, suite: TestSuite,
-                  jobs: int = 1, step_cap: int = 10_000_000):
-    """Run every requirement against every test.  Returns ExecutionReport."""
+                  step_cap: int = 10_000_000):
+    """Run every requirement against every test.  Returns ExecutionReport.
 
-    def unwind(case):
+    Every test is unwound first; if one fails, its error becomes every
+    verdict.  The traces are then checked in suite order, each against the
+    requirements not yet decided, so a requirement is decided by the first
+    test that violates it or raises while it is checked.
+    """
+    traces = []
+    for case in suite.cases:
         try:
-            return simulate_lasso(model, case, step_cap=step_cap), None
+            traces.append(simulate_lasso(model, case, step_cap=step_cap))
         except ModelError as err:
-            return None, f"test={case.tid} {err}"
+            broken = f"test={case.tid} {err}"
+            return ExecutionReport(verdicts=tuple(
+                ReqVerdict(req.rid, "error", message=broken)
+                for req in reqs))
 
-    if jobs > 1 and len(suite.cases) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            unwound = list(pool.map(unwind, suite.cases))
-    else:
-        unwound = [unwind(c) for c in suite.cases]
-
-    broken = next((msg for _, msg in unwound if msg is not None), None)
-    traces = [t for t, _ in unwound if t is not None]
-
-    verdicts = []
-    for req in reqs:
-        if broken is not None:
-            verdicts.append(ReqVerdict(req.rid, "error", message=broken))
-            continue
-        verdict = ReqVerdict(req.rid, "pass")
-        for trace in traces:
+    decided = {}  # requirement index -> verdict
+    for trace in traces:
+        if len(decided) == len(reqs):
+            break
+        for i, req in enumerate(reqs):
+            if i in decided:
+                continue
             try:
                 holds = eval_on_lasso(req.formula, trace)
             except ModelError as err:
-                verdict = ReqVerdict(req.rid, "error",
-                                     message=f"test={trace.case.tid} {err}")
-                break
+                decided[i] = ReqVerdict(
+                    req.rid, "error", message=f"test={trace.case.tid} {err}")
+                continue
             if not holds:
-                verdict = ReqVerdict(req.rid, "violated",
-                                     test_id=trace.case.tid, trace=trace)
-                break
-        verdicts.append(verdict)
-    return ExecutionReport(verdicts=tuple(verdicts))
+                decided[i] = ReqVerdict(req.rid, "violated",
+                                        test_id=trace.case.tid, trace=trace)
+    return ExecutionReport(verdicts=tuple(
+        decided.get(i, ReqVerdict(req.rid, "pass"))
+        for i, req in enumerate(reqs)))

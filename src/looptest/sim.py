@@ -129,6 +129,7 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
     at a different point of the test matrix continues differently.
     """
     length = case.length
+    columns = [case.column(j) for j in range(length)]
     seen = {}
     states = []
     nds = [None]
@@ -136,7 +137,7 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
     k = 0
     nd = None
     while True:
-        key = (k % length, s)
+        key = (k % length, s.values)
         hit = seen.get(key)
         if hit is not None:
             return LassoTrace(
@@ -147,7 +148,7 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
         if k >= step_cap:
             raise StepCapExceeded(
                 f"no lasso within {step_cap} steps for test '{case.tid}'")
-        nd = case.column(k)
+        nd = columns[k % length]
         s = step(model, s, nd)
         nds.append(nd)
         k += 1

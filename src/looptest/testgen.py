@@ -27,18 +27,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional
 
 from .model import (
+    UNSET,
     Binary,
     BoolDomain,
     ClosedLoopModel,
-    DomainViolation,
-    EvalError,
     Expr,
     Lit,
     ModelError,
+    NeedValue,
     Ref,
     Unary,
     VarKind,
@@ -191,92 +190,6 @@ def enumerate_goals(model: ClosedLoopModel, reqs: list,
 
 
 # --------------------------------------------------------------------------
-# Compiled expression evaluation
-
-_UNSET = object()
-
-
-class _NeedBranch(Exception):
-    """A nondet slot was read before any value was chosen for it."""
-
-    def __init__(self, index: int):
-        self.index = index
-
-
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        raise EvalError("division by zero")
-    return a // b
-
-
-def _mod(a: int, b: int) -> int:
-    if b == 0:
-        raise EvalError("division by zero")
-    return a % b
-
-
-def compile_expr(expr: Expr, slot_of: dict):
-    """Turn an expression into a closure over a flat environment list.
-
-    Reading a slot holding the _UNSET marker raises _NeedBranch so a caller
-    can split on that variable's domain and retry.
-    """
-    if isinstance(expr, Lit):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, Ref):
-        idx = slot_of[expr.name]
-
-        def read(env, _idx=idx):
-            v = env[_idx]
-            if v is _UNSET:
-                raise _NeedBranch(_idx)
-            return v
-        return read
-    if isinstance(expr, Unary):
-        sub = compile_expr(expr.operand, slot_of)
-        if expr.op == "!":
-            return lambda env: not sub(env)
-        return lambda env: -sub(env)
-    if isinstance(expr, Binary):
-        a = compile_expr(expr.lhs, slot_of)
-        b = compile_expr(expr.rhs, slot_of)
-        op = expr.op
-        if op == "&&":
-            return lambda env: a(env) and b(env)
-        if op == "||":
-            return lambda env: a(env) or b(env)
-        if op == "->":
-            return lambda env: (not a(env)) or b(env)
-        if op == "==":
-            return lambda env: a(env) == b(env)
-        if op == "!=":
-            return lambda env: a(env) != b(env)
-        if op == "<":
-            return lambda env: a(env) < b(env)
-        if op == "<=":
-            return lambda env: a(env) <= b(env)
-        if op == ">":
-            return lambda env: a(env) > b(env)
-        if op == ">=":
-            return lambda env: a(env) >= b(env)
-        if op == "+":
-            return lambda env: a(env) + b(env)
-        if op == "-":
-            return lambda env: a(env) - b(env)
-        if op == "*":
-            return lambda env: a(env) * b(env)
-        if op == "/":
-            return lambda env: _div(a(env), b(env))
-        return lambda env: _mod(a(env), b(env))
-    # conditional
-    cond = compile_expr(expr.cond, slot_of)
-    then = compile_expr(expr.then, slot_of)
-    other = compile_expr(expr.other, slot_of)
-    return lambda env: then(env) if cond(env) else other(env)
-
-
-# --------------------------------------------------------------------------
 # Bounded exploration
 
 
@@ -301,36 +214,21 @@ class BoundedExplorer:
         self.state_cap = state_cap
         self.step_cap = step_cap
 
-        names = [v.name for v in model.variables]
-        self._slot_of = {n: i for i, n in enumerate(names)}
-        self._state_slots = [self._slot_of[v.name]
-                             for v in model.state_variables()]
-        if len(self._state_slots) == 1:
-            only = self._state_slots[0]
-            self._state_get = lambda env: (env[only],)
-        else:
-            self._state_get = itemgetter(*self._state_slots)
+        self._compiled = model.compiled()
+        slot_of = self._compiled.slot_of
+        self._state_slots = [slot_of[v.name] for v in model.state_variables()]
+        self._state_get = self._compiled.state_of
         nondet = model.nondet_variables()
-        self._nondet_slots = [self._slot_of[v.name] for v in nondet]
-        self._nondet_values = {self._slot_of[v.name]: tuple(v.domain.values())
+        self._nondet_slots = [slot_of[v.name] for v in nondet]
+        self._nondet_values = {slot_of[v.name]: tuple(v.domain.values())
                                for v in nondet}
         self._nondet_rank = {
             slot: {val: i for i, val in enumerate(vals)}
             for slot, vals in self._nondet_values.items()}
         self._default_column = tuple(v.domain.first() for v in nondet)
+        self._assigns = self._compiled.branching_assigns()
 
-        self._assigns = []
-        for block_name, block in (("plant", model.plant),
-                                  ("controller", model.controller)):
-            for i, asn in enumerate(block.assignments):
-                fn = compile_expr(asn.expr, self._slot_of)
-                domain = model.var(asn.target).domain
-                where = f"{block_name} assignment {i}"
-                self._assigns.append(
-                    (self._slot_of[asn.target], fn, domain, asn.target, where))
-
-        root = init_state(model)
-        root_tuple = tuple(root[v.name] for v in model.state_variables())
+        root_tuple = init_state(model).values
         self.nodes = [root_tuple]
         self.parents = [-1]
         self.columns = [None]  # root has no producing column
@@ -339,7 +237,7 @@ class BoundedExplorer:
         self._frontier = (0, 1)  # node range of the deepest explicit layer
         self._steps = 0
         self._limit = min(step_cap, SYMBOLIC_HANDOFF_STEPS)
-        self._scratch = [_UNSET] * len(names)
+        self._scratch = [UNSET] * len(slot_of)
         self._goal_cache = {}
         # symbolic phase: layers[0] is the explicit frontier at the handoff,
         # layers[i] the states first reached i steps after it
@@ -352,7 +250,7 @@ class BoundedExplorer:
 
     def _step_branches(self, state: tuple) -> list:
         """All successor states with the nondet choices that were read."""
-        base = [_UNSET] * len(self._scratch)
+        base = [UNSET] * len(self._scratch)
         for slot, value in zip(self._state_slots, state):
             base[slot] = value
         stack = [(base, 0, {})]
@@ -374,19 +272,15 @@ class BoundedExplorer:
                     raise _Handoff
                 try:
                     while pos < count:
-                        slot, fn, domain, target, where = assigns[pos]
-                        value = fn(env)
-                        if not domain.contains(value):
-                            raise DomainViolation(target, value, where)
-                        env[slot] = value
+                        assigns[pos](env)
                         pos += 1
                     out.append((state_get(env), chosen))
-                except _NeedBranch as need:
-                    for value in reversed(nondet_values[need.index]):
+                except NeedValue as need:
+                    for value in reversed(nondet_values[need.slot]):
                         env2 = env[:]
-                        env2[need.index] = value
+                        env2[need.slot] = value
                         chosen2 = dict(chosen)
-                        chosen2[need.index] = value
+                        chosen2[need.slot] = value
                         stack.append((env2, pos, chosen2))
         finally:
             self._steps = steps
@@ -395,8 +289,8 @@ class BoundedExplorer:
     def _step(self, state: tuple, column: tuple) -> tuple:
         """The successor under a full column, on a state known not to fail."""
         env = self._env(state, column)
-        for slot, fn, _domain, _target, _where in self._assigns:
-            env[slot] = fn(env)
+        for assign in self._assigns:
+            assign(env)
         return self._state_get(env)
 
     def _column_and_rank(self, chosen: dict) -> tuple:
@@ -561,7 +455,7 @@ class BoundedExplorer:
         return list(columns), len(columns)
 
     def _search(self, predicate: Expr):
-        fn = compile_expr(predicate, self._slot_of)
+        fn = self._compiled.predicate(predicate)
         idx = 0
         layer = 1
         candidates = None
@@ -630,18 +524,6 @@ def _direct_nondet_witness(model: ClosedLoopModel, predicate: Expr):
     return None
 
 
-def covers(model: ClosedLoopModel, case: TestCase, goal: CoverageGoal,
-           step_cap: int = DEFAULT_STEP_CAP) -> bool:
-    """True when the case's lasso satisfies the goal predicate somewhere.
-
-    generate_suite runs the same check batched: one simulation per new test,
-    scanned against every still-open goal.
-    """
-    trace = simulate_lasso(model, case, step_cap=step_cap)
-    envs, _ = ltl.position_envs(trace)
-    return any(eval_expr(goal.predicate, env) for env in envs)
-
-
 def generate_suite(model: ClosedLoopModel, reqs: list,
                    config: GeneratorConfig):
     """Drive the goal list to a suite.  Returns (suite, report)."""
@@ -677,12 +559,12 @@ def generate_suite(model: ClosedLoopModel, reqs: list,
                                       status="COVERED", test_id=tid,
                                       position=position)
             trace = simulate_lasso(model, case, step_cap=config.step_cap)
-            envs, _ = ltl.position_envs(trace)
+            rows, _ = ltl.position_rows(trace)
             for j in range(i + 1, len(goals)):
                 if outcomes[j] is not None:
                     continue
-                later = goals[j].predicate
-                if any(eval_expr(later, env) for env in envs):
+                test = model.compiled().predicate(goals[j].predicate)
+                if any(test(row) for row in rows):
                     outcomes[j] = GoalOutcome(index=j + 1,
                                               origin=goals[j].origin,
                                               status="SUBSUMED", test_id=tid)

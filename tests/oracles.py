@@ -1,8 +1,11 @@
 """Independent reference implementations the tests compare against.
 
-Everything here favors the dumbest correct algorithm: formula evaluation by
-literally walking an unrolled path, reachability by enumerating every nondet
-sequence as a tree without any visited bookkeeping.  Slow on purpose.
+Everything here favors the dumbest correct algorithm: expressions and steps
+by walking the expression tree over dict environments, formula evaluation
+by literally walking an unrolled path, reachability by enumerating every
+nondet sequence as a tree without any visited bookkeeping.  Slow on
+purpose.  Only the package's data classes are imported, never its
+evaluators.
 """
 
 from itertools import product
@@ -18,7 +21,92 @@ from looptest.ltl import (
     Or,
     Until,
 )
-from looptest.model import eval_expr, init_state, step
+from looptest.model import (
+    Binary,
+    Cond,
+    DomainViolation,
+    EvalError,
+    Lit,
+    Ref,
+    SystemState,
+    Unary,
+)
+
+
+def reference_eval(expr, env):
+    """Evaluate an expression over a dict environment by walking its tree.
+
+    Boolean connectives short-circuit.  Integer division and mod are
+    floored; by zero they raise EvalError.
+    """
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Ref):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise EvalError(f"undefined variable '{expr.name}'") from None
+    if isinstance(expr, Unary):
+        value = reference_eval(expr.operand, env)
+        return (not value) if expr.op == "!" else -value
+    if isinstance(expr, Binary):
+        op = expr.op
+        lhs = reference_eval(expr.lhs, env)
+        if op == "&&":
+            return bool(lhs) and bool(reference_eval(expr.rhs, env))
+        if op == "||":
+            return bool(lhs) or bool(reference_eval(expr.rhs, env))
+        if op == "->":
+            return (not lhs) or bool(reference_eval(expr.rhs, env))
+        rhs = reference_eval(expr.rhs, env)
+        if op in ("/", "mod") and rhs == 0:
+            raise EvalError("division by zero" if op == "/"
+                            else "mod by zero")
+        return {
+            "+": lambda: lhs + rhs, "-": lambda: lhs - rhs,
+            "*": lambda: lhs * rhs, "/": lambda: lhs // rhs,
+            "mod": lambda: lhs % rhs,
+            "==": lambda: lhs == rhs, "!=": lambda: lhs != rhs,
+            "<": lambda: lhs < rhs, "<=": lambda: lhs <= rhs,
+            ">": lambda: lhs > rhs, ">=": lambda: lhs >= rhs,
+        }[op]()
+    if isinstance(expr, Cond):
+        if reference_eval(expr.cond, env):
+            return reference_eval(expr.then, env)
+        return reference_eval(expr.other, env)
+    raise TypeError(f"unknown expression node {expr!r}")
+
+
+def reference_root(model):
+    """The initial state: every state variable at its init value."""
+    names = tuple(v.name for v in model.state_variables())
+    return SystemState(names,
+                       tuple(v.init for v in model.state_variables()))
+
+
+def reference_step(model, state, nondet):
+    """One step by walking the assignment expressions over a dict.
+
+    Nondet values are checked first, in declaration order, then the plant
+    and the controller assignments run in source order, each read seeing
+    the latest value, and each result is checked against its target's
+    domain.
+    """
+    env = state.as_dict()
+    for v in model.nondet_variables():
+        value = nondet[v.name]
+        if not v.domain.contains(value):
+            raise DomainViolation(v.name, value, "nondet value")
+        env[v.name] = value
+    for block_name, block in (("plant", model.plant),
+                              ("controller", model.controller)):
+        for i, asn in enumerate(block.assignments):
+            value = reference_eval(asn.expr, env)
+            if not model.var(asn.target).domain.contains(value):
+                raise DomainViolation(asn.target, value,
+                                      f"{block_name} assignment {i + 1}")
+            env[asn.target] = value
+    return SystemState(state.names, tuple(env[n] for n in state.names))
 
 
 def lasso_positions(trace):
@@ -60,7 +148,7 @@ def path_eval(formula, envs, prefix, position=0):
         if key in cache:
             return cache[key]
         if isinstance(node, Atom):
-            value = bool(eval_expr(node.expr, envs[i]))
+            value = bool(reference_eval(node.expr, envs[i]))
         elif isinstance(node, Not):
             value = not ev(node.operand, i)
         elif isinstance(node, And):
@@ -121,12 +209,12 @@ def shortest_hits(model, predicates, max_len):
 
     def check(env, depth):
         for i in list(pending):
-            if eval_expr(predicates[i], env):
+            if reference_eval(predicates[i], env):
                 hits[i] = depth
                 pending.discard(i)
 
     columns = all_columns(model)
-    root = init_state(model)
+    root = reference_root(model)
     env = root.as_dict()
     env.update(model.nondet_defaults())
     check(env, 0)
@@ -137,7 +225,7 @@ def shortest_hits(model, predicates, max_len):
         grown = []
         for state in level:
             for column in columns:
-                after = step(model, state, column)
+                after = reference_step(model, state, column)
                 env = after.as_dict()
                 env.update(column)
                 check(env, depth)

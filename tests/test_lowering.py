@@ -1,0 +1,232 @@
+"""The compiled step and compiled predicates against the tree-walking
+reference in oracles.py: same values, same exception class and message."""
+
+import random
+
+from looptest.dsl import parse_model
+from looptest.model import (
+    Assignment,
+    Binary,
+    BoolDomain,
+    ClosedLoopModel,
+    Cond,
+    DomainViolation,
+    IntRange,
+    Lit,
+    ModelError,
+    Ref,
+    Unary,
+    UpdateBlock,
+    step,
+    validate_model,
+)
+
+import oracles
+import randgen
+
+
+def _typed(values) -> tuple:
+    # True == 1, so compare types too
+    return tuple((type(v), v) for v in values)
+
+
+def _outcome(fn, *args):
+    """Typed state values fn returns, or the class and message it raises."""
+    try:
+        return _typed(fn(*args).values)
+    except ModelError as err:
+        return type(err), str(err)
+
+
+def _faulty(rng, model):
+    """The model with each int assignment wrapped in an arithmetic step
+    that can leave the domain or divide by zero."""
+    ints = [v.name for v in model.variables if isinstance(v.domain, IntRange)]
+    if not ints:
+        return model
+
+    def wrap(asn):
+        if asn.target not in ints or rng.random() < 0.3:
+            return asn
+        op = rng.choice(("+", "-", "*", "/", "mod"))
+        term = Ref(rng.choice(ints)) if rng.random() < 0.6 \
+            else Lit(rng.randrange(0, 3))
+        return Assignment(asn.target, Binary(op, asn.expr, term))
+
+    faulty = ClosedLoopModel(
+        name=model.name + "-faulty", variables=model.variables,
+        plant=UpdateBlock(tuple(wrap(a) for a in model.plant.assignments)),
+        controller=UpdateBlock(tuple(wrap(a)
+                                     for a in model.controller.assignments)))
+    assert validate_model(faulty) == []
+    return faulty
+
+
+def _column(rng, model):
+    """A nondet column, now and then with a value outside its domain."""
+    column = {}
+    for v in model.nondet_variables():
+        column[v.name] = rng.choice(list(v.domain.values()))
+        if rng.random() < 0.05:
+            column[v.name] = rng.choice((7, -3, 1, "zz"))
+    return column
+
+
+def test_compiled_step_matches_reference_step():
+    rng = random.Random(2024)
+    seen = {"single": 0, "violation": 0, "division by zero": 0,
+            "mod by zero": 0, "nondet value": 0}
+    for i in range(400):
+        model = randgen.random_model(rng, name=f"s{i}")
+        if i % 2:
+            model = _faulty(rng, model)
+        if len(model.state_variables()) == 1:
+            seen["single"] += 1
+        state = oracles.reference_root(model)
+        for _ in range(6):
+            column = _column(rng, model)
+            got = _outcome(step, model, state, column)
+            want = _outcome(oracles.reference_step, model, state, column)
+            assert got == want, (model, state, column)
+            if isinstance(want[0], type):
+                message = want[1]
+                seen["violation"] += "outside domain" in message
+                for key in ("division by zero", "mod by zero",
+                            "nondet value"):
+                    seen[key] += message.startswith(key)
+                break
+            state = step(model, state, column)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_single_state_variable_steps_to_a_one_tuple():
+    model = parse_model("""model one;
+nondet go : bool;
+input x : int 0..2 = 0;
+plant {
+  x = go ? x + 1 : x;
+}
+controller {
+}
+""")
+    state = oracles.reference_root(model)
+    for go in (True, False, True):
+        want = oracles.reference_step(model, state, {"go": go})
+        state = step(model, state, {"go": go})
+        assert state.values == want.values
+        assert isinstance(state.values, tuple)
+    # x is 2, so one more climb leaves the domain
+    assert _outcome(step, model, state, {"go": True}) == \
+        _outcome(oracles.reference_step, model, state, {"go": True}) == \
+        (DomainViolation, "plant assignment 1: value 3 outside domain of 'x'")
+
+
+def _random_expr(rng, ints, bools, want, depth):
+    """A typed expression of kind want ("int" or "bool"), now and then
+    reading an undeclared variable, dividing by zero or chaining
+    comparisons of comparisons."""
+    if depth <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.05:
+            return Ref("missing")
+        if want == "int":
+            return Ref(rng.choice(ints)) if ints and rng.random() < 0.6 \
+                else Lit(rng.randrange(-3, 4))
+        return Ref(rng.choice(bools)) if bools and rng.random() < 0.6 \
+            else Lit(rng.random() < 0.5)
+    roll = rng.random()
+    if roll < 0.2:
+        return Cond(_random_expr(rng, ints, bools, "bool", depth - 1),
+                    _random_expr(rng, ints, bools, want, depth - 1),
+                    _random_expr(rng, ints, bools, want, depth - 1))
+    if want == "int":
+        if roll < 0.35:
+            return Unary("-", _random_expr(rng, ints, bools, "int",
+                                           depth - 1))
+        op = rng.choice(("+", "-", "*", "/", "mod"))
+        return Binary(op, _random_expr(rng, ints, bools, "int", depth - 1),
+                      _random_expr(rng, ints, bools, "int", depth - 1))
+    if roll < 0.35:
+        return Unary("!", _random_expr(rng, ints, bools, "bool", depth - 1))
+    if roll < 0.6:
+        op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
+        return Binary(op, _random_expr(rng, ints, bools, "int", depth - 1),
+                      _random_expr(rng, ints, bools, "int", depth - 1))
+    op = rng.choice(("&&", "||", "->", "==", "!="))
+    return Binary(op, _random_expr(rng, ints, bools, "bool", depth - 1),
+                  _random_expr(rng, ints, bools, "bool", depth - 1))
+
+
+def _value(fn, *args):
+    try:
+        value = fn(*args)
+        return type(value), value
+    except ModelError as err:
+        return type(err), str(err)
+
+
+def test_compiled_predicates_match_reference_eval():
+    rng = random.Random(77)
+    raised = set()
+    for i in range(300):
+        model = randgen.random_model(rng, name=f"p{i}")
+        ints = [v.name for v in model.variables
+                if isinstance(v.domain, IntRange)]
+        bools = [v.name for v in model.variables
+                 if isinstance(v.domain, BoolDomain)]
+        compiled = model.compiled()
+        state = oracles.reference_root(model)
+        column = {v.name: rng.choice(list(v.domain.values()))
+                  for v in model.nondet_variables()}
+        env = dict(state.as_dict(), **column)
+        row = compiled.row(state.values, column)
+        for _ in range(10):
+            expr = _random_expr(rng, ints, bools,
+                                rng.choice(("int", "bool")), 4)
+            got = _value(compiled.predicate(expr), row)
+            want = _value(oracles.reference_eval, expr, env)
+            assert got == want, (str(expr), env)
+            if isinstance(want[1], str) and issubclass(want[0], ModelError):
+                raised.add(want[1].split(" '")[0])
+    assert raised == {"division by zero", "mod by zero",
+                      "undefined variable"}
+
+
+def test_short_circuit_hides_undefined_variables():
+    model = randgen._SYN_MODEL
+    compiled = model.compiled()
+    row = compiled.row((True, False, 0), {})
+    missing = Ref("missing")
+    cases = [
+        (Binary("&&", Ref("q"), missing), False),
+        (Binary("||", Ref("p"), missing), True),
+        (Binary("->", Ref("q"), missing), True),
+        (Cond(Ref("p"), Lit(1), missing), 1),
+        (Cond(Ref("q"), missing, Lit(2)), 2),
+    ]
+    for expr, want in cases:
+        assert compiled.predicate(expr)(row) == want
+    evaluated = Binary("&&", Ref("p"), missing)
+    assert _value(compiled.predicate(evaluated), row) == \
+        _value(oracles.reference_eval, evaluated, {"p": True})
+
+
+def test_deep_chains_compile():
+    depth = 600
+    chain = " || ".join(f"x == {i % 3}" for i in range(depth))
+    arms = "".join(f"x == {i % 3} ? {i % 3} : " for i in range(depth))
+    model = parse_model(f"""model deep;
+nondet go : bool;
+input x : int 0..3 = 0;
+output y : bool = false;
+plant {{
+  x = {arms}3;
+}}
+controller {{
+  y = {chain};
+}}
+""")
+    state = oracles.reference_root(model)
+    for _ in range(3):
+        want = oracles.reference_step(model, state, {"go": True})
+        state = step(model, state, {"go": True})
+        assert state == want

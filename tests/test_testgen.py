@@ -14,7 +14,6 @@ from looptest.testgen import (
     GeneratorConfig,
     StateCapExceeded,
     _direct_nondet_witness,
-    covers,
     enumerate_goals,
     generate_suite,
 )
@@ -182,7 +181,10 @@ def test_every_subsumed_goal_really_is_covered():
     for out in report.outcomes:
         if out.status != "SUBSUMED":
             continue
-        assert covers(CLIMB, by_id[out.test_id], goals[out.index - 1])
+        trace = simulate_lasso(CLIMB, by_id[out.test_id])
+        envs, _ = oracles.lasso_positions(trace)
+        predicate = goals[out.index - 1].predicate
+        assert any(oracles.reference_eval(predicate, env) for env in envs)
         scanned += 1
     assert scanned == 5
 
