@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 from . import casegen
 from .dsl import ParseError, load_model, load_reqs, load_suite, \
@@ -28,10 +29,22 @@ from .testgen import GeneratorConfig, generate_suite, \
 
 
 def _write_atomic(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write through a temporary file of its own beside path, so runs into
+    one directory and leftovers of earlier runs do not collide."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # mkstemp creates the file private; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _add_caps(sub):

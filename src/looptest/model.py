@@ -8,7 +8,8 @@ read-latest semantics.
 eval_expr walks an expression over a dict.  Everything that evaluates
 expressions many times (step, the explicit search, LTL atoms, subsumption
 scans) instead uses the model lowered once, at first use, to compiled Python
-over flat rows (CompiledModel).
+over flat rows (CompiledModel): one step function, which the concrete step
+runs to its end and the search resumes after each nondet value it chooses.
 """
 
 from __future__ import annotations
@@ -708,19 +709,8 @@ def _raise(message: str, *_operands):
 UNSET = object()
 
 
-class NeedValue(Exception):
-    """A guarded read found UNSET in a row slot."""
-
-    def __init__(self, slot: int):
-        self.slot = slot
-
-
-def _need(slot: int):
-    raise NeedValue(slot)
-
-
 _HELPERS = {"floor_div": floor_div, "floor_mod": floor_mod, "_raise": _raise,
-            "_violation": DomainViolation, "UNSET": UNSET, "_need": _need}
+            "_violation": DomainViolation, "UNSET": UNSET}
 
 # Python binding strength of each emitted form, larger binds tighter:
 # 1 conditional, 2 or, 3 and, 4 not, 5 comparison, 6 + -, 7 *, 8 unary
@@ -739,12 +729,14 @@ _BINARY = {
 
 
 def lower_expr(expr: Expr, slot_of: Mapping[str, int],
-               guarded: frozenset = frozenset()) -> str:
+               yields: Mapping[int, int] = {}) -> str:
     """Python source computing an expression over the row ``r``.
 
-    Reading a slot in guarded that holds UNSET raises NeedValue.  Built
-    bottom-up from an explicit stack, so deeply nested expressions do not
-    run into the interpreter's recursion limit.
+    yields maps a slot to a code: reading that slot while it holds UNSET
+    yields the code, and once resumed reads the slot again, so the source
+    belongs in a generator.  Built bottom-up from an explicit stack, so
+    deeply nested expressions do not run into the interpreter's recursion
+    limit.
     """
     done = []  # (source, binding strength) of finished subexpressions
     todo = [(expr, False)]
@@ -757,7 +749,7 @@ def lower_expr(expr: Expr, slot_of: Mapping[str, int],
             continue
         parts = done[len(done) - len(kids):]
         del done[len(done) - len(kids):]
-        done.append(_emit(node, parts, slot_of, guarded))
+        done.append(_emit(node, parts, slot_of, yields))
     return done[0][0]
 
 
@@ -771,7 +763,7 @@ def _children(node: Expr) -> tuple:
     return ()
 
 
-def _emit(node: Expr, parts: list, slot_of, guarded) -> tuple:
+def _emit(node: Expr, parts: list, slot_of, yields) -> tuple:
     """(source, binding strength) of a node, given those of its children."""
 
     def arg(i: int, need: int) -> str:
@@ -786,9 +778,10 @@ def _emit(node: Expr, parts: list, slot_of, guarded) -> tuple:
         if slot is None:
             message = f"undefined variable '{node.name}'"
             return f"_raise({message!r})", 9
-        if slot in guarded:
+        code = yields.get(slot)
+        if code is not None:
             return (f"(_v if (_v := r[{slot}]) is not UNSET "
-                    f"else _need({slot}))"), 9
+                    f"else (yield {code}) or r[{slot}])"), 9
         return f"r[{slot}]", 9
     if isinstance(node, Unary):
         if node.op == "!":
@@ -815,12 +808,12 @@ def _emit(node: Expr, parts: list, slot_of, guarded) -> tuple:
 class CompiledModel:
     """A model lowered once to compiled Python over rows.
 
-    step() is the concrete step over tuples of state values.  row() builds
-    the row of a position from its state values and nondet mapping, and
-    state_of() reads the state values back out of a row.
+    advance() is the model's step, the only compiled form of its
+    assignments, and resumes lists what each of its yields stands for;
+    step() runs it on tuples of state values.  row() builds
+    the row of a position from its state values and nondet mapping.
     predicate() compiles an expression to a function of a row, once per
-    structurally distinct expression.  branching_assigns() serves a search
-    that chooses nondet values only when they are read.
+    structurally distinct expression.
     """
 
     def __init__(self, model: ClosedLoopModel):
@@ -828,37 +821,14 @@ class CompiledModel:
         self._filename = f"<looptest model {model.name}>"
         self.row = self._row_function(model, checked=False)
         self._enter = self._row_function(model, checked=True)
-        items = "".join(f"r[{self.slot_of[name]}], "
-                        for name in model._state_names)
-        self.state_of = self._compile(f"lambda r: ({items})")
-        self._nondet_slots = frozenset(
-            self.slot_of[v.name] for v in model.nondet_variables())
-        self._assignments = [
-            (asn.expr, asn.target, self.slot_of[asn.target],
-             model.var(asn.target).domain.test_source("v"),
-             f"{block_name} assignment {i + 1}")
-            for block_name, block in (("plant", model.plant),
-                                      ("controller", model.controller))
-            for i, asn in enumerate(block.assignments)]
-        self._assigns = self._assign_functions(frozenset())
-        self._branching = None
+        self.resumes = []
+        self.advance = self._advance_function(model)
         self._predicates = {}
 
     def step(self, values: tuple, nondet: Mapping[str, object]) -> tuple:
         """State values after one step from the given ones."""
-        r = self._enter(values, nondet)
-        for assign in self._assigns:
-            assign(r)
-        return self.state_of(r)
-
-    def branching_assigns(self) -> list:
-        """The assignments in order, as functions that update a row in
-        place.  A nondet slot may hold UNSET: reading it raises NeedValue
-        before the assignment writes anything, so a search can choose the
-        value and call the same function again."""
-        if self._branching is None:
-            self._branching = self._assign_functions(self._nondet_slots)
-        return self._branching
+        (state,) = self.advance(self._enter(values, nondet), 0)
+        return state
 
     def predicate(self, expr: Expr):
         """The expression as a function of a row, compiled on first use."""
@@ -868,14 +838,40 @@ class CompiledModel:
             self._predicates[expr] = fn
         return fn
 
-    def _assign_functions(self, guarded: frozenset) -> list:
-        return [self._define(
-            "def assign(r):\n"
-            f"    v = {lower_expr(expr, self.slot_of, guarded)}\n"
-            f"    if not ({test}):\n"
-            f"        raise _violation({target!r}, v, {where!r})\n"
-            f"    r[{slot}] = v\n")
-            for expr, target, slot, test, where in self._assignments]
+    def _advance_function(self, model: ClosedLoopModel):
+        """advance(r, pos): a generator that runs assignment pos and the
+        later ones (plant then controller, from 0) in place on the row r,
+        then yields the successor's state values.  Where assignment k reads
+        a nondet slot holding UNSET it first yields a code, resumes[code] ==
+        (k, slot), then reads the slot again; a copy of the row taken there
+        can be run from pos=k with another value."""
+        nondet = {self.slot_of[v.name] for v in model.nondet_variables()}
+        lines = ["def advance(r, pos):"]
+        k = 0
+        for block_name, block in (("plant", model.plant),
+                                  ("controller", model.controller)):
+            for i, asn in enumerate(block.assignments):
+                reads = {self.slot_of.get(name)
+                         for name in referenced_names(asn.expr)} & nondet
+                if k == 0 or reads:
+                    lines.append(f"    if pos <= {k}:")
+                yields = {}
+                for read in sorted(reads):
+                    yields[read] = len(self.resumes)
+                    self.resumes.append((k, read))
+                slot = self.slot_of[asn.target]
+                test = model.var(asn.target).domain.test_source("v")
+                where = f"{block_name} assignment {i + 1}"
+                lines += [
+                    f"        v = {lower_expr(asn.expr, self.slot_of, yields)}",
+                    f"        if not ({test}):",
+                    f"            raise _violation({asn.target!r}, v, {where!r})",
+                    f"        r[{slot}] = v"]
+                k += 1
+        items = "".join(f"r[{self.slot_of[name]}], "
+                        for name in model._state_names)
+        lines.append(f"    yield ({items})\n")
+        return self._define("\n".join(lines))
 
     def _row_function(self, model: ClosedLoopModel, checked: bool):
         """row(state values, nondet mapping) -> list, reading the nondet

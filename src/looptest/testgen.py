@@ -11,7 +11,8 @@ Scanning its discovery order gives the same answer a fresh per-goal search
 would: layers are built in depth order, and inside a layer nodes are added
 parent-first with each parent's successors sorted by nondet column, so the
 first hit is a shortest witness with the lexicographically least column
-sequence.
+sequence.  Only nondet values the compiled step reads are branched on, and
+goal predicates are scanned over the position row each node keeps.
 
 Explicit branching multiplies with every nondet value read, so once a search
 has spent SYMBOLIC_HANDOFF_STEPS branch steps it continues symbolically (see
@@ -37,7 +38,6 @@ from .model import (
     Expr,
     Lit,
     ModelError,
-    NeedValue,
     Ref,
     Unary,
     VarKind,
@@ -53,11 +53,12 @@ DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_STEP_CAP = 10_000_000
 
 #: Explicit branch steps after which the bounded search turns symbolic.
-#: On elevator n=4 (bound 18) explicit search costs about 7 us per step
-#: and the symbolic phase from the root 0.18 s, so they break even near
-#: 25k steps.  Twice that keeps searches of the size of elevator n=3 (21k
-#: steps to its full bound) explicit, where peak memory is lower (18 MB
-#: against 22 MB), and n=4 still finishes in 0.4 s instead of 1.9 s.
+#: Elevator n=4 (bound 18) generates in 0.22 / 0.33 / 0.40 / 0.55 / 0.78 s
+#: with the handoff at 0 / 25k / 50k / 100k steps or never (CPU seconds at
+#: the speed of bench/reference.py): about 3 us per explicit step, so the
+#: symbolic phase from the root is worth some 75k steps.  50k keeps
+#: searches of the size of elevator n=3 (21k steps to its full bound)
+#: explicit, where peak memory is lower (18 MB against 22 MB).
 SYMBOLIC_HANDOFF_STEPS = 50_000
 
 
@@ -198,12 +199,18 @@ class BoundedExplorer:
 
     States are tuples over the non-nondet variables in declaration order.
     Each discovered node remembers the parent it was first reached from and
-    the full nondet column used, chosen lexicographically least (by domain
-    value order) among the branches that reach the same successor.
+    its position row: the state plus the full nondet column used, chosen
+    lexicographically least (by domain value order) among the branches that
+    reach the same successor, or the domain defaults at the root.
 
-    nodes, parents and columns hold the explicit layers only.  After the
-    handoff to the symbolic phase, each further layer is a BDD of the states
-    it adds, and witnesses into it are rebuilt on demand.
+    A node is expanded by running the model's advance() on a row whose
+    nondet slots are UNSET.  At each read of an unset slot it yields, and
+    the search stacks copies of the row for the other domain values and
+    goes on in place with the first: a depth-first walk in domain order.
+
+    nodes, parents, rows and columns hold the explicit layers only.  After
+    the handoff to the symbolic phase, each further layer is a BDD of the
+    states it adds, and witnesses into it are rebuilt on demand.
     """
 
     def __init__(self, model: ClosedLoopModel, max_len: int,
@@ -214,30 +221,34 @@ class BoundedExplorer:
         self.state_cap = state_cap
         self.step_cap = step_cap
 
-        self._compiled = model.compiled()
-        slot_of = self._compiled.slot_of
-        self._state_slots = [slot_of[v.name] for v in model.state_variables()]
-        self._state_get = self._compiled.state_of
+        compiled = model.compiled()
+        slot_of = compiled.slot_of
+        self._advance = compiled.advance
+        self._row = compiled.row
         nondet = model.nondet_variables()
+        self._unset = {v.name: UNSET for v in nondet}
         self._nondet_slots = [slot_of[v.name] for v in nondet]
-        self._nondet_values = {slot_of[v.name]: tuple(v.domain.values())
-                               for v in nondet}
-        self._nondet_rank = {
-            slot: {val: i for i, val in enumerate(vals)}
-            for slot, vals in self._nondet_values.items()}
-        self._default_column = tuple(v.domain.first() for v in nondet)
-        self._assigns = self._compiled.branching_assigns()
+        # (slot, first value, rank of each value) in declaration order
+        self._ranks = [(slot_of[v.name], v.domain.first(),
+                        {value: i for i, value in enumerate(v.domain.values())})
+                       for v in nondet]
+        # what to do at each yield of advance(): resume at k, going on
+        # with the slot's first value and stacking the others in reverse
+        self._branches = []
+        for k, slot in compiled.resumes:
+            values = model.variables[slot].domain.values()
+            self._branches.append((k, slot, values[0], values[:0:-1]))
+        self._predicate = compiled.predicate
 
         root_tuple = init_state(model).values
         self.nodes = [root_tuple]
         self.parents = [-1]
-        self.columns = [None]  # root has no producing column
+        self.rows = [tuple(self._row(root_tuple, model.nondet_defaults()))]
         self._visited = {root_tuple: 0}
         self._depth_built = 0
         self._frontier = (0, 1)  # node range of the deepest explicit layer
         self._steps = 0
         self._limit = min(step_cap, SYMBOLIC_HANDOFF_STEPS)
-        self._scratch = [UNSET] * len(slot_of)
         self._goal_cache = {}
         # symbolic phase: layers[0] is the explicit frontier at the handoff,
         # layers[i] the states first reached i steps after it
@@ -246,65 +257,71 @@ class BoundedExplorer:
         self._reached = 0
         self._reached_count = 0
 
+    @property
+    def columns(self) -> list:
+        """The nondet column producing each node, None at the root."""
+        return [None] + [self._column(idx) for idx in range(1, len(self.rows))]
+
+    def _column(self, idx: int) -> tuple:
+        row = self.rows[idx]
+        return tuple(row[slot] for slot in self._nondet_slots)
+
     # -- stepping
 
     def _step_branches(self, state: tuple) -> list:
-        """All successor states with the nondet choices that were read."""
-        base = [UNSET] * len(self._scratch)
-        for slot, value in zip(self._state_slots, state):
-            base[slot] = value
-        stack = [(base, 0, {})]
+        """Each leaf of the state's branching as (successor, row), the row
+        UNSET where no value was read.  Every search-tree node is one branch
+        step, counted before its part of the step runs."""
+        stack = [(self._row(state, self._unset), 0)]
         out = []
-        assigns = self._assigns
-        count = len(assigns)
-        state_get = self._state_get
-        nondet_values = self._nondet_values
+        advance = self._advance
+        branches = self._branches
         steps = self._steps
         limit = self._limit
         try:
             while stack:
-                env, pos, chosen = stack.pop()
+                row, pos = stack.pop()
                 steps += 1
                 if steps > limit:
-                    if steps > self.step_cap:
-                        raise StepCapExceeded(
-                            f"step budget of {self.step_cap} exhausted")
-                    raise _Handoff
-                try:
-                    while pos < count:
-                        assigns[pos](env)
-                        pos += 1
-                    out.append((state_get(env), chosen))
-                except NeedValue as need:
-                    for value in reversed(nondet_values[need.slot]):
-                        env2 = env[:]
-                        env2[need.slot] = value
-                        chosen2 = dict(chosen)
-                        chosen2[need.slot] = value
-                        stack.append((env2, pos, chosen2))
+                    self._over_limit(steps)
+                for item in advance(row, pos):
+                    if item.__class__ is tuple:
+                        out.append((item, row))
+                        continue
+                    k, slot, first, rest = branches[item]
+                    for value in rest:
+                        copy = row[:]
+                        copy[slot] = value
+                        stack.append((copy, k))
+                    row[slot] = first
+                    steps += 1
+                    if steps > limit:
+                        self._over_limit(steps)
         finally:
             self._steps = steps
         return out
 
+    def _over_limit(self, steps: int):
+        if steps > self.step_cap:
+            raise StepCapExceeded(f"step budget of {self.step_cap} exhausted")
+        raise _Handoff
+
     def _step(self, state: tuple, column: tuple) -> tuple:
         """The successor under a full column, on a state known not to fail."""
-        env = self._env(state, column)
-        for assign in self._assigns:
-            assign(env)
-        return self._state_get(env)
+        (succ,) = self._advance(self._env(state, column), 0)
+        return succ
 
-    def _column_and_rank(self, chosen: dict) -> tuple:
-        column = []
+    def _rank(self, row: list) -> tuple:
+        """The rank of the row's column, unread slots set to first values."""
         rank = []
-        for slot in self._nondet_slots:
-            value = chosen.get(slot)
-            if value is None:
-                column.append(self._nondet_values[slot][0])
+        for slot, first, rank_of in self._ranks:
+            value = row[slot]
+            if value is UNSET:
+                row[slot] = first
                 rank.append(0)
             else:
-                column.append(value)
-                rank.append(self._nondet_rank[slot][value])
-        return tuple(column), tuple(rank)
+                rank.append(rank_of[value])
+        return tuple(rank)
 
     def _extend_layer(self) -> bool:
         if self._depth_built >= self.max_len:
@@ -315,33 +332,32 @@ class BoundedExplorer:
         if start == end:
             return False
         new_start = len(self.nodes)
+        visited = self._visited
         try:
             for idx in range(start, end):
                 best = {}
-                for succ, chosen in self._step_branches(self.nodes[idx]):
-                    if succ in self._visited:
+                for succ, row in self._step_branches(self.nodes[idx]):
+                    if succ in visited:
                         continue
-                    column, rank = self._column_and_rank(chosen)
+                    rank = self._rank(row)
                     held = best.get(succ)
                     if held is None or rank < held[0]:
-                        best[succ] = (rank, column)
-                for succ, (rank, column) in sorted(best.items(),
-                                                   key=lambda kv: kv[1][0]):
-                    if succ in self._visited:
-                        continue
-                    self._visited[succ] = len(self.nodes)
+                        best[succ] = (rank, row)
+                for succ, (rank, row) in sorted(best.items(),
+                                                key=lambda kv: kv[1][0]):
+                    visited[succ] = len(self.nodes)
                     self.nodes.append(succ)
                     self.parents.append(idx)
-                    self.columns.append(column)
+                    self.rows.append(tuple(row))
                     if len(self.nodes) > self.state_cap:
                         raise StateCapExceeded(
                             f"state budget of {self.state_cap} exhausted")
         except _Handoff:
             for succ in self.nodes[new_start:]:
-                del self._visited[succ]
+                del visited[succ]
             del self.nodes[new_start:]
             del self.parents[new_start:]
-            del self.columns[new_start:]
+            del self.rows[new_start:]
         else:
             self._depth_built += 1
             self._frontier = (new_start, len(self.nodes))
@@ -419,23 +435,12 @@ class BoundedExplorer:
     # -- queries
 
     def _env(self, state: tuple, column: tuple) -> list:
-        env = self._scratch
-        for slot, value in zip(self._state_slots, state):
-            env[slot] = value
-        for slot, value in zip(self._nondet_slots, column):
-            env[slot] = value
-        return env
-
-    def _node_env(self, idx: int) -> list:
-        column = self.columns[idx]
-        if column is None:
-            column = self._default_column
-        return self._env(self.nodes[idx], column)
+        return self._row(state, dict(zip(self._unset, column)))
 
     def _tree_path(self, idx: int) -> list:
         columns = []
         while self.parents[idx] >= 0:
-            columns.append(self.columns[idx])
+            columns.append(self._column(idx))
             idx = self.parents[idx]
         columns.reverse()
         return columns
@@ -455,13 +460,14 @@ class BoundedExplorer:
         return list(columns), len(columns)
 
     def _search(self, predicate: Expr):
-        fn = self._compiled.predicate(predicate)
+        fn = self._predicate(predicate)
+        rows = self.rows
         idx = 0
         layer = 1
         candidates = None
         while True:
-            while idx < len(self.nodes):
-                if fn(self._node_env(idx)):
+            while idx < len(rows):
+                if fn(rows[idx]):
                     return tuple(self._tree_path(idx))
                 idx += 1
             if self._relation is not None:

@@ -3,7 +3,8 @@
 Everything here favors the dumbest correct algorithm: expressions and steps
 by walking the expression tree over dict environments, formula evaluation
 by literally walking an unrolled path, reachability by enumerating every
-nondet sequence as a tree without any visited bookkeeping.  Slow on
+nondet sequence as a tree without any visited bookkeeping, and the
+breadth-first layers by stepping every full nondet column.  Slow on
 purpose.  Only the package's data classes are imported, never its
 evaluators.
 """
@@ -232,3 +233,38 @@ def shortest_hits(model, predicates, max_len):
                 grown.append(after)
         level = grown
     return hits
+
+
+def reference_layers(model, max_len):
+    """Breadth-first layers up to max_len steps, stepping every full column.
+
+    Each layer lists its new nodes as (state values, parent index, column),
+    where node indices count from the root (0) across layers and the root's
+    layer is [(root values, -1, None)].  A new state belongs to the first
+    parent, in node order, that reaches it, with the lexicographically
+    least full column (declaration order, then domain order) from that
+    parent; each parent's new states come in the order of those columns.
+    Stops early once a layer adds nothing.
+    """
+    columns = all_columns(model)
+    root = reference_root(model)
+    layers = [[(root.values, -1, None)]]
+    seen = {root.values}
+    frontier = [(0, root)]
+    count = 1
+    for _ in range(max_len):
+        layer = []
+        grown = []
+        for idx, state in frontier:
+            for column in columns:
+                after = reference_step(model, state, column)
+                if after.values not in seen:
+                    seen.add(after.values)
+                    layer.append((after.values, idx, tuple(column.values())))
+                    grown.append(after)
+        if not layer:
+            break
+        frontier = [(count + i, state) for i, state in enumerate(grown)]
+        count += len(layer)
+        layers.append(layer)
+    return layers

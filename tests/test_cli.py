@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from looptest.cli import main
+from looptest.cli import _write_atomic, main
 from looptest.dsl import load_model, load_suite, parse_reqs
 
 
@@ -169,6 +169,29 @@ def test_pipeline_reruns_are_byte_identical(workdir, capsys):
             for art in ("suite.cts", "generation.txt", "execution.txt")))
     capsys.readouterr()
     assert texts[0] == texts[1]
+
+
+def test_pipeline_writes_past_stale_temporary_files(workdir, capsys):
+    out_dir = workdir / "res"
+    (out_dir / "suite.cts.tmp").mkdir(parents=True)
+    rc = main(["pipeline",
+               "--model", str(workdir / "run.clm"),
+               "--reqs", str(workdir / "run.ltl"),
+               "--max-len", "6",
+               "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().out == "generated=2/2 violated=2 passed=1\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == \
+        ["execution.txt", "generation.txt", "suite.cts", "suite.cts.tmp"]
+    assert (out_dir / "suite.cts").read_text().startswith("suite go\n")
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "suite.cts"
+    target.mkdir()  # a file cannot replace a directory
+    with pytest.raises(OSError):
+        _write_atomic(str(target), "suite go\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["suite.cts"]
 
 
 def test_usage_and_input_errors_exit_2(workdir, capsys):

@@ -1,8 +1,10 @@
-"""The compiled step and compiled predicates against the tree-walking
-reference in oracles.py: same values, same exception class and message."""
+"""The compiled step, compiled predicates and the search that drives the
+compiled step against the tree-walking references in oracles.py: same
+values, same exception class and message."""
 
 import random
 
+from looptest import casegen, testgen
 from looptest.dsl import parse_model
 from looptest.model import (
     Assignment,
@@ -20,6 +22,7 @@ from looptest.model import (
     step,
     validate_model,
 )
+from looptest.testgen import BoundedExplorer
 
 import oracles
 import randgen
@@ -210,23 +213,77 @@ def test_short_circuit_hides_undefined_variables():
         _value(oracles.reference_eval, evaluated, {"p": True})
 
 
+def _explored_layers(model, max_len):
+    """The explorer's nodes, parents and columns grouped by depth, after
+    building every layer within the bound."""
+    explorer = BoundedExplorer(model, max_len)
+    assert explorer.find(Lit(False)) is None
+    depth = [0]
+    layers = [[]]
+    for node, parent, column in zip(explorer.nodes, explorer.parents,
+                                    explorer.columns):
+        if parent >= 0:
+            depth.append(depth[parent] + 1)
+            if depth[-1] == len(layers):
+                layers.append([])
+        layers[depth[-1]].append((node, parent, column))
+    return layers
+
+
+def _layers_or_error(build, model, max_len):
+    # Errors compare by class only: the reference tries full columns in
+    # declaration order, the explorer branches in read order, so the first
+    # failing column may differ.  test_symbolic.py pins the messages.
+    try:
+        return build(model, max_len)
+    except ModelError as err:
+        return type(err)
+
+
+def test_explorer_layers_match_reference_bfs(monkeypatch):
+    monkeypatch.setattr(testgen, "SYMBOLIC_HANDOFF_STEPS", 10 ** 18)
+    rng = random.Random(4242)
+    raised = 0
+    for i in range(120):
+        model = randgen.random_model(rng, name=f"b{i}")
+        if i % 3 == 2:
+            model = _faulty(rng, model)
+        bound = rng.randint(2, 6 if len(oracles.all_columns(model)) <= 3
+                            else 4)
+        want = _layers_or_error(oracles.reference_layers, model, bound)
+        got = _layers_or_error(_explored_layers, model, bound)
+        assert got == want, (i, model)
+        raised += isinstance(want, type)
+    assert 0 < raised < 60, raised
+    for kind in ("elevator", "pnp"):
+        study = casegen.build(kind, 2)
+        bound = study.suggested_max_len
+        assert _explored_layers(study.model, bound) == \
+            oracles.reference_layers(study.model, bound)
+
+
 def test_deep_chains_compile():
     depth = 600
     chain = " || ".join(f"x == {i % 3}" for i in range(depth))
     arms = "".join(f"x == {i % 3} ? {i % 3} : " for i in range(depth))
     model = parse_model(f"""model deep;
 nondet go : bool;
-input x : int 0..3 = 0;
+input x : int 0..3 = 3;
 output y : bool = false;
 plant {{
-  x = {arms}3;
+  x = {arms}go ? 3 : 2;
 }}
 controller {{
-  y = {chain};
+  y = {chain} || go;
 }}
 """)
     state = oracles.reference_root(model)
-    for _ in range(3):
-        want = oracles.reference_step(model, state, {"go": True})
-        state = step(model, state, {"go": True})
+    for go in (True, False, True):
+        want = oracles.reference_step(model, state, {"go": go})
+        state = step(model, state, {"go": go})
         assert state == want
+    # at x=3 both chains read go only at their bottom, so the search
+    # branches from inside the deepest nesting
+    layers = oracles.reference_layers(model, 3)
+    assert _explored_layers(model, 3) == layers
+    assert [len(layer) for layer in layers] == [1, 2]

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from looptest import ltl
+from looptest import casegen, ltl, testgen
 from looptest.dsl import parse_model
 from looptest.ltl import Atom, Globally, Implies, Requirement
-from looptest.model import Binary, Lit, Ref, Unary, eval_expr
+from looptest.model import Binary, EvalError, Lit, Ref, Unary, eval_expr
 from looptest.sim import simulate_lasso
 from looptest.testgen import (
     BoundedExplorer,
@@ -133,6 +133,28 @@ controller {
     assert ex.find(_x_is(1)) == ([(False, True)], 1)
 
 
+@pytest.mark.parametrize("expr, error", [
+    # d=0 passes, and d=1 is tried before d=2
+    ("d == 0 ? 1 : d == 1 ? 4 / y : 4 mod y", "division by zero"),
+    # b is read first, so (a=true, b=false) is tried before (false, true)
+    ("b ? (a ? 1 : 4 / y) : (a ? 4 mod y : 2)", "mod by zero"),
+])
+def test_explorer_raises_the_first_failing_branch_in_read_order(expr, error):
+    model = parse_model(f"""model order;
+nondet a : bool;
+nondet b : bool;
+nondet d : int 0..2;
+output y : int 0..3 = 0;
+plant {{
+}}
+controller {{
+  y = {expr};
+}}
+""")
+    with pytest.raises(EvalError, match=error):
+        BoundedExplorer(model, 2).find(Lit(False))
+
+
 def test_explorer_state_cap():
     model = parse_model("""model caps;
 nondet go : bool;
@@ -146,6 +168,30 @@ controller {
     ex = BoundedExplorer(model, 200, state_cap=5)
     with pytest.raises(StateCapExceeded, match="state budget of 5"):
         ex.find(_x_is(50))
+
+
+def test_branch_steps_are_pinned_on_a_saturating_search():
+    # every search-tree node is one branch step: the root of each expanded
+    # state and each value taken at a read nondet variable
+    study = casegen.build("elevator", 3)
+    ex = BoundedExplorer(study.model, 15)
+    assert ex.find(Lit(False)) is None
+    assert (len(ex.nodes), ex._steps) == (1249, 21241)
+
+
+def test_branch_steps_are_pinned_on_a_lazy_generation(monkeypatch):
+    made = []
+
+    class Recording(BoundedExplorer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(testgen, "BoundedExplorer", Recording)
+    study = casegen.build("pnp", 3)
+    generate_suite(study.model, study.reqs,
+                   GeneratorConfig(max_len=11, goal_mode="all"))
+    assert [(len(ex.nodes), ex._steps) for ex in made] == [(408, 4246)]
 
 
 # --------------------------------------------------------------------------
