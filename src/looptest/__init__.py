@@ -15,7 +15,6 @@ from .model import (
     Lit,
     ModelError,
     Ref,
-    SystemState,
     Unary,
     UpdateBlock,
     Variable,

@@ -162,12 +162,18 @@ def _cmd_pipeline(args) -> int:
     config = GeneratorConfig(max_len=args.max_len, goal_mode=args.goals,
                              state_cap=args.state_cap,
                              step_cap=args.step_cap)
-    suite, gen_report = generate_suite(model, reqs, config)
     os.makedirs(args.out_dir, exist_ok=True)
+    generation = os.path.join(args.out_dir, "generation.txt")
+    try:
+        suite, gen_report = generate_suite(model, reqs, config)
+    except ModelError as err:
+        # keep the goals decided before the abort; main() reports the error
+        _write_atomic(generation,
+                      f"{err.partial_report.text()}ABORTED {err}\n")
+        raise
     _write_atomic(os.path.join(args.out_dir, "suite.cts"),
                   serialize_suite(suite))
-    _write_atomic(os.path.join(args.out_dir, "generation.txt"),
-                  gen_report.text())
+    _write_atomic(generation, gen_report.text())
     report = execute_suite(model, reqs, suite, step_cap=args.step_cap)
     _write_atomic(os.path.join(args.out_dir, "execution.txt"),
                   report.text())

@@ -325,12 +325,12 @@ def position_rows(trace) -> tuple:
     model = trace.model
     row = model.compiled().row
     defaults = model.nondet_defaults()
-    rows = [row(s.values, defaults if nd is None else nd)
+    rows = [row(s, defaults if nd is None else nd)
             for s, nd in zip(trace.states, trace.nondet)]
     prefix = trace.prefix_len
     if prefix == 0:
         q = trace.loop_len
-        wrap = row(trace.states[0].values, {**defaults, **trace.wrap_nondet})
+        wrap = row(trace.states[0], {**defaults, **trace.wrap_nondet})
         rows = rows + [wrap] + rows[1:q]
         prefix = q
     return rows, prefix

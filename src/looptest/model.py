@@ -5,11 +5,13 @@ set of typed scalar variables.  One step of the composed system runs the plant
 assignments first, then the controller assignments, both in source order with
 read-latest semantics.
 
-eval_expr walks an expression over a dict.  Everything that evaluates
-expressions many times (step, the explicit search, LTL atoms, subsumption
-scans) instead uses the model lowered once, at first use, to compiled Python
-over flat rows (CompiledModel): one step function, which the concrete step
-runs to its end and the search resumes after each nondet value it chooses.
+A state is a tuple holding one value per state variable, in the order of
+state_variables().  Expressions have one lowering, lower_expr, to Python
+source over a flat row.  The model is lowered once, at first use, to
+compiled Python over rows (CompiledModel): one step function, which the
+concrete step runs to its end and the search resumes after each nondet
+value it chooses, and one compiled predicate per goal or LTL atom.
+eval_expr lowers an expression over a dict's names for one-off use.
 """
 
 from __future__ import annotations
@@ -314,60 +316,13 @@ def eval_expr(expr: Expr, env: Mapping[str, object]):
     """Evaluate an expression over a total environment.
 
     Boolean connectives short-circuit.  Integer division and mod are floored
-    (Python semantics); division by zero raises EvalError.
+    (Python semantics); division by zero raises EvalError.  The expression
+    is lowered over the environment's names in order, as the compiled model
+    lowers it over a row.
     """
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Ref):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvalError(f"undefined variable '{expr.name}'") from None
-    if isinstance(expr, Unary):
-        value = eval_expr(expr.operand, env)
-        return (not value) if expr.op == "!" else -value
-    if isinstance(expr, Binary):
-        op = expr.op
-        lhs = eval_expr(expr.lhs, env)
-        if op == "&&":
-            return bool(lhs) and bool(eval_expr(expr.rhs, env))
-        if op == "||":
-            return bool(lhs) or bool(eval_expr(expr.rhs, env))
-        if op == "->":
-            return (not lhs) or bool(eval_expr(expr.rhs, env))
-        rhs = eval_expr(expr.rhs, env)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0:
-                raise EvalError("division by zero")
-            return lhs // rhs
-        if op == "mod":
-            if rhs == 0:
-                raise EvalError("mod by zero")
-            return lhs % rhs
-        if op == "==":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        if op == "<":
-            return lhs < rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">":
-            return lhs > rhs
-        if op == ">=":
-            return lhs >= rhs
-        raise EvalError(f"unknown operator '{op}'")
-    if isinstance(expr, Cond):
-        if eval_expr(expr.cond, env):
-            return eval_expr(expr.then, env)
-        return eval_expr(expr.other, env)
-    raise EvalError(f"cannot evaluate {expr!r}")
+    names = list(env)
+    source = lower_expr(expr, {name: i for i, name in enumerate(names)})
+    return eval(source, _HELPERS, {"r": [env[name] for name in names]})
 
 
 def referenced_names(expr: Expr) -> set:
@@ -416,7 +371,6 @@ class ClosedLoopModel:
     _by_name: dict = field(default=None, compare=False, repr=False)
     _nondet: tuple = field(default=None, compare=False, repr=False)
     _state: tuple = field(default=None, compare=False, repr=False)
-    _state_names: tuple = field(default=None, compare=False, repr=False)
     _compiled: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -425,7 +379,6 @@ class ClosedLoopModel:
             v for v in self.variables if v.kind is VarKind.NONDET))
         object.__setattr__(self, "_state", tuple(
             v for v in self.variables if v.kind is not VarKind.NONDET))
-        object.__setattr__(self, "_state_names", tuple(v.name for v in self._state))
         object.__setattr__(self, "_compiled", None)
 
     def compiled(self) -> "CompiledModel":
@@ -450,47 +403,6 @@ class ClosedLoopModel:
     def nondet_defaults(self) -> dict:
         """Domain-first values, used when no step has applied any yet."""
         return {v.name: v.domain.first() for v in self.nondet_variables()}
-
-
-class SystemState:
-    """Total assignment to the non-nondeterministic variables of a model.
-
-    States compare and hash by value, so they can key visited sets.
-    """
-
-    __slots__ = ("_names", "_values")
-
-    def __init__(self, names: tuple, values: tuple):
-        self._names = names
-        self._values = values
-
-    @property
-    def values(self) -> tuple:
-        return self._values
-
-    @property
-    def names(self) -> tuple:
-        return self._names
-
-    def __getitem__(self, name: str):
-        try:
-            return self._values[self._names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
-    def as_dict(self) -> dict:
-        return dict(zip(self._names, self._values))
-
-    def __eq__(self, other):
-        return isinstance(other, SystemState) and self._values == other._values \
-            and self._names == other._names
-
-    def __hash__(self):
-        return hash(self._values)
-
-    def __repr__(self):
-        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self._names, self._values))
-        return f"SystemState({inner})"
 
 
 # --------------------------------------------------------------------------
@@ -659,22 +571,21 @@ def validate_model(model: ClosedLoopModel) -> list:
 # Execution
 
 
-def init_state(model: ClosedLoopModel) -> SystemState:
-    """The state holding every declared init value."""
-    return SystemState(model._state_names,
-                       tuple(v.init for v in model.state_variables()))
+def init_state(model: ClosedLoopModel) -> tuple:
+    """The state holding every declared init value: one value per state
+    variable, in the order of model.state_variables()."""
+    return tuple(v.init for v in model.state_variables())
 
 
-def step(model: ClosedLoopModel, state: SystemState,
-         nondet: Mapping[str, object]) -> SystemState:
+def step(model: ClosedLoopModel, state: tuple,
+         nondet: Mapping[str, object]) -> tuple:
     """Run one full step: plant assignments, then controller assignments.
 
     The nondeterministic values for this step must all be supplied; they are
     readable by both blocks but never assigned.  Every assignment is checked
     against the target's domain.
     """
-    return SystemState(model._state_names,
-                       model.compiled().step(state.values, nondet))
+    return model.compiled().step(state, nondet)
 
 
 # --------------------------------------------------------------------------
@@ -682,9 +593,9 @@ def step(model: ClosedLoopModel, state: SystemState,
 #
 # A row holds one value per declared variable, in declaration order.  An
 # expression lowers to Python source over the row ``r``, compiled once per
-# assignment or predicate.  The helpers keep eval_expr's floored division
-# and its error messages, and errors are raised only where eval_expr would
-# evaluate the failing node.
+# assignment or predicate.  Division and mod are floored and raise
+# EvalError by zero, and an error is raised only where a left-to-right,
+# short-circuiting evaluation reaches the failing node.
 
 
 def floor_div(a: int, b: int) -> int:
@@ -868,8 +779,8 @@ class CompiledModel:
                     f"            raise _violation({asn.target!r}, v, {where!r})",
                     f"        r[{slot}] = v"]
                 k += 1
-        items = "".join(f"r[{self.slot_of[name]}], "
-                        for name in model._state_names)
+        items = "".join(f"r[{self.slot_of[v.name]}], "
+                        for v in model.state_variables())
         lines.append(f"    yield ({items})\n")
         return self._define("\n".join(lines))
 

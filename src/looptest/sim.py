@@ -16,7 +16,6 @@ from .model import (
     Diagnostic,
     EnumDomain,
     ModelError,
-    SystemState,
     init_state,
     step,
 )
@@ -95,11 +94,12 @@ def validate_test(model: ClosedLoopModel, case: TestCase) -> list:
 class LassoTrace:
     """The ultimately periodic execution a test case induces.
 
-    states[k] is the state after k steps; nondet[k] holds the values applied
-    by the step that produced states[k] (None at position 0).  Positions
-    prefix_len .. prefix_len+loop_len-1 repeat forever; wrap_nondet is what
-    the step leaving the last position applies on its way back to the loop
-    start.
+    states[k] is the state after k steps, a tuple over the model's state
+    variables as init_state and step give it; nondet[k] holds the values
+    applied by the step that produced states[k] (None at position 0).
+    Positions prefix_len .. prefix_len+loop_len-1 repeat forever;
+    wrap_nondet is what the step leaving the last position applies on its
+    way back to the loop start.
     """
 
     model: ClosedLoopModel
@@ -113,12 +113,6 @@ class LassoTrace:
     @property
     def positions(self) -> int:
         return len(self.states)
-
-    def state_at(self, r: int) -> SystemState:
-        """State at any unwound position r >= 0."""
-        if r < self.positions:
-            return self.states[r]
-        return self.states[self.prefix_len + (r - self.prefix_len) % self.loop_len]
 
 
 def simulate_lasso(model: ClosedLoopModel, case: TestCase,
@@ -137,7 +131,7 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
     k = 0
     nd = None
     while True:
-        key = (k % length, s.values)
+        key = (k % length, s)
         hit = seen.get(key)
         if hit is not None:
             return LassoTrace(
@@ -189,13 +183,15 @@ def dump_trace(trace: LassoTrace) -> str:
     nondeterministic columns show what the producing step applied (domain
     defaults at position 0).
     """
-    defaults = trace.model.nondet_defaults()
+    model = trace.model
+    row = model.compiled().row
+    defaults = model.nondet_defaults()
     lines = []
     for k, state in enumerate(trace.states):
-        env = state.as_dict()
-        env.update(defaults if trace.nondet[k] is None else trace.nondet[k])
+        nondet = trace.nondet[k]
+        values = row(state, defaults if nondet is None else nondet)
         marker = " loop-start" if k == trace.prefix_len else ""
-        pairs = " ".join(f"{v.name}={value_text(env[v.name])}"
-                         for v in trace.model.variables)
+        pairs = " ".join(f"{v.name}={value_text(value)}"
+                         for v, value in zip(model.variables, values))
         lines.append(f"#{k}{marker} {pairs}")
     return "\n".join(lines)

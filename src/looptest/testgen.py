@@ -240,7 +240,7 @@ class BoundedExplorer:
             self._branches.append((k, slot, values[0], values[:0:-1]))
         self._predicate = compiled.predicate
 
-        root_tuple = init_state(model).values
+        root_tuple = init_state(model)
         self.nodes = [root_tuple]
         self.parents = [-1]
         self.rows = [tuple(self._row(root_tuple, model.nondet_defaults()))]
@@ -518,15 +518,20 @@ def _direct_nondet_witness(model: ClosedLoopModel, predicate: Expr):
     producing step.  The explorer cannot answer these: it keeps one producing
     column per distinct state, so columns that lead to an already-seen state
     are invisible to it.
+
+    Only the variables the predicate reads are enumerated, in declaration
+    order; the others keep their domain-first value, so the column found is
+    still the lexicographically least full column that satisfies it.
     """
     defaults = model.nondet_defaults()
     if eval_expr(predicate, defaults):
         return [], 0
-    nondet = model.nondet_variables()
-    for combo in itertools.product(*[v.domain.values() for v in nondet]):
-        env = {v.name: value for v, value in zip(nondet, combo)}
+    reads = referenced_names(predicate)
+    free = [v for v in model.nondet_variables() if v.name in reads]
+    for combo in itertools.product(*[v.domain.values() for v in free]):
+        env = {**defaults, **{v.name: value for v, value in zip(free, combo)}}
         if eval_expr(predicate, env):
-            return [combo], 1
+            return [tuple(env.values())], 1
     return None
 
 

@@ -29,7 +29,6 @@ from looptest.model import (
     EvalError,
     Lit,
     Ref,
-    SystemState,
     Unary,
 )
 
@@ -78,22 +77,27 @@ def reference_eval(expr, env):
     raise TypeError(f"unknown expression node {expr!r}")
 
 
+def _state_names(model):
+    return [v.name for v in model.state_variables()]
+
+
 def reference_root(model):
-    """The initial state: every state variable at its init value."""
-    names = tuple(v.name for v in model.state_variables())
-    return SystemState(names,
-                       tuple(v.init for v in model.state_variables()))
+    """The initial state: every state variable at its init value, as a
+    tuple in declaration order."""
+    return tuple(v.init for v in model.state_variables())
 
 
 def reference_step(model, state, nondet):
     """One step by walking the assignment expressions over a dict.
 
+    The state is a tuple over the state variables in declaration order.
     Nondet values are checked first, in declaration order, then the plant
     and the controller assignments run in source order, each read seeing
     the latest value, and each result is checked against its target's
     domain.
     """
-    env = state.as_dict()
+    names = _state_names(model)
+    env = dict(zip(names, state))
     for v in model.nondet_variables():
         value = nondet[v.name]
         if not v.domain.contains(value):
@@ -107,7 +111,7 @@ def reference_step(model, state, nondet):
                 raise DomainViolation(asn.target, value,
                                       f"{block_name} assignment {i + 1}")
             env[asn.target] = value
-    return SystemState(state.names, tuple(env[n] for n in state.names))
+    return tuple(env[n] for n in names)
 
 
 def lasso_positions(trace):
@@ -119,13 +123,14 @@ def lasso_positions(trace):
     position 0 this is a redundant but equivalent unrolling, which is the
     point: it never takes the shortcut the production code takes.
     """
+    names = _state_names(trace.model)
     defaults = trace.model.nondet_defaults()
     envs = []
     for k, state in enumerate(trace.states):
-        env = state.as_dict()
+        env = dict(zip(names, state))
         env.update(defaults if trace.nondet[k] is None else trace.nondet[k])
         envs.append(env)
-    wrap = trace.states[trace.prefix_len].as_dict()
+    wrap = dict(zip(names, trace.states[trace.prefix_len]))
     wrap.update(trace.wrap_nondet)
     unrolled = envs + [wrap] + envs[trace.prefix_len + 1:]
     return unrolled, len(envs)
@@ -214,9 +219,10 @@ def shortest_hits(model, predicates, max_len):
                 hits[i] = depth
                 pending.discard(i)
 
+    names = _state_names(model)
     columns = all_columns(model)
     root = reference_root(model)
-    env = root.as_dict()
+    env = dict(zip(names, root))
     env.update(model.nondet_defaults())
     check(env, 0)
     level = [root]
@@ -227,7 +233,7 @@ def shortest_hits(model, predicates, max_len):
         for state in level:
             for column in columns:
                 after = reference_step(model, state, column)
-                env = after.as_dict()
+                env = dict(zip(names, after))
                 env.update(column)
                 check(env, depth)
                 grown.append(after)
@@ -248,8 +254,8 @@ def reference_layers(model, max_len):
     """
     columns = all_columns(model)
     root = reference_root(model)
-    layers = [[(root.values, -1, None)]]
-    seen = {root.values}
+    layers = [[(root, -1, None)]]
+    seen = {root}
     frontier = [(0, root)]
     count = 1
     for _ in range(max_len):
@@ -258,9 +264,9 @@ def reference_layers(model, max_len):
         for idx, state in frontier:
             for column in columns:
                 after = reference_step(model, state, column)
-                if after.values not in seen:
-                    seen.add(after.values)
-                    layer.append((after.values, idx, tuple(column.values())))
+                if after not in seen:
+                    seen.add(after)
+                    layer.append((after, idx, tuple(column.values())))
                     grown.append(after)
         if not layer:
             break

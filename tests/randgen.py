@@ -21,7 +21,6 @@ from looptest.model import (
     IntRange,
     Lit,
     Ref,
-    SystemState,
     Unary,
     UpdateBlock,
     Variable,
@@ -33,8 +32,6 @@ from looptest.sim import LassoTrace, TestCase
 
 # --------------------------------------------------------------------------
 # Synthetic lassos over three plain variables (no nondet, no dynamics)
-
-_SYN_NAMES = ("p", "q", "n")
 
 _SYN_MODEL = ClosedLoopModel(
     name="synthetic",
@@ -53,8 +50,7 @@ def random_lasso(rng, max_prefix=5, max_loop=5):
     prefix = rng.randrange(0, max_prefix + 1)
     loop = rng.randrange(1, max_loop + 1)
     states = [
-        SystemState(_SYN_NAMES,
-                    (rng.random() < 0.5, rng.random() < 0.5, rng.randrange(4)))
+        (rng.random() < 0.5, rng.random() < 0.5, rng.randrange(4))
         for _ in range(prefix + loop)
     ]
     return LassoTrace(model=_SYN_MODEL, case=None, states=states,
@@ -123,8 +119,9 @@ def random_model(rng, name="fuzz"):
 
     Nondet branching is kept to at most 6 columns per step so exhaustive
     oracles stay cheap.  Assigned expressions only move values between
-    variables of the same domain (or pick literals from it), which keeps
-    every run inside the declared domains by construction.
+    variables of the same domain, pick literals from it, or step an int
+    by one under a guard that wraps at the domain's end, which keeps every
+    run inside the declared domains by construction.
     """
     variables = []
     nondet_count = 1 if rng.random() < 0.7 else 2
@@ -169,6 +166,14 @@ def random_model(rng, name="fuzz"):
             return term
         return Lit(rng.randrange(-2, 5))
 
+    def int_step(term, domain):
+        """term moved one place up or down, wrapping at the domain's end."""
+        if rng.random() < 0.5:
+            return Cond(Binary("<", term, Lit(domain.hi)),
+                        Binary("+", term, Lit(1)), Lit(domain.lo))
+        return Cond(Binary(">", term, Lit(domain.lo)),
+                    Binary("-", term, Lit(1)), Lit(domain.hi))
+
     def safe_expr(domain, depth):
         """An expression always inside the domain."""
         same = [v for v in state_vars if v.domain == domain]
@@ -177,7 +182,10 @@ def random_model(rng, name="fuzz"):
             return Cond(bool_expr(depth - 1), safe_expr(domain, depth - 1),
                         safe_expr(domain, depth - 1))
         if same and roll < 0.8:
-            return Ref(rng.choice(same).name)
+            term = Ref(rng.choice(same).name)
+            if isinstance(domain, IntRange) and rng.random() < 0.5:
+                return int_step(term, domain)
+            return term
         if isinstance(domain, BoolDomain):
             return bool_expr(depth - 1) if depth > 0 else Lit(rng.random() < 0.5)
         return Lit(rng.choice(list(domain.values())))

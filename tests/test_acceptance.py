@@ -15,7 +15,7 @@ import pytest
 
 from looptest import casegen, ltl
 from looptest.cli import main as cli_main
-from looptest.model import ModelError, VarKind, eval_expr
+from looptest.model import ModelError, VarKind
 from looptest.runner import execute_suite
 from looptest.sim import simulate_lasso
 from looptest.testgen import GeneratorConfig, enumerate_goals, generate_suite
@@ -114,15 +114,15 @@ def test_criterion_3_goal_outcomes_match_exhaustive_enumeration():
         depths = oracles.shortest_hits(
             model, [g.predicate for g in goals], bound)
         envs_of = {
-            case.tid: ltl.position_envs(simulate_lasso(model, case))[0]
+            case.tid: oracles.lasso_positions(simulate_lasso(model, case))[0]
             for case in suite.cases
         }
         for goal, out, depth in zip(goals, report.outcomes, depths):
             if out.status == "COVERED":
-                good = depth == out.position and eval_expr(
+                good = depth == out.position and oracles.reference_eval(
                     goal.predicate, envs_of[out.test_id][out.position])
             elif out.status == "SUBSUMED":
-                good = any(eval_expr(goal.predicate, env)
+                good = any(oracles.reference_eval(goal.predicate, env)
                            for env in envs_of[out.test_id])
             else:
                 good = depth is None

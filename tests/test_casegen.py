@@ -73,13 +73,19 @@ def test_elevator_suggested_bound_scales_with_floors():
 # Elevator behavior
 
 
+def _state_index(model, name):
+    """Where a state variable sits in the model's state tuples."""
+    return [v.name for v in model.state_variables()].index(name)
+
+
 def test_elevator_car_moves_one_position_per_step():
     model = casegen.elevator(2).model
     rng = random.Random(7)
     for i in range(10):
         case = randgen.random_case(rng, model, tid=f"c{i}", max_rows=5)
         trace = simulate_lasso(model, case)
-        positions = [s.as_dict()["elevator_pos"] for s in trace.states]
+        positions = [s[_state_index(model, "elevator_pos")]
+                     for s in trace.states]
         for a, b in zip(positions, positions[1:]):
             assert abs(a - b) <= 1
 
@@ -99,7 +105,8 @@ def test_elevator_doors_never_skip_a_phase():
         case = randgen.random_case(rng, model, tid=f"c{i}", max_rows=5)
         trace = simulate_lasso(model, case)
         for f in range(2):
-            seq = [s.as_dict()[f"door_state.{f}"] for s in trace.states]
+            slot = _state_index(model, f"door_state.{f}")
+            seq = [s[slot] for s in trace.states]
             for a, b in zip(seq, seq[1:]):
                 assert b in ALLOWED_DOOR_MOVES[a], (a, b)
 
@@ -112,7 +119,7 @@ def test_elevator_door_stays_open_three_steps():
     case = TestCase(tid="press", variables=names,
                     rows=(press,) + (idle,) * 7)
     trace = simulate_lasso(model, case)
-    opened = [s.as_dict()["door_open.0"] for s in trace.states]
+    opened = [s[_state_index(model, "door_open.0")] for s in trace.states]
     first = opened.index(True)
     assert opened[first:first + 4] == [True, True, True, False]
 

@@ -215,6 +215,26 @@ def test_exhausted_budgets_exit_3(workdir, capsys):
     assert "state budget" in capsys.readouterr().err
 
 
+def test_pipeline_abort_keeps_the_partial_generation_report(workdir, capsys):
+    out_dir = workdir / "res"
+    rc = main(["pipeline",
+               "--model", str(workdir / "run.clm"),
+               "--reqs", str(workdir / "run.ltl"),
+               "--max-len", "6",
+               "--out-dir", str(out_dir),
+               "--state-cap", "1"])
+    assert rc == 3
+    assert "state budget of 1 exhausted" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["generation.txt"]
+    assert (out_dir / "generation.txt").read_text() == (
+        "goal 1 var x=0 :: COVERED test=t0 pos=0\n"
+        "goal 5 var y=false :: SUBSUMED test=t0\n"
+        "goal 7 sub R_low x < 2 :: SUBSUMED test=t0\n"
+        "goal 9 sub R_any x >= 0 :: SUBSUMED test=t0\n"
+        "suite 1/1\n"
+        "ABORTED state budget of 1 exhausted\n")
+
+
 def test_runtime_model_errors_exit_3(workdir, capsys):
     _generate(workdir)
     capsys.readouterr()

@@ -19,6 +19,7 @@ from looptest.model import (
     Ref,
     Unary,
     UpdateBlock,
+    eval_expr,
     step,
     validate_model,
 )
@@ -36,7 +37,7 @@ def _typed(values) -> tuple:
 def _outcome(fn, *args):
     """Typed state values fn returns, or the class and message it raises."""
     try:
-        return _typed(fn(*args).values)
+        return _typed(fn(*args))
     except ModelError as err:
         return type(err), str(err)
 
@@ -116,8 +117,8 @@ controller {
     for go in (True, False, True):
         want = oracles.reference_step(model, state, {"go": go})
         state = step(model, state, {"go": go})
-        assert state.values == want.values
-        assert isinstance(state.values, tuple)
+        assert state == want
+        assert isinstance(state, tuple)
     # x is 2, so one more climb leaves the domain
     assert _outcome(step, model, state, {"go": True}) == \
         _outcome(oracles.reference_step, model, state, {"go": True}) == \
@@ -180,14 +181,16 @@ def test_compiled_predicates_match_reference_eval():
         state = oracles.reference_root(model)
         column = {v.name: rng.choice(list(v.domain.values()))
                   for v in model.nondet_variables()}
-        env = dict(state.as_dict(), **column)
-        row = compiled.row(state.values, column)
+        names = [v.name for v in model.state_variables()]
+        env = dict(zip(names, state), **column)
+        row = compiled.row(state, column)
         for _ in range(10):
             expr = _random_expr(rng, ints, bools,
                                 rng.choice(("int", "bool")), 4)
             got = _value(compiled.predicate(expr), row)
             want = _value(oracles.reference_eval, expr, env)
             assert got == want, (str(expr), env)
+            assert _value(eval_expr, expr, env) == want, (str(expr), env)
             if isinstance(want[1], str) and issubclass(want[0], ModelError):
                 raised.add(want[1].split(" '")[0])
     assert raised == {"division by zero", "mod by zero",

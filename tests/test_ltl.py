@@ -31,9 +31,7 @@ import randgen
 
 def make_lasso(rows, prefix):
     """Lasso over (p, q, n) tuples with no nondet dimension."""
-    from looptest.model import SystemState
-    states = [SystemState(("p", "q", "n"), row) for row in rows]
-    return LassoTrace(model=randgen._SYN_MODEL, case=None, states=states,
+    return LassoTrace(model=randgen._SYN_MODEL, case=None, states=list(rows),
                       nondet=[None] * len(rows), prefix_len=prefix,
                       loop_len=len(rows) - prefix, wrap_nondet={})
 

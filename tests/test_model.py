@@ -221,22 +221,21 @@ def test_validate_rejects_unknown_assignment_target():
 
 def test_init_state_holds_declared_values():
     s = init_state(_tiny_model())
-    assert s["x"] == 0
-    assert s["y"] is False
-    with pytest.raises(KeyError):
-        s["u"]  # nondet values are not part of the state
+    # (x, y) only: nondet values are not part of the state
+    assert s == (0, False)
+    assert s[0] == 0 and s[1] is False
 
 
 def test_step_applies_plant_then_controller():
     m = _tiny_model()
     s = init_state(m)
     s = step(m, s, {"u": True})
-    assert s["x"] == 1 and s["y"] is False
+    assert s[0] == 1 and s[1] is False
     s = step(m, s, {"u": True})
     # the controller reads the freshly assigned x, not the previous one
-    assert s["x"] == 2 and s["y"] is True
+    assert s[0] == 2 and s[1] is True
     s = step(m, s, {"u": True})
-    assert s["x"] == 3 and s["y"] is False
+    assert s[0] == 3 and s[1] is False
 
 
 def test_step_sees_assignments_in_block_order():
@@ -255,7 +254,7 @@ def test_step_sees_assignments_in_block_order():
     )
     assert validate_model(m) == []
     s = step(m, init_state(m), {"u": 1})
-    assert s["a"] == 2 and s["b"] == 3
+    assert s == (2, 3)
 
 
 def test_step_checks_assigned_domains():
@@ -269,7 +268,7 @@ def test_step_checks_assigned_domains():
         controller=UpdateBlock([]),
     )
     s = step(m, init_state(m), {"u": False})
-    assert s["x"] == 1
+    assert s == (1,)
     with pytest.raises(DomainViolation) as err:
         step(m, s, {"u": False})
     assert err.value.name == "x"

@@ -30,7 +30,7 @@ def test_loop_detection_uses_test_phase_not_just_state():
     trace = simulate_lasso(m, case)
     assert trace.prefix_len == 0
     assert trace.loop_len == 6
-    assert [s["x"] for s in trace.states] == [0, 1, 2, 0, 1, 2]
+    assert trace.states == [(0,), (1,), (2,), (0,), (1,), (2,)]
 
 
 def test_prefix_forms_before_a_saturating_loop():
@@ -45,7 +45,7 @@ controller { }
     trace = simulate_lasso(m, case)
     assert trace.prefix_len == 2
     assert trace.loop_len == 1
-    assert [s["x"] for s in trace.states] == [0, 1, 2]
+    assert trace.states == [(0,), (1,), (2,)]
 
 
 def test_wrap_nondet_is_the_closing_column():

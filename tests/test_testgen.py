@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from looptest import casegen, ltl, testgen
+from looptest import casegen, testgen
 from looptest.dsl import parse_model
 from looptest.ltl import Atom, Globally, Implies, Requirement
-from looptest.model import Binary, EvalError, Lit, Ref, Unary, eval_expr
+from looptest.model import Binary, EvalError, Lit, Ref, Unary
 from looptest.sim import simulate_lasso
 from looptest.testgen import (
     BoundedExplorer,
@@ -292,6 +292,27 @@ controller {
     assert _direct_nondet_witness(model, Ref("u")) == ([(True,)], 1)
 
 
+def test_direct_witness_enumerates_only_the_variables_read(monkeypatch):
+    # pnp n=5 has 31 boolean nondet variables; the least full column with
+    # the first one true comes 2^30 columns into their product.
+    model = casegen.build("pnp", 5).model
+    nondet = model.nondet_variables()
+    assert len(nondet) == 31
+    calls = []
+
+    def counted(expr, env):
+        calls.append(expr)
+        if len(calls) > 100:
+            raise AssertionError("more than 100 evaluations")
+        return evaluate(expr, env)
+
+    evaluate = testgen.eval_expr
+    monkeypatch.setattr(testgen, "eval_expr", counted)
+    column = (True,) + (False,) * 30
+    assert _direct_nondet_witness(model, Ref(nondet[0].name)) == \
+        ([column], 1)
+
+
 def test_abort_preserves_partial_results():
     model = parse_model("""model caps;
 nondet go : bool;
@@ -341,7 +362,7 @@ def test_goal_outcomes_match_exhaustive_enumeration_fuzz():
         depths = oracles.shortest_hits(
             model, [g.predicate for g in goals], bound)
         envs_of = {
-            case.tid: ltl.position_envs(simulate_lasso(model, case))[0]
+            case.tid: oracles.lasso_positions(simulate_lasso(model, case))[0]
             for case in suite.cases
         }
         for goal, out, depth in zip(goals, report.outcomes, depths):
@@ -350,10 +371,12 @@ def test_goal_outcomes_match_exhaustive_enumeration_fuzz():
                 assert depth == out.position, where
                 envs = envs_of[out.test_id]
                 assert out.position < len(envs), where
-                assert eval_expr(goal.predicate, envs[out.position]), where
+                assert oracles.reference_eval(
+                    goal.predicate, envs[out.position]), where
             elif out.status == "SUBSUMED":
                 held = envs_of[out.test_id]
-                assert any(eval_expr(goal.predicate, e) for e in held), where
+                assert any(oracles.reference_eval(goal.predicate, e)
+                           for e in held), where
             else:
                 assert out.status == "UNREACHABLE", where
                 assert depth is None, where
