@@ -14,7 +14,7 @@ a fixpoint of the round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .model import (
     Assignment,

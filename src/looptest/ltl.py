@@ -1,15 +1,18 @@
 """Linear temporal logic over ultimately periodic traces.
 
 Formulas are evaluated on lasso traces (finite prefix followed by a loop)
-by dynamic programming over the positions, so G, F and U get their exact
-infinite-word semantics.
+over all positions at once, so G, F and U get their exact infinite-word
+semantics.
 
 A trace is evaluated over its position rows (position_rows): one row per
 position, one slot per declared variable.  Atoms are compiled once per
-model (model.CompiledModel.predicate) and run on every row.  Each
-subformula's table is memoized per trace, and the tables of the trace
-evaluated last are kept, so requirements checked one after another on the
-same trace share them.
+model (model.CompiledModel.predicate) and run on every row.  A
+subformula's table is one integer bitmask over the positions: position i
+of m is bit m-1-i, so the loop is the low bits and the connectives and
+temporal operators are a few whole-word integer operations (Until uses one
+addition whose carries run backward along the word).  Each table is
+memoized per trace, and the tables of the trace evaluated last are kept, so
+requirements checked one after another on the same trace share them.
 """
 
 from __future__ import annotations
@@ -309,7 +312,7 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
         raise ValueError(f"position {position} outside lasso")
     table = _eval_table(f, rows, prefix, memo,
                         trace.model.compiled().predicate)
-    return table[position]
+    return bool(table >> (len(rows) - 1 - position) & 1)
 
 
 def position_rows(trace) -> tuple:
@@ -344,67 +347,67 @@ def position_envs(trace) -> tuple:
 
 
 def _eval_table(f: Formula, rows: list, prefix: int, memo: dict, lower):
-    """Satisfaction of f at every position row, by structural recursion.
+    """Satisfaction of f at every position row, as one integer bitmask.
 
-    memo maps subformulas to their finished tables; lower compiles an atom's
+    Position i of the m rows is bit m-1-i, so later positions sit in lower
+    bits and the loop (positions prefix..m-1) is the low q = m-prefix bits.
+    Information flows backward along the word, from low bits to high, the
+    direction addition carries run.  Until writes the loop out twice, so
+    every position's witness lies within the finite word, then clears with
+    one addition the a-only positions after the last b of each run of a|b.
+
+    memo maps subformulas to their finished masks; lower compiles an atom's
     expression to a function of a row.
     """
     hit = memo.get(f)
     if hit is not None:
         return hit
     m = len(rows)
-
-    def succ(i: int) -> int:
-        return i + 1 if i + 1 < m else prefix
-
+    full = (1 << m) - 1
+    q = m - prefix
+    loop = (1 << q) - 1
     if isinstance(f, Atom):
         test = lower(f.expr)
-        table = [bool(test(row)) for row in rows]
+        table = int("".join(["1" if test(row) else "0" for row in rows]), 2)
     elif isinstance(f, Not):
-        sub = _eval_table(f.operand, rows, prefix, memo, lower)
-        table = [not v for v in sub]
-    elif isinstance(f, And):
+        table = full ^ _eval_table(f.operand, rows, prefix, memo, lower)
+    elif isinstance(f, (And, Or, Implies)):
         a = _eval_table(f.lhs, rows, prefix, memo, lower)
         b = _eval_table(f.rhs, rows, prefix, memo, lower)
-        table = [x and y for x, y in zip(a, b)]
-    elif isinstance(f, Or):
-        a = _eval_table(f.lhs, rows, prefix, memo, lower)
-        b = _eval_table(f.rhs, rows, prefix, memo, lower)
-        table = [x or y for x, y in zip(a, b)]
-    elif isinstance(f, Implies):
-        a = _eval_table(f.lhs, rows, prefix, memo, lower)
-        b = _eval_table(f.rhs, rows, prefix, memo, lower)
-        table = [(not x) or y for x, y in zip(a, b)]
+        if isinstance(f, And):
+            table = a & b
+        elif isinstance(f, Or):
+            table = a | b
+        else:
+            table = (full ^ a) | b
     elif isinstance(f, Next):
         sub = _eval_table(f.operand, rows, prefix, memo, lower)
-        table = [sub[succ(i)] for i in range(m)]
-    elif isinstance(f, Globally):
-        sub = _eval_table(f.operand, rows, prefix, memo, lower)
-        loop_all = all(sub[prefix:])
-        table = [False] * m
-        for i in range(prefix, m):
-            table[i] = loop_all
-        for i in range(prefix - 1, -1, -1):
-            table[i] = sub[i] and table[i + 1]
+        # the last position's successor is the loop start, bit q-1
+        table = ((sub << 1) & full) | ((sub >> (q - 1)) & 1)
     elif isinstance(f, Finally):
         sub = _eval_table(f.operand, rows, prefix, memo, lower)
-        loop_any = any(sub[prefix:])
-        table = [False] * m
-        for i in range(prefix, m):
-            table[i] = loop_any
-        for i in range(prefix - 1, -1, -1):
-            table[i] = sub[i] or table[i + 1]
+        table = _finally(sub, full, loop)
+    elif isinstance(f, Globally):
+        sub = _eval_table(f.operand, rows, prefix, memo, lower)
+        table = full ^ _finally(full ^ sub, full, loop)
     elif isinstance(f, Until):
         a = _eval_table(f.lhs, rows, prefix, memo, lower)
         b = _eval_table(f.rhs, rows, prefix, memo, lower)
-        table = [False] * m
-        # two backward sweeps reach the least fixpoint around the loop
-        for _ in range(2):
-            for i in range(m - 1, prefix - 1, -1):
-                table[i] = b[i] or (a[i] and table[succ(i)])
-        for i in range(prefix - 1, -1, -1):
-            table[i] = b[i] or (a[i] and table[i + 1])
+        # with the loop written out twice, a U b holds on each run of a|b
+        # up to its last b; adding the run's lowest bit carries through the
+        # a-only bits after that b
+        a |= b
+        a = (a << q) | (a & loop)
+        r = a & ~((b << q) | (b & loop))
+        bottom = a & ~(a << 1)
+        table = (a & ~(((r + bottom) ^ r) & r)) >> q
     else:
         raise ValueError(f"cannot evaluate {f!r}")
     memo[f] = table
     return table
+
+
+def _finally(mask: int, full: int, loop: int) -> int:
+    """F of a mask: every position if a loop position is set, else every
+    position at or before the last one set."""
+    return full if mask & loop else full & -(mask & -mask)

@@ -49,12 +49,18 @@ class ExecutionReport:
 
     def text(self) -> str:
         lines = []
+        # requirements violated by the same test share its trace; render it
+        # once (keyed by identity: the verdicts keep every trace alive)
+        dumps = {}
         for v in self.verdicts:
             if v.status == "pass":
                 lines.append(f"REQ {v.rid} PASS-ON-SUITE")
             elif v.status == "violated":
                 lines.append(f"REQ {v.rid} VIOLATED test={v.test_id}")
-                lines.append(dump_trace(v.trace).rstrip("\n"))
+                key = id(v.trace)
+                if key not in dumps:
+                    dumps[key] = dump_trace(v.trace).rstrip("\n")
+                lines.append(dumps[key])
             else:
                 lines.append(f"REQ {v.rid} ERROR {v.message}")
         lines.append(f"violated={self.violated} passed={self.passed} "

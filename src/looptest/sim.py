@@ -8,7 +8,6 @@ periodic execution; simulate_lasso finds the finite lasso that describes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .model import (
     BoolDomain,

@@ -27,7 +27,7 @@ hold the explicit layers only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (

@@ -143,6 +143,17 @@ def path_eval(formula, envs, prefix, position=0):
     sequence directly: from position i the future consists of i..end plus
     one full loop, which visits every reachable environment at least once.
     """
+    return path_evaluator(envs, prefix)(formula, position)
+
+
+def path_evaluator(envs, prefix):
+    """path_eval on one lasso as a function of (formula, position).
+
+    Calls share one cache of (subformula, position) values, so asking every
+    position of a long lasso costs one scan per subformula and position
+    instead of one per call.  The cache is keyed by node identity: use one
+    evaluator per formula object, kept alive while the evaluator is used.
+    """
     m = len(envs)
     cache = {}
 
@@ -181,7 +192,7 @@ def path_eval(formula, envs, prefix, position=0):
         cache[key] = value
         return value
 
-    return ev(formula, position)
+    return ev
 
 
 def eval_trace(formula, trace, position=0):

@@ -119,9 +119,10 @@ def random_model(rng, name="fuzz"):
 
     Nondet branching is kept to at most 6 columns per step so exhaustive
     oracles stay cheap.  Assigned expressions only move values between
-    variables of the same domain, pick literals from it, or step an int
-    by one under a guard that wraps at the domain's end, which keeps every
-    run inside the declared domains by construction.
+    variables of the same domain, pick literals from it, or step a value
+    one place along its domain (negate a bool, rotate an enum's labels,
+    move an int by one under a guard that wraps at the domain's end),
+    which keeps every run inside the declared domains by construction.
     """
     variables = []
     nondet_count = 1 if rng.random() < 0.7 else 2
@@ -166,8 +167,17 @@ def random_model(rng, name="fuzz"):
             return term
         return Lit(rng.randrange(-2, 5))
 
-    def int_step(term, domain):
-        """term moved one place up or down, wrapping at the domain's end."""
+    def step(term, domain):
+        """term moved one place along the domain, wrapping at its end."""
+        if isinstance(domain, BoolDomain):
+            return Unary("!", term)
+        if isinstance(domain, EnumDomain):
+            labels = domain.labels
+            rotated = Lit(labels[0])
+            for here, after in reversed(list(zip(labels, labels[1:]))):
+                rotated = Cond(Binary("==", term, Lit(here)), Lit(after),
+                               rotated)
+            return rotated
         if rng.random() < 0.5:
             return Cond(Binary("<", term, Lit(domain.hi)),
                         Binary("+", term, Lit(1)), Lit(domain.lo))
@@ -183,8 +193,8 @@ def random_model(rng, name="fuzz"):
                         safe_expr(domain, depth - 1))
         if same and roll < 0.8:
             term = Ref(rng.choice(same).name)
-            if isinstance(domain, IntRange) and rng.random() < 0.5:
-                return int_step(term, domain)
+            if rng.random() < 0.5:
+                return step(term, domain)
             return term
         if isinstance(domain, BoolDomain):
             return bool_expr(depth - 1) if depth > 0 else Lit(rng.random() < 0.5)

@@ -14,7 +14,7 @@ from looptest.dsl import (
     serialize_reqs,
     serialize_suite,
 )
-from looptest.ltl import And, Finally, Globally, Implies, Next, Not, Until
+from looptest.ltl import Finally, Globally, Implies, Next, Not, Until
 from looptest.model import (
     BoolDomain,
     ClosedLoopModel,

@@ -22,7 +22,7 @@ from looptest.ltl import (
     position_envs,
     to_expr,
 )
-from looptest.model import Binary, Lit, Ref, Unary
+from looptest.model import Binary, Lit, Ref
 from looptest.sim import LassoTrace, TestCase, simulate_lasso
 
 import oracles
@@ -197,3 +197,21 @@ def test_random_simulated_lassos_match_path_oracle():
             got = eval_on_lasso(formula, trace, position)
             want = oracles.eval_trace(formula, trace, position)
             assert got == want, (model.name, str(formula), position)
+
+
+def test_long_lassos_match_path_oracle_at_every_position():
+    # Masks span hundreds of positions here, far past one machine word, and
+    # every position is compared, so a wrong bit anywhere in the loop shows.
+    rng = random.Random(4409)
+    atoms = randgen.synthetic_atoms()
+    shapes = [(0, 200), (150, 1), (0, 1)] + [(150, 200)] * 12
+    for max_prefix, max_loop in shapes:
+        trace = randgen.random_lasso(rng, max_prefix, max_loop)
+        envs, prefix = oracles.lasso_positions(trace)
+        for _ in range(4):
+            formula = randgen.random_formula(rng, atoms, depth=4)
+            want = oracles.path_evaluator(envs, prefix)
+            for position in range(trace.prefix_len + trace.loop_len):
+                got = eval_on_lasso(formula, trace, position)
+                assert got == want(formula, position), (
+                    str(formula), trace.prefix_len, trace.loop_len, position)

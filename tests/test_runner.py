@@ -2,12 +2,11 @@
 
 import random
 
-import pytest
-
 from looptest import runner
 from looptest.dsl import parse_model
 from looptest.ltl import Atom, Finally, Globally, Or, Requirement
-from looptest.model import Binary, BoolDomain, Cond, EvalError, Lit, Ref
+from looptest.model import (Binary, BoolDomain, Cond, EvalError, Lit, Ref,
+                             Unary)
 from looptest.runner import execute_suite
 from looptest.sim import TestCase, TestSuite, simulate_lasso
 
@@ -77,6 +76,29 @@ violated=2 passed=1 errored=0
     assert report.violated == 2
     assert report.passed == 1
     assert report.errored == 0
+
+
+def test_report_text_renders_a_shared_trace_once(monkeypatch):
+    calls = []
+    real = runner.dump_trace
+
+    def counting(trace):
+        calls.append(trace.case.tid)
+        return real(trace)
+
+    monkeypatch.setattr(runner, "dump_trace", counting)
+    never_y = Requirement("R_never", Globally(Atom(Unary("!", Ref("y")))))
+    report = execute_suite(MODEL, [_low(), never_y], SUITE)
+    trace = """\
+#0 go=0 x=0 y=0
+#1 go=1 x=1 y=0
+#2 go=1 x=2 y=0
+#3 loop-start go=1 x=3 y=1
+"""
+    assert report.text() == ("REQ R_low VIOLATED test=t1\n" + trace
+                             + "REQ R_never VIOLATED test=t1\n" + trace
+                             + "violated=2 passed=0 errored=0\n")
+    assert calls == ["t1"]
 
 
 def test_expectation_misses_in_requirement_order():
