@@ -138,22 +138,27 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _exit_code(report, misses: list, check_expectations: bool) -> int:
+    """3 when a test errored; else 1 on expectation misses under
+    --check-expectations, or on violations without it; else 0."""
+    if report.errored:
+        return 3
+    failed = misses if check_expectations else report.violated
+    return 1 if failed else 0
+
+
 def _cmd_execute(args) -> int:
     model = load_model(args.model)
     reqs = load_reqs(args.reqs, model)
     suite = load_suite(args.suite, model)
     report = execute_suite(model, reqs, suite, step_cap=args.step_cap)
     sys.stdout.write(report.text())
+    misses = []
     if args.check_expectations:
         misses = report.expectation_misses(reqs)
         for rid, expectation, verdict in misses:
             print(f"MISS {rid} tagged {expectation} but {verdict}")
-        if report.errored:
-            return 3
-        return 1 if misses else 0
-    if report.errored:
-        return 3
-    return 1 if report.violated else 0
+    return _exit_code(report, misses, args.check_expectations)
 
 
 def _cmd_pipeline(args) -> int:
@@ -185,11 +190,7 @@ def _cmd_pipeline(args) -> int:
         misses = report.expectation_misses(reqs)
         summary += f" misses={len(misses)}"
     print(summary)
-    if report.errored:
-        return 3
-    if args.check_expectations:
-        return 1 if misses else 0
-    return 1 if report.violated else 0
+    return _exit_code(report, misses, args.check_expectations)
 
 
 def main(argv=None) -> int:
@@ -200,13 +201,7 @@ def main(argv=None) -> int:
         return 2 if exit_.code else 0
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ModelError as err:

@@ -32,6 +32,8 @@ from .model import (
     UpdateBlock,
     VarKind,
     Variable,
+    _PREC,
+    _type_of,
     enum_label_map,
     ref_text,
     validate_model,
@@ -203,8 +205,12 @@ def _parse_ref_name(cur: _Cursor) -> str:
     return name
 
 
+_TIGHTEST = max(_PREC.values())
+
+
 class _ExprParser:
-    """Recursive descent over the expression grammar.
+    """Recursive descent over the expression grammar.  Binary operators
+    bind at their levels in model._PREC, the table the printer reads.
 
     resolve(name, token) turns an identifier into a Ref or enum-label Lit.
     """
@@ -217,7 +223,7 @@ class _ExprParser:
         return self.conditional()
 
     def conditional(self) -> Expr:
-        guard = self.implication()
+        guard = self.binary(_PREC["->"])
         if self.cur.accept("?"):
             then = self.conditional()
             self.cur.expect(":")
@@ -225,73 +231,22 @@ class _ExprParser:
             return Cond(guard, then, other)
         return guard
 
-    def implication(self) -> Expr:
-        lhs = self.disjunction()
-        if self.cur.accept("->"):
-            return Binary("->", lhs, self.implication())
+    def binary(self, level: int) -> Expr:
+        """An expression whose operators all bind at level or tighter, the
+        levels of model._PREC; -> associates right, the rest left."""
+        if level > _TIGHTEST:
+            return self.unary()
+        lhs = self.binary(level + 1)
+        while _PREC.get(self.cur.peek().text) == level:
+            op = self.cur.next().text
+            rhs = self.binary(level if op == "->" else level + 1)
+            lhs = Binary(op, lhs, rhs)
         return lhs
-
-    def disjunction(self) -> Expr:
-        lhs = self.conjunction()
-        while self.cur.accept("||"):
-            lhs = Binary("||", lhs, self.conjunction())
-        return lhs
-
-    def conjunction(self) -> Expr:
-        lhs = self.equality()
-        while self.cur.accept("&&"):
-            lhs = Binary("&&", lhs, self.equality())
-        return lhs
-
-    def equality(self) -> Expr:
-        lhs = self.relational()
-        while True:
-            if self.cur.accept("=="):
-                lhs = Binary("==", lhs, self.relational())
-            elif self.cur.accept("!="):
-                lhs = Binary("!=", lhs, self.relational())
-            else:
-                return lhs
-
-    def relational(self) -> Expr:
-        lhs = self.additive()
-        while True:
-            op = self.cur.peek().text
-            if op in ("<", "<=", ">", ">=") and self.cur.peek().kind == "punct":
-                self.cur.next()
-                lhs = Binary(op, lhs, self.additive())
-            else:
-                return lhs
-
-    def additive(self) -> Expr:
-        lhs = self.multiplicative()
-        while True:
-            if self.cur.accept("+"):
-                lhs = Binary("+", lhs, self.multiplicative())
-            elif self.cur.accept("-"):
-                lhs = Binary("-", lhs, self.multiplicative())
-            else:
-                return lhs
-
-    def multiplicative(self) -> Expr:
-        lhs = self.unary()
-        while True:
-            if self.cur.accept("*"):
-                lhs = Binary("*", lhs, self.unary())
-            elif self.cur.accept("/"):
-                lhs = Binary("/", lhs, self.unary())
-            elif self.cur.at("mod"):
-                self.cur.next()
-                lhs = Binary("mod", lhs, self.unary())
-            else:
-                return lhs
 
     def unary(self) -> Expr:
         if self.cur.accept("!"):
             return Unary("!", self.unary())
-        if self.cur.at("-"):
-            tok = self.cur.peek()
-            self.cur.next()
+        if self.cur.accept("-"):
             operand = self.unary()
             # fold a negated literal so -5 parses as the literal it prints as
             if isinstance(operand, Lit) and isinstance(operand.value, int) \
@@ -477,12 +432,6 @@ def _decl_runs(model: ClosedLoopModel):
     return runs
 
 
-def _init_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _domain_text(domain) -> str:
     if isinstance(domain, BoolDomain):
         return "bool"
@@ -500,7 +449,7 @@ def serialize_model(model: ClosedLoopModel) -> str:
             decl += f"[{count}]"
         decl += f" : {_domain_text(v.domain)}"
         if v.init is not None:
-            decl += f" = {_init_text(v.init)}"
+            decl += f" = {Lit(v.init)}"
         lines.append(decl + ";")
     for block_name, block in (("plant", model.plant),
                               ("controller", model.controller)):
@@ -518,14 +467,14 @@ def serialize_model(model: ClosedLoopModel) -> str:
 def parse_reqs(text: str, model: ClosedLoopModel) -> list:
     """Parse a .ltl requirements file against a model's declarations.
 
+    Equal subformulas of one file are one object.
+
     Note on grouping: parentheses at formula level group formulas, so an
     atom may not start with '(' (write `a + 1 == 2`, which parses fine, not
     `(a + 1) == 2`).
     """
     cur = _Cursor(tokenize(text))
-    var_names = {v.name for v in model.variables}
-    labels = set(enum_label_map(model))
-    resolve = _make_resolver(var_names, labels)
+    parser = _LtlParser(cur, model)
     reqs = []
     seen = set()
     while cur.peek().kind != "eof":
@@ -538,7 +487,7 @@ def parse_reqs(text: str, model: ClosedLoopModel) -> list:
         if cur.peek().text in ("expect-pass", "expect-fail"):
             expectation = cur.next().text
         cur.expect(":")
-        formula = _LtlParser(cur, resolve, model).parse()
+        formula = parser.parse()
         cur.expect(";")
         reqs.append(ltl.Requirement(rid=rid, formula=formula,
                                     expectation=expectation))
@@ -552,75 +501,62 @@ def parse_ltl(text: str, model: ClosedLoopModel) -> ltl.Formula:
     note on parentheses in parse_reqs.
     """
     cur = _Cursor(tokenize(text))
-    var_names = {v.name for v in model.variables}
-    labels = set(enum_label_map(model))
-    formula = _LtlParser(cur, _make_resolver(var_names, labels), model).parse()
+    formula = _LtlParser(cur, model).parse()
     if cur.peek().kind != "eof":
         cur.error(f"unexpected '{cur.peek().text}' after formula")
     return formula
 
 
-class _LtlParser:
-    """Formula grammar: -> loosest, then ||, U, &&, then unary X F G U !."""
+# the formula operators from loosest to tightest binding
+_INFIX = sorted(ltl._Infix.__subclasses__(), key=lambda cls: cls.level)
+_PREFIX = {cls.symbol: cls for cls in ltl._Prefix.__subclasses__()}
 
-    def __init__(self, cur: _Cursor, resolve, model: ClosedLoopModel):
+
+class _LtlParser:
+    """Formula grammar: the infix operators of ltl at their levels (-> loosest,
+    then ||, U, &&), then the prefix operators ! X F G and atoms.
+
+    Every node built is interned, so equal subformulas are one object.
+    """
+
+    def __init__(self, cur: _Cursor, model: ClosedLoopModel):
         self.cur = cur
-        self.resolve = resolve
         self.model = model
         self.labels = enum_label_map(model)
+        self.resolve = _make_resolver({v.name for v in model.variables},
+                                      self.labels)
+        self.nodes = {}
 
-    def parse(self) -> ltl.Formula:
-        return self.implication()
+    def node(self, cls, *parts) -> ltl.Formula:
+        built = cls(*parts)
+        return self.nodes.setdefault(built, built)
 
-    def implication(self) -> ltl.Formula:
-        lhs = self.disjunction()
-        if self.cur.accept("->"):
-            return ltl.Implies(lhs, self.implication())
-        return lhs
-
-    def disjunction(self) -> ltl.Formula:
-        lhs = self.until()
-        while self.cur.accept("||"):
-            lhs = ltl.Or(lhs, self.until())
-        return lhs
-
-    def until(self) -> ltl.Formula:
-        lhs = self.conjunction()
-        if self.cur.peek().kind == "id" and self.cur.peek().text == "U":
-            self.cur.next()
-            return ltl.Until(lhs, self.until())
-        return lhs
-
-    def conjunction(self) -> ltl.Formula:
-        lhs = self.unary()
-        while self.cur.accept("&&"):
-            lhs = ltl.And(lhs, self.unary())
+    def parse(self, i: int = 0) -> ltl.Formula:
+        """A formula whose operators all bind as tightly as _INFIX[i] or
+        tighter."""
+        if i == len(_INFIX):
+            return self.unary()
+        cls = _INFIX[i]
+        lhs = self.parse(i + 1)
+        while self.cur.accept(cls.symbol):
+            lhs = self.node(cls, lhs, self.parse(i if cls.right else i + 1))
         return lhs
 
     def unary(self) -> ltl.Formula:
         tok = self.cur.peek()
-        if tok.text == "!" and tok.kind == "punct":
+        if tok.text in _PREFIX:
             self.cur.next()
-            return ltl.Not(self.unary())
-        if tok.kind == "id" and tok.text in ("X", "F", "G"):
-            self.cur.next()
-            ctor = {"X": ltl.Next, "F": ltl.Finally, "G": ltl.Globally}[tok.text]
-            return ctor(self.unary())
+            return self.node(_PREFIX[tok.text], self.unary())
         if tok.text == "(":
             self.cur.next()
             inner = self.parse()
             self.cur.expect(")")
             return inner
-        return self.atom()
-
-    def atom(self) -> ltl.Formula:
-        tok = self.cur.peek()
-        expr = _ExprParser(self.cur, self.resolve).equality()
+        expr = _ExprParser(self.cur, self.resolve).binary(_PREC["=="])
         self._check_bool(expr, tok)
-        return ltl.Atom(expr)
+        return self.node(ltl.Atom, expr)
 
     def _check_bool(self, expr: Expr, tok: Token):
-        from .model import _type_of
         diags = []
         t = _type_of(expr, self.model, self.labels, diags, "atom")
         if diags:

@@ -4,6 +4,10 @@ Formulas are evaluated on lasso traces (finite prefix followed by a loop)
 over all positions at once, so G, F and U get their exact infinite-word
 semantics.
 
+Every operator node is a _Prefix (! X F G) or an _Infix (&& U || ->) node.
+Each carries its symbol, and an infix node its binding level and whether
+it associates right, so printing here and parsing in dsl read one table.
+
 A trace is evaluated over its position rows (position_rows): one row per
 position, one slot per declared variable.  Atoms are compiled once per
 model (model.CompiledModel.predicate) and run on every row.  A
@@ -25,9 +29,14 @@ from .model import Binary, Expr, Unary, referenced_names
 
 class Formula:
     """Base class for LTL nodes; comparison is structural.  Nodes are never
-    changed after construction, so each computes its hash once."""
+    changed after construction, so each computes its hash once.
+
+    level is the binding strength the printer and the parser share: atoms
+    and prefix operators bind tighter than every infix operator.
+    """
 
     _hash = None
+    level = 5
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -60,7 +69,12 @@ class Atom(Formula):
         return text
 
 
-class Not(Formula):
+class _Prefix(Formula):
+    """An operator written before its one operand.  The temporal ones are
+    letters (X, F, G); the boolean one shares its symbol with expressions."""
+
+    symbol = ""
+
     def __init__(self, operand: Formula):
         self.operand = operand
 
@@ -68,55 +82,39 @@ class Not(Formula):
         return (self.operand,)
 
     def __repr__(self):
-        return f"Not({self.operand!r})"
+        return f"{type(self).__name__}({self.operand!r})"
 
     def __str__(self):
-        return "!" + _sub(self.operand, 5)
+        # a letter needs a space to stay apart from the name after it
+        gap = " " if self.symbol.isalpha() else ""
+        return self.symbol + gap + _sub(self.operand, self.level)
 
 
-class Next(Formula):
-    def __init__(self, operand: Formula):
-        self.operand = operand
-
-    def _key(self):
-        return (self.operand,)
-
-    def __repr__(self):
-        return f"Next({self.operand!r})"
-
-    def __str__(self):
-        return "X " + _sub(self.operand, 5)
+class Not(_Prefix):
+    symbol = "!"
 
 
-class Finally(Formula):
-    def __init__(self, operand: Formula):
-        self.operand = operand
-
-    def _key(self):
-        return (self.operand,)
-
-    def __repr__(self):
-        return f"Finally({self.operand!r})"
-
-    def __str__(self):
-        return "F " + _sub(self.operand, 5)
+class Next(_Prefix):
+    symbol = "X"
 
 
-class Globally(Formula):
-    def __init__(self, operand: Formula):
-        self.operand = operand
-
-    def _key(self):
-        return (self.operand,)
-
-    def __repr__(self):
-        return f"Globally({self.operand!r})"
-
-    def __str__(self):
-        return "G " + _sub(self.operand, 5)
+class Finally(_Prefix):
+    symbol = "F"
 
 
-class And(Formula):
+class Globally(_Prefix):
+    symbol = "G"
+
+
+class _Infix(Formula):
+    """An operator written between its two operands, binding at level
+    (larger binds tighter) and associating right when right is set.  The
+    temporal one is a letter (U); the boolean ones share their symbols with
+    expressions."""
+
+    symbol = ""
+    right = False
+
     def __init__(self, lhs: Formula, rhs: Formula):
         self.lhs = lhs
         self.rhs = rhs
@@ -125,68 +123,41 @@ class And(Formula):
         return (self.lhs, self.rhs)
 
     def __repr__(self):
-        return f"And({self.lhs!r}, {self.rhs!r})"
+        return f"{type(self).__name__}({self.lhs!r}, {self.rhs!r})"
 
     def __str__(self):
-        return f"{_sub(self.lhs, 4)} && {_sub(self.rhs, 4, tighten=True)}"
+        lhs = _sub(self.lhs, self.level, tighten=self.right)
+        rhs = _sub(self.rhs, self.level, tighten=not self.right)
+        return f"{lhs} {self.symbol} {rhs}"
 
 
-class Until(Formula):
+class And(_Infix):
+    symbol = "&&"
+    level = 4
+
+
+class Until(_Infix):
     """Strong until: the right side must eventually hold."""
 
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def _key(self):
-        return (self.lhs, self.rhs)
-
-    def __repr__(self):
-        return f"Until({self.lhs!r}, {self.rhs!r})"
-
-    def __str__(self):
-        # right associative
-        return f"{_sub(self.lhs, 3, tighten=True)} U {_sub(self.rhs, 3)}"
+    symbol = "U"
+    level = 3
+    right = True
 
 
-class Or(Formula):
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def _key(self):
-        return (self.lhs, self.rhs)
-
-    def __repr__(self):
-        return f"Or({self.lhs!r}, {self.rhs!r})"
-
-    def __str__(self):
-        return f"{_sub(self.lhs, 2)} || {_sub(self.rhs, 2, tighten=True)}"
+class Or(_Infix):
+    symbol = "||"
+    level = 2
 
 
-class Implies(Formula):
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def _key(self):
-        return (self.lhs, self.rhs)
-
-    def __repr__(self):
-        return f"Implies({self.lhs!r}, {self.rhs!r})"
-
-    def __str__(self):
-        # right associative
-        return f"{_sub(self.lhs, 1, tighten=True)} -> {_sub(self.rhs, 1)}"
-
-
-_LEVEL = {And: 4, Until: 3, Or: 2, Implies: 1}
+class Implies(_Infix):
+    symbol = "->"
+    level = 1
+    right = True
 
 
 def _sub(node: Formula, parent_level: int, tighten: bool = False) -> str:
     text = str(node)
-    level = _LEVEL.get(type(node), 5)
-    if level < parent_level or (tighten and level == parent_level):
+    if node.level < parent_level or (tighten and node.level == parent_level):
         return f"({text})"
     return text
 
@@ -208,26 +179,22 @@ def is_temporal_free(f: Formula) -> bool:
     """True when no X, F, G or U occurs in the formula."""
     if isinstance(f, Atom):
         return True
-    if isinstance(f, Not):
+    if f.symbol.isalpha():  # X, F, G or U
+        return False
+    if isinstance(f, _Prefix):
         return is_temporal_free(f.operand)
-    if isinstance(f, (And, Or, Implies)):
-        return is_temporal_free(f.lhs) and is_temporal_free(f.rhs)
-    return False
+    return is_temporal_free(f.lhs) and is_temporal_free(f.rhs)
 
 
 def to_expr(f: Formula) -> Expr:
     """Lower a temporal-free formula to a plain model expression."""
     if isinstance(f, Atom):
         return f.expr
-    if isinstance(f, Not):
-        return Unary("!", to_expr(f.operand))
-    if isinstance(f, And):
-        return Binary("&&", to_expr(f.lhs), to_expr(f.rhs))
-    if isinstance(f, Or):
-        return Binary("||", to_expr(f.lhs), to_expr(f.rhs))
-    if isinstance(f, Implies):
-        return Binary("->", to_expr(f.lhs), to_expr(f.rhs))
-    raise ValueError(f"not temporal free: {f}")
+    if f.symbol.isalpha():
+        raise ValueError(f"not temporal free: {f}")
+    if isinstance(f, _Prefix):
+        return Unary(f.symbol, to_expr(f.operand))
+    return Binary(f.symbol, to_expr(f.lhs), to_expr(f.rhs))
 
 
 def boolean_subformulas(f: Formula, mode: str = "maximal") -> list:
@@ -255,9 +222,9 @@ def boolean_subformulas(f: Formula, mode: str = "maximal") -> list:
             emit(node)
             if mode == "maximal":
                 return
-        if isinstance(node, (Not, Next, Finally, Globally)):
+        if isinstance(node, _Prefix):
             walk(node.operand, free or inside_free)
-        elif isinstance(node, (And, Or, Implies, Until)):
+        elif isinstance(node, _Infix):
             walk(node.lhs, free or inside_free)
             walk(node.rhs, free or inside_free)
 
@@ -273,9 +240,9 @@ def formula_names(f: Formula) -> set:
         node = stack.pop()
         if isinstance(node, Atom):
             out |= referenced_names(node.expr)
-        elif isinstance(node, (Not, Next, Finally, Globally)):
+        elif isinstance(node, _Prefix):
             stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies, Until)):
+        elif isinstance(node, _Infix):
             stack.append(node.lhs)
             stack.append(node.rhs)
     return out

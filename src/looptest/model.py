@@ -333,13 +333,7 @@ def referenced_names(expr: Expr) -> set:
         node = stack.pop()
         if isinstance(node, Ref):
             out.add(node.name)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Binary):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-        elif isinstance(node, Cond):
-            stack.extend((node.cond, node.then, node.other))
+        stack.extend(_children(node))
     return out
 
 

@@ -139,12 +139,6 @@ def _value_goal(name: str, value, domain) -> Expr:
     return Binary("==", Ref(name), Lit(value))
 
 
-def _literal_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def enumerate_goals(model: ClosedLoopModel, reqs: list,
                     mode: str = "maximal") -> list:
     """Build the goal list: variable values first, then formula pieces.
@@ -175,7 +169,7 @@ def enumerate_goals(model: ClosedLoopModel, reqs: list,
             continue
         for value in v.domain.values():
             push(_value_goal(v.name, value, v.domain),
-                 f"var {ref_text(v.name)}={_literal_text(value)}")
+                 f"var {ref_text(v.name)}={Lit(value)}")
 
     sub_mode = "maximal" if mode == "maximal" else "all"
     for req in reqs:
@@ -249,7 +243,6 @@ class BoundedExplorer:
         self._frontier = (0, 1)  # node range of the deepest explicit layer
         self._steps = 0
         self._limit = min(step_cap, SYMBOLIC_HANDOFF_STEPS)
-        self._goal_cache = {}
         # symbolic phase: layers[0] is the explicit frontier at the handoff,
         # layers[i] the states first reached i steps after it
         self._relation = None
@@ -452,12 +445,10 @@ class BoundedExplorer:
         position environment of a node includes the nondet column that
         produced it (first domain values at the root).
         """
-        if predicate not in self._goal_cache:
-            self._goal_cache[predicate] = self._search(predicate)
-        columns = self._goal_cache[predicate]
+        columns = self._search(predicate)
         if columns is None:
             return None
-        return list(columns), len(columns)
+        return columns, len(columns)
 
     def _search(self, predicate: Expr):
         fn = self._predicate(predicate)
@@ -468,7 +459,7 @@ class BoundedExplorer:
         while True:
             while idx < len(rows):
                 if fn(rows[idx]):
-                    return tuple(self._tree_path(idx))
+                    return self._tree_path(idx)
                 idx += 1
             if self._relation is not None:
                 if candidates is None:
@@ -494,7 +485,7 @@ class BoundedExplorer:
         while left:
             columns, state = self._symbolic_path(layer, left)
             if fn(self._env(state, columns[-1])):
-                return tuple(columns)
+                return columns
             left = relation.without(left, state)
         return None
 

@@ -98,6 +98,41 @@ def random_formula(rng, atoms, depth):
     return Until(lhs, rhs)
 
 
+def random_expr(rng, ints, bools, want, depth, missing=0.0):
+    """A typed expression of kind want ("int" or "bool") over the named int
+    and bool variables, with every operator and now and then dividing by
+    zero or chaining comparisons of comparisons.  A leaf reads the
+    undeclared variable "missing" with the given probability."""
+
+    def draw(want, depth):
+        if depth <= 0 or rng.random() < 0.2:
+            if rng.random() < missing:
+                return Ref("missing")
+            if want == "int":
+                return Ref(rng.choice(ints)) if ints and rng.random() < 0.6 \
+                    else Lit(rng.randrange(-3, 4))
+            return Ref(rng.choice(bools)) if bools and rng.random() < 0.6 \
+                else Lit(rng.random() < 0.5)
+        roll = rng.random()
+        if roll < 0.2:
+            return Cond(draw("bool", depth - 1), draw(want, depth - 1),
+                        draw(want, depth - 1))
+        if want == "int":
+            if roll < 0.35:
+                return Unary("-", draw("int", depth - 1))
+            op = rng.choice(("+", "-", "*", "/", "mod"))
+            return Binary(op, draw("int", depth - 1), draw("int", depth - 1))
+        if roll < 0.35:
+            return Unary("!", draw("bool", depth - 1))
+        if roll < 0.6:
+            op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
+            return Binary(op, draw("int", depth - 1), draw("int", depth - 1))
+        op = rng.choice(("&&", "||", "->", "==", "!="))
+        return Binary(op, draw("bool", depth - 1), draw("bool", depth - 1))
+
+    return draw(want, depth)
+
+
 # --------------------------------------------------------------------------
 # Random closed-loop models
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from looptest import casegen
 from looptest.dsl import (
     ParseError,
     parse_ltl,
@@ -16,9 +17,13 @@ from looptest.dsl import (
 )
 from looptest.ltl import Finally, Globally, Implies, Next, Not, Until
 from looptest.model import (
+    Binary,
     BoolDomain,
     ClosedLoopModel,
+    Cond,
     IntRange,
+    Lit,
+    Unary,
     UpdateBlock,
     Variable,
     VarKind,
@@ -132,6 +137,85 @@ def test_model_roundtrip_fuzz():
         assert serialize_model(back) == text
 
 
+EXPR_MODEL = """model exprs;
+input i : int 0..3;
+input a[2] : int 0..3;
+input b : bool;
+input c : bool;
+plant {
+  i = %s;
+}
+controller {
+}
+"""
+
+_BOOL_HEADS = {"&&", "||", "->", "==", "!=", "<", "<=", ">", ">=", "u!"}
+
+
+def _fold_negated_literals(expr):
+    """The tree the parser reads back from expr's text: minus applied to an
+    int literal is read as the negative literal."""
+    if isinstance(expr, Unary):
+        operand = _fold_negated_literals(expr.operand)
+        if expr.op == "-" and isinstance(operand, Lit) \
+                and type(operand.value) is int:
+            return Lit(-operand.value)
+        return Unary(expr.op, operand)
+    if isinstance(expr, Binary):
+        return Binary(expr.op, _fold_negated_literals(expr.lhs),
+                      _fold_negated_literals(expr.rhs))
+    if isinstance(expr, Cond):
+        return Cond(*map(_fold_negated_literals,
+                         (expr.cond, expr.then, expr.other)))
+    return expr
+
+
+def _shapes(expr, out):
+    """Collect (parent head, operand slot, child head) of every edge; a
+    head is the operator, "u" + op for unary ones, "?" for conditionals."""
+    def head(node):
+        if isinstance(node, Unary):
+            return "u" + node.op
+        if isinstance(node, Binary):
+            return node.op
+        return "?" if isinstance(node, Cond) else "leaf"
+
+    if isinstance(expr, Unary):
+        kids = (expr.operand,)
+    elif isinstance(expr, Binary):
+        kids = (expr.lhs, expr.rhs)
+    elif isinstance(expr, Cond):
+        kids = (expr.cond, expr.then, expr.other)
+    else:
+        kids = ()
+    for slot, kid in enumerate(kids):
+        out.add((head(expr), slot, head(kid)))
+        _shapes(kid, out)
+
+
+def test_expression_roundtrip_fuzz():
+    rng = random.Random(43)
+    shapes = set()
+    for i in range(400):
+        expr = randgen.random_expr(rng, ["i", "a.0", "a.1"], ["b", "c"],
+                                   ("int", "bool")[i % 2], 5)
+        _shapes(expr, shapes)
+        text = EXPR_MODEL % expr
+        back = parse_model(text)
+        assert back.plant.assignments[0].expr == \
+            _fold_negated_literals(expr), str(expr)
+        canonical = serialize_model(back)
+        assert serialize_model(parse_model(canonical)) == canonical
+    binary = ("->", "||", "&&", "==", "!=", "<", "<=", ">", ">=",
+              "+", "-", "*", "/", "mod")
+    slots = [(head, s) for head in binary + ("?",) for s in (0, 1)] \
+        + [("?", 2), ("u-", 0), ("u!", 0)]
+    missing = [slot for slot in slots if slot + ("?",) not in shapes]
+    assert missing == [], "no conditional drawn as operand " + str(missing)
+    assert ("->", 0, "->") in shapes and ("->", 1, "->") in shapes
+    assert any(p == "==" and kid in _BOOL_HEADS for p, _, kid in shapes)
+
+
 # --------------------------------------------------------------------------
 # Requirements
 
@@ -203,6 +287,21 @@ def test_atoms_must_be_boolean():
     # but a parenthesized arithmetic atom is read as a formula group
     with pytest.raises(ParseError):
         parse_reqs("R : (level + 1) > 0;\n", m)
+
+
+def test_parse_reqs_shares_equal_subformulas():
+    study = casegen.build("pnp", 3)
+    reqs = parse_reqs(study.reqs_text, study.model)
+    nodes = []
+    stack = [req.formula for req in reqs]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(getattr(node, part) for part in ("operand", "lhs", "rhs")
+                     if hasattr(node, part))
+    assert len(nodes) == 831
+    assert len(set(nodes)) == 240
+    assert len({id(node) for node in nodes}) == 240
 
 
 def test_duplicate_requirement_ids_rejected():

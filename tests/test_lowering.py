@@ -17,7 +17,6 @@ from looptest.model import (
     Lit,
     ModelError,
     Ref,
-    Unary,
     UpdateBlock,
     eval_expr,
     step,
@@ -125,41 +124,6 @@ controller {
         (DomainViolation, "plant assignment 1: value 3 outside domain of 'x'")
 
 
-def _random_expr(rng, ints, bools, want, depth):
-    """A typed expression of kind want ("int" or "bool"), now and then
-    reading an undeclared variable, dividing by zero or chaining
-    comparisons of comparisons."""
-    if depth <= 0 or rng.random() < 0.2:
-        if rng.random() < 0.05:
-            return Ref("missing")
-        if want == "int":
-            return Ref(rng.choice(ints)) if ints and rng.random() < 0.6 \
-                else Lit(rng.randrange(-3, 4))
-        return Ref(rng.choice(bools)) if bools and rng.random() < 0.6 \
-            else Lit(rng.random() < 0.5)
-    roll = rng.random()
-    if roll < 0.2:
-        return Cond(_random_expr(rng, ints, bools, "bool", depth - 1),
-                    _random_expr(rng, ints, bools, want, depth - 1),
-                    _random_expr(rng, ints, bools, want, depth - 1))
-    if want == "int":
-        if roll < 0.35:
-            return Unary("-", _random_expr(rng, ints, bools, "int",
-                                           depth - 1))
-        op = rng.choice(("+", "-", "*", "/", "mod"))
-        return Binary(op, _random_expr(rng, ints, bools, "int", depth - 1),
-                      _random_expr(rng, ints, bools, "int", depth - 1))
-    if roll < 0.35:
-        return Unary("!", _random_expr(rng, ints, bools, "bool", depth - 1))
-    if roll < 0.6:
-        op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
-        return Binary(op, _random_expr(rng, ints, bools, "int", depth - 1),
-                      _random_expr(rng, ints, bools, "int", depth - 1))
-    op = rng.choice(("&&", "||", "->", "==", "!="))
-    return Binary(op, _random_expr(rng, ints, bools, "bool", depth - 1),
-                  _random_expr(rng, ints, bools, "bool", depth - 1))
-
-
 def _value(fn, *args):
     try:
         value = fn(*args)
@@ -185,8 +149,9 @@ def test_compiled_predicates_match_reference_eval():
         env = dict(zip(names, state), **column)
         row = compiled.row(state, column)
         for _ in range(10):
-            expr = _random_expr(rng, ints, bools,
-                                rng.choice(("int", "bool")), 4)
+            expr = randgen.random_expr(rng, ints, bools,
+                                       rng.choice(("int", "bool")), 4,
+                                       missing=0.05)
             got = _value(compiled.predicate(expr), row)
             want = _value(oracles.reference_eval, expr, env)
             assert got == want, (str(expr), env)
