@@ -55,6 +55,27 @@ def _add_caps(sub):
                           "steps, or steps of one lasso unwinding")
 
 
+def _add_inputs(sub):
+    """The model, requirements and search options of generate and pipeline."""
+    sub.add_argument("--model", required=True, help="model file (.clm)")
+    sub.add_argument("--reqs", required=True,
+                     help="requirements file (.ltl)")
+    sub.add_argument("--max-len", type=int, required=True,
+                     help="maximum test case length")
+    sub.add_argument("--goals", choices=("maximal", "all", "all-kinds"),
+                     default="maximal", help="coverage goal selection")
+
+
+def _load_inputs(args):
+    """Load what _add_inputs and _add_caps name: model, reqs, config."""
+    model = load_model(args.model)
+    reqs = load_reqs(args.reqs, model)
+    config = GeneratorConfig(max_len=args.max_len, goal_mode=args.goals,
+                             state_cap=args.state_cap,
+                             step_cap=args.step_cap)
+    return model, reqs, config
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="looptest",
@@ -72,13 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_case.set_defaults(func=_cmd_casegen)
 
     gen = subs.add_parser("generate", help="generate a coverage suite")
-    gen.add_argument("--model", required=True, help="model file (.clm)")
-    gen.add_argument("--reqs", required=True,
-                     help="requirements file (.ltl)")
-    gen.add_argument("--max-len", type=int, required=True,
-                     help="maximum test case length")
-    gen.add_argument("--goals", choices=("maximal", "all", "all-kinds"),
-                     default="maximal", help="coverage goal selection")
+    _add_inputs(gen)
     gen.add_argument("--out", required=True, help="suite file to write")
     _add_caps(gen)
     gen.set_defaults(func=_cmd_generate)
@@ -96,13 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipe = subs.add_parser("pipeline",
                            help="generate a suite, then execute it")
-    pipe.add_argument("--model", required=True, help="model file (.clm)")
-    pipe.add_argument("--reqs", required=True,
-                      help="requirements file (.ltl)")
-    pipe.add_argument("--max-len", type=int, required=True,
-                      help="maximum test case length")
-    pipe.add_argument("--goals", choices=("maximal", "all", "all-kinds"),
-                      default="maximal", help="coverage goal selection")
+    _add_inputs(pipe)
     pipe.add_argument("--out-dir", required=True,
                       help="directory for suite.cts, generation.txt and "
                            "execution.txt")
@@ -127,11 +136,7 @@ def _cmd_casegen(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    model = load_model(args.model)
-    reqs = load_reqs(args.reqs, model)
-    config = GeneratorConfig(max_len=args.max_len, goal_mode=args.goals,
-                             state_cap=args.state_cap,
-                             step_cap=args.step_cap)
+    model, reqs, config = _load_inputs(args)
     suite, report = generate_suite(model, reqs, config)
     _write_atomic(args.out, serialize_suite(suite))
     sys.stdout.write(report.text())
@@ -162,11 +167,7 @@ def _cmd_execute(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    model = load_model(args.model)
-    reqs = load_reqs(args.reqs, model)
-    config = GeneratorConfig(max_len=args.max_len, goal_mode=args.goals,
-                             state_cap=args.state_cap,
-                             step_cap=args.step_cap)
+    model, reqs, config = _load_inputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
     generation = os.path.join(args.out_dir, "generation.txt")
     try:

@@ -9,12 +9,17 @@ Three formats live here:
 Parsing is tolerant about whitespace; serializers emit one canonical form, so
 serialize(parse(text)) is the canonical spelling of any accepted input and is
 a fixpoint of the round trip.
+
+Models and requirements share one regular-expression scanner and one
+precedence-climbing routine, _climb, which each parser calls with its
+syntax's printing table (model._PREC, the ltl infix levels).  Integer
+literals are ASCII digits in all three formats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import re
+from typing import Callable, NamedTuple
 
 from .model import (
     Assignment,
@@ -51,16 +56,27 @@ class ParseError(ModelError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "id" | "int" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-_TWO_CHAR = ("->", "==", "!=", "<=", ">=", "&&", "||", "..")
-_ONE_CHAR = "+-*/<>=!(){}[],:;?"
+# One alternative per token kind, tried in order at each position.  Blanks
+# and comments match no named group and are skipped.  An identifier starts
+# with a letter or '_' (str.isalpha) and goes on with letters, digits or '_'
+# (str.isalnum); [^\W\d] also admits numeric characters such as '²', which
+# tokenize rejects.  Integer literals are ASCII digits only.
+_SCAN = re.compile(r"""
+    (?P<nl>\n)
+  | [ \t\r]+
+  | //[^\n]*
+  | (?P<int>[0-9]+)
+  | (?P<id>expect-(?:pass|fail)|[^\W\d]\w*)
+  | (?P<punct>->|==|!=|<=|>=|&&|\|\||\.\.|[-+*/<>=!(){}\[\],:;?])
+  | (?P<stray>.)
+""", re.VERBOSE)
 
 _DECL_KEYWORDS = {
     "nondet": VarKind.NONDET,
@@ -81,56 +97,25 @@ def tokenize(text: str) -> list:
     """Split source text into tokens, dropping whitespace and // comments."""
     tokens = []
     line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line_start = 0
+    for match in _SCAN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
-            i += 1
+            line_start = match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            # expectation tags contain a dash
-            if word == "expect" and text[i:i + 5] in ("-pass", "-fail"):
-                word += text[i:i + 5]
-                i += 5
-            tokens.append(Token("id", word, line, col))
-            col += len(word)
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"stray character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        word = match.group()
+        col = match.start() - line_start + 1
+        if kind == "stray" or (kind == "id" and not (word[0].isalpha()
+                                                     or word[0] == "_")):
+            raise ParseError(f"stray character {word[0]!r}", line, col)
+        tokens.append(Token(kind, word, line, col))
+    # a comment on the last line runs to the end, and takes no column
+    comment = text.find("//", line_start)
+    end = len(text) if comment < 0 else comment
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -205,7 +190,26 @@ def _parse_ref_name(cur: _Cursor) -> str:
     return name
 
 
-_TIGHTEST = max(_PREC.values())
+def _climb(cur: _Cursor, operand, infix: dict, build, level: int):
+    """Precedence climbing: an operand, then every operator of infix that
+    binds at level or tighter, so one call per operand, not per level.
+
+    infix maps an operator's text to (level, associates right, tag), larger
+    levels binding tighter; build(tag, lhs, rhs) makes the node.
+    """
+    lhs = operand()
+    while True:
+        op = infix.get(cur.peek().text)
+        if op is None or op[0] < level:
+            return lhs
+        cur.next()
+        rhs = _climb(cur, operand, infix, build, op[0] if op[1] else op[0] + 1)
+        lhs = build(op[2], lhs, rhs)
+
+
+# the binary operators at their printing levels; ?: is parsed on its own
+_BINARY = {op: (prec, op == "->", op)
+           for op, prec in _PREC.items() if op != "?"}
 
 
 class _ExprParser:
@@ -220,28 +224,19 @@ class _ExprParser:
         self.resolve = resolve
 
     def parse(self) -> Expr:
-        return self.conditional()
-
-    def conditional(self) -> Expr:
+        """A whole expression: binary operators, then an optional ?: chain."""
         guard = self.binary(_PREC["->"])
         if self.cur.accept("?"):
-            then = self.conditional()
+            then = self.parse()
             self.cur.expect(":")
-            other = self.conditional()
+            other = self.parse()
             return Cond(guard, then, other)
         return guard
 
     def binary(self, level: int) -> Expr:
         """An expression whose operators all bind at level or tighter, the
         levels of model._PREC; -> associates right, the rest left."""
-        if level > _TIGHTEST:
-            return self.unary()
-        lhs = self.binary(level + 1)
-        while _PREC.get(self.cur.peek().text) == level:
-            op = self.cur.next().text
-            rhs = self.binary(level if op == "->" else level + 1)
-            lhs = Binary(op, lhs, rhs)
-        return lhs
+        return _climb(self.cur, self.unary, _BINARY, Binary, level)
 
     def unary(self) -> Expr:
         if self.cur.accept("!"):
@@ -507,8 +502,9 @@ def parse_ltl(text: str, model: ClosedLoopModel) -> ltl.Formula:
     return formula
 
 
-# the formula operators from loosest to tightest binding
-_INFIX = sorted(ltl._Infix.__subclasses__(), key=lambda cls: cls.level)
+# the formula operators at their printing levels
+_INFIX = {cls.symbol: (cls.level, cls.right, cls)
+          for cls in ltl._Infix.__subclasses__()}
 _PREFIX = {cls.symbol: cls for cls in ltl._Prefix.__subclasses__()}
 
 
@@ -523,24 +519,17 @@ class _LtlParser:
         self.cur = cur
         self.model = model
         self.labels = enum_label_map(model)
-        self.resolve = _make_resolver({v.name for v in model.variables},
-                                      self.labels)
+        self.atoms = _ExprParser(cur, _make_resolver(
+            {v.name for v in model.variables}, self.labels))
         self.nodes = {}
 
     def node(self, cls, *parts) -> ltl.Formula:
         built = cls(*parts)
         return self.nodes.setdefault(built, built)
 
-    def parse(self, i: int = 0) -> ltl.Formula:
-        """A formula whose operators all bind as tightly as _INFIX[i] or
-        tighter."""
-        if i == len(_INFIX):
-            return self.unary()
-        cls = _INFIX[i]
-        lhs = self.parse(i + 1)
-        while self.cur.accept(cls.symbol):
-            lhs = self.node(cls, lhs, self.parse(i if cls.right else i + 1))
-        return lhs
+    def parse(self) -> ltl.Formula:
+        # every infix level is at least 1, so level 0 admits them all
+        return _climb(self.cur, self.unary, _INFIX, self.node, 0)
 
     def unary(self) -> ltl.Formula:
         tok = self.cur.peek()
@@ -552,7 +541,7 @@ class _LtlParser:
             inner = self.parse()
             self.cur.expect(")")
             return inner
-        expr = _ExprParser(self.cur, self.resolve).binary(_PREC["=="])
+        expr = self.atoms.binary(_PREC["=="])
         self._check_bool(expr, tok)
         return self.node(ltl.Atom, expr)
 
@@ -621,10 +610,8 @@ def parse_suite(text: str, model: ClosedLoopModel) -> TestSuite:
         if tid in seen_ids:
             fail(i + 1, f"duplicate test id '{tid}'")
         seen_ids.add(tid)
-        try:
-            length = int(parts[3], 10)
-        except ValueError:
-            length = 0
+        digits = parts[3]
+        length = int(digits) if digits.isascii() and digits.isdigit() else 0
         if length < 1:
             fail(i + 1, "test length must be a positive integer")
         rows = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Binary, Expr, Unary, referenced_names
+from .model import Binary, Expr, Unary
 
 
 class Formula:
@@ -229,22 +229,6 @@ def boolean_subformulas(f: Formula, mode: str = "maximal") -> list:
             walk(node.rhs, free or inside_free)
 
     walk(f, False)
-    return out
-
-
-def formula_names(f: Formula) -> set:
-    """All variable names referenced by the formula's atoms."""
-    out = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            out |= referenced_names(node.expr)
-        elif isinstance(node, _Prefix):
-            stack.append(node.operand)
-        elif isinstance(node, _Infix):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
     return out
 
 

@@ -441,12 +441,7 @@ def _type_of(expr: Expr, model: ClosedLoopModel, labels: dict, diags: list, wher
     if isinstance(expr, Ref):
         if not model.has_var(expr.name):
             return fail(f"undeclared variable '{expr.name}'")
-        dom = model.var(expr.name).domain
-        if isinstance(dom, BoolDomain):
-            return "bool"
-        if isinstance(dom, IntRange):
-            return "int"
-        return dom
+        return _domain_type(model.var(expr.name).domain)
     if isinstance(expr, Unary):
         t = _type_of(expr.operand, model, labels, diags, where)
         want = "bool" if expr.op == "!" else "int"

@@ -168,10 +168,11 @@ def parse_value(domain, text: str):
         return None
     if isinstance(domain, EnumDomain):
         return text if text in domain.labels else None
-    try:
-        value = int(text, 10)
-    except ValueError:
+    # int() would also read '+3', '1_0' and non-ASCII digits such as '٣'
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
         return None
+    value = int(text)
     return value if domain.contains(value) else None
 
 

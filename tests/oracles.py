@@ -3,13 +3,15 @@
 Everything here favors the dumbest correct algorithm: expressions and steps
 by walking the expression tree over dict environments, formula evaluation
 by literally walking an unrolled path, reachability by enumerating every
-nondet sequence as a tree without any visited bookkeeping, and the
-breadth-first layers by stepping every full nondet column.  Slow on
-purpose.  Only the package's data classes are imported, never its
-evaluators.
+nondet sequence as a tree without any visited bookkeeping, the
+breadth-first layers by stepping every full nondet column, and tokens by
+a loop over characters.  Slow on purpose.  Only the package's data classes
+and its ParseError are imported, never its evaluators.
 """
 
 from itertools import product
+
+from looptest.dsl import ParseError
 
 from looptest.ltl import (
     And,
@@ -75,6 +77,58 @@ def reference_eval(expr, env):
             return reference_eval(expr.then, env)
         return reference_eval(expr.other, env)
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def reference_tokenize(text):
+    """Split .clm/.ltl text into (kind, text, line, col) tuples, the last of
+    kind "eof", one character at a time.  Blanks and // comments take no
+    token, integers are ASCII digits, and identifiers start with str.isalpha
+    or '_' and go on with str.isalnum or '_'.  Any other character raises
+    ParseError("stray character ...") at its line and column.
+    """
+    tokens = []
+    line = col = 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif text.startswith("//", i):
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif "0" <= ch <= "9":
+            start = i
+            while i < len(text) and "0" <= text[i] <= "9":
+                i += 1
+            tokens.append(("int", text[start:i], line, col))
+            col += i - start
+        elif ch.isalpha() or ch == "_":
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            if word == "expect" and text[i:i + 5] in ("-pass", "-fail"):
+                word += text[i:i + 5]
+                i += 5
+            tokens.append(("id", word, line, col))
+            col += len(word)
+        elif text[i:i + 2] in ("->", "==", "!=", "<=", ">=", "&&", "||", ".."):
+            tokens.append(("punct", text[i:i + 2], line, col))
+            i += 2
+            col += 2
+        elif ch in "+-*/<>=!(){}[],:;?":
+            tokens.append(("punct", ch, line, col))
+            i += 1
+            col += 1
+        else:
+            raise ParseError(f"stray character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 def _state_names(model):

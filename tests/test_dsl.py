@@ -14,6 +14,7 @@ from looptest.dsl import (
     serialize_model,
     serialize_reqs,
     serialize_suite,
+    tokenize,
 )
 from looptest.ltl import Finally, Globally, Implies, Next, Not, Until
 from looptest.model import (
@@ -30,6 +31,7 @@ from looptest.model import (
 )
 from looptest.sim import TestCase, TestSuite
 
+import oracles
 import randgen
 
 
@@ -122,6 +124,82 @@ def test_trailing_input_rejected():
     with pytest.raises(ParseError) as err:
         parse_model(CANONICAL + "extra")
     assert "trailing" in str(err.value)
+
+
+# pieces the scanner treats specially: blanks, comments, the dashed
+# expectation tags, and letters and digits outside ASCII
+_SCAN_PIECES = ("\t", "\r", "\n", " ", "//", "/", "expect", "expect-pass",
+                "-fail", "-", "é", "²", "½", "٣", "_", "x", "7", "->", "==",
+                "|", "||", "&", ".", "..", "$", "#")
+
+
+def _scan(scanner, text):
+    try:
+        return [tuple(tok) for tok in scanner(text)]
+    except ParseError as err:
+        return str(err)
+
+
+def test_tokenize_matches_the_reference_scanner():
+    rng = random.Random(11)
+    sources = []
+    for study in (casegen.elevator(3), casegen.pnp(3)):
+        sources += [study.model_text.split("\n"), study.reqs_text.split("\n")]
+    texts = []
+    for _ in range(3000):
+        lines = rng.choice(sources)
+        start = rng.randrange(len(lines))
+        text = "\n".join(lines[start:start + rng.randint(1, 4)])
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(text))
+            if rng.random() < 0.3:
+                text = text[:at] + text[at + rng.randint(1, 4):]
+            else:
+                text = text[:at] + rng.choice(_SCAN_PIECES) + text[at:]
+        texts.append(text)
+    for _ in range(1000):
+        texts.append("".join(rng.choice(_SCAN_PIECES)
+                             for _ in range(rng.randint(0, 12))))
+    outcomes = set()
+    for text in texts:
+        got = _scan(tokenize, text)
+        assert got == _scan(oracles.reference_tokenize, text), repr(text)
+        outcomes.add(type(got))
+    assert outcomes == {list, str}
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_non_ascii_digits_are_stray_in_models_and_requirements(digit):
+    # int() raised a bare ValueError on '²' and read '٣' as 3
+    with pytest.raises(ParseError) as err:
+        parse_model(f"model m;\ninput x : int 0..9 = {digit};\n"
+                    "plant {\n}\ncontroller {\n}\n")
+    assert str(err.value) == f"line 2:22: stray character {digit!r}"
+    with pytest.raises(ParseError) as err:
+        parse_reqs(f"R : level == {digit};\n", reqs_model())
+    assert str(err.value) == f"line 1:14: stray character {digit!r}"
+
+
+_COUNTER = ("model m;\nnondet n : int 0..10;\ninput x : bool = false;\n"
+            "plant {\n  x = n > 0;\n}\ncontroller {\n}\n")
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "٣"])
+def test_suite_values_are_ascii_integers(text):
+    # int() reads each of these, as 10, 3 and 3
+    with pytest.raises(ParseError) as err:
+        parse_suite(f"suite n\ntest a length 1\n{text}\n",
+                    parse_model(_COUNTER))
+    assert str(err.value) == f"line 3:1: bad value {text!r} for 'n'"
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "٣"])
+def test_suite_lengths_are_ascii_integers(text):
+    rows = "0\n" * int(text)
+    with pytest.raises(ParseError) as err:
+        parse_suite(f"suite n\ntest a length {text}\n{rows}",
+                    parse_model(_COUNTER))
+    assert str(err.value) == "line 2:1: test length must be a positive integer"
 
 
 def test_model_roundtrip_fuzz():

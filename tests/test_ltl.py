@@ -17,7 +17,6 @@ from looptest.ltl import (
     Until,
     boolean_subformulas,
     eval_on_lasso,
-    formula_names,
     is_temporal_free,
     position_envs,
     to_expr,
@@ -151,11 +150,6 @@ def test_boolean_subformulas_dedup():
     f = And(Finally(And(P, Q)), Globally(And(P, Q)))
     subs = boolean_subformulas(f)
     assert [str(e) for e in subs] == ["p && q"]
-
-
-def test_formula_names():
-    f = Until(Atom(Binary("<", Ref("n"), Lit(2))), Next(P))
-    assert formula_names(f) == {"n", "p"}
 
 
 def test_formula_text_minimizes_parentheses():
