@@ -9,14 +9,15 @@ Each carries its symbol, and an infix node its binding level and whether
 it associates right, so printing here and parsing in dsl read one table.
 
 A trace is evaluated over its position rows (position_rows): one row per
-position, one slot per declared variable.  Atoms are compiled once per
-model (model.CompiledModel.predicate) and run on every row.  A
-subformula's table is one integer bitmask over the positions: position i
-of m is bit m-1-i, so the loop is the low bits and the connectives and
-temporal operators are a few whole-word integer operations (Until uses one
-addition whose carries run backward along the word).  Each table is
-memoized per trace, and the tables of the trace evaluated last are kept, so
-requirements checked one after another on the same trace share them.
+position, one slot per declared variable.  Atoms are not compiled: each
+is lowered by model.lower_set over the rows' bitmasks (model.RowSets), all
+positions at once.  A subformula's table is one integer bitmask over the
+positions: position i of m is bit m-1-i, so the loop is the low bits and
+the connectives and temporal operators are a few whole-word integer
+operations (Until uses one addition whose carries run backward along the
+word).  Each table is memoized per trace, and the tables of the trace
+evaluated last are kept, so requirements checked one after another on the
+same trace share them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Binary, Expr, Unary
+from .model import Binary, Expr, RowSets, Unary
 
 
 class Formula:
@@ -209,17 +210,32 @@ def boolean_subformulas(f: Formula, mode: str = "maximal") -> list:
         raise ValueError(f"unknown subformula mode {mode!r}")
     out = []
     seen = set()
+    lowered = {}  # node -> its expression, None where it is temporal
 
-    def emit(node: Formula):
-        expr = to_expr(node)
-        if expr not in seen:
-            seen.add(expr)
-            out.append(expr)
+    def lower(node: Formula):
+        if node in lowered:
+            return lowered[node]
+        if isinstance(node, Atom):
+            expr = node.expr
+        elif node.symbol.isalpha():  # X, F, G or U
+            expr = None
+        elif isinstance(node, _Prefix):
+            operand = lower(node.operand)
+            expr = None if operand is None else Unary(node.symbol, operand)
+        else:
+            lhs, rhs = lower(node.lhs), lower(node.rhs)
+            expr = None if lhs is None or rhs is None \
+                else Binary(node.symbol, lhs, rhs)
+        lowered[node] = expr
+        return expr
 
     def walk(node: Formula, inside_free: bool):
-        free = is_temporal_free(node)
+        expr = lower(node)
+        free = expr is not None
         if free and (mode == "all" or not inside_free):
-            emit(node)
+            if expr not in seen:
+                seen.add(expr)
+                out.append(expr)
             if mode == "maximal":
                 return
         if isinstance(node, _Prefix):
@@ -236,8 +252,9 @@ def boolean_subformulas(f: Formula, mode: str = "maximal") -> list:
 # Evaluation on lassos
 
 
-# The last trace evaluated on: (trace, rows, prefix, memo).  Replaced as a
-# whole, so at most one trace's tables are alive at a time.
+# The last trace evaluated on: (trace, RowSets of its position rows in
+# reverse, prefix, memo).  Replaced as a whole, so at most one trace's
+# tables are alive at a time.
 _last = (None, None, 0, None)
 
 
@@ -256,14 +273,13 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
     held = _last
     if held[0] is not trace:
         rows, prefix = position_rows(trace)
-        held = (trace, rows, prefix, {})
+        held = (trace, RowSets(trace.model, rows[::-1]), prefix, {})
         _last = held
     _, rows, prefix, memo = held
     if not 0 <= position < trace.prefix_len + trace.loop_len:
         raise ValueError(f"position {position} outside lasso")
-    table = _eval_table(f, rows, prefix, memo,
-                        trace.model.compiled().predicate)
-    return bool(table >> (len(rows) - 1 - position) & 1)
+    table = _eval_table(f, rows, prefix, memo)
+    return bool(table >> (len(rows.rows) - 1 - position) & 1)
 
 
 def position_rows(trace) -> tuple:
@@ -297,34 +313,37 @@ def position_envs(trace) -> tuple:
     return [dict(zip(names, row)) for row in rows], prefix
 
 
-def _eval_table(f: Formula, rows: list, prefix: int, memo: dict, lower):
+def _eval_table(f: Formula, rows: RowSets, prefix: int, memo: dict):
     """Satisfaction of f at every position row, as one integer bitmask.
 
-    Position i of the m rows is bit m-1-i, so later positions sit in lower
-    bits and the loop (positions prefix..m-1) is the low q = m-prefix bits.
+    rows holds the position rows in reverse, so position i of the m rows
+    is bit m-1-i: later positions sit in lower bits and the loop
+    (positions prefix..m-1) is the low q = m-prefix bits.
     Information flows backward along the word, from low bits to high, the
     direction addition carries run.  Until writes the loop out twice, so
     every position's witness lies within the finite word, then clears with
     one addition the a-only positions after the last b of each run of a|b.
 
-    memo maps subformulas to their finished masks; lower compiles an atom's
-    expression to a function of a row.
+    memo maps subformulas to their finished masks.  An atom is its
+    expression lowered to a mask; where it fails, the earliest failing
+    position raises.
     """
     hit = memo.get(f)
     if hit is not None:
         return hit
-    m = len(rows)
+    m = len(rows.rows)
     full = (1 << m) - 1
     q = m - prefix
     loop = (1 << q) - 1
     if isinstance(f, Atom):
-        test = lower(f.expr)
-        table = int("".join(["1" if test(row) else "0" for row in rows]), 2)
+        table, err = rows.lower(f.expr)
+        if err:
+            rows.fail(f.expr, 1 << (err.bit_length() - 1))
     elif isinstance(f, Not):
-        table = full ^ _eval_table(f.operand, rows, prefix, memo, lower)
+        table = full ^ _eval_table(f.operand, rows, prefix, memo)
     elif isinstance(f, (And, Or, Implies)):
-        a = _eval_table(f.lhs, rows, prefix, memo, lower)
-        b = _eval_table(f.rhs, rows, prefix, memo, lower)
+        a = _eval_table(f.lhs, rows, prefix, memo)
+        b = _eval_table(f.rhs, rows, prefix, memo)
         if isinstance(f, And):
             table = a & b
         elif isinstance(f, Or):
@@ -332,18 +351,18 @@ def _eval_table(f: Formula, rows: list, prefix: int, memo: dict, lower):
         else:
             table = (full ^ a) | b
     elif isinstance(f, Next):
-        sub = _eval_table(f.operand, rows, prefix, memo, lower)
+        sub = _eval_table(f.operand, rows, prefix, memo)
         # the last position's successor is the loop start, bit q-1
         table = ((sub << 1) & full) | ((sub >> (q - 1)) & 1)
     elif isinstance(f, Finally):
-        sub = _eval_table(f.operand, rows, prefix, memo, lower)
+        sub = _eval_table(f.operand, rows, prefix, memo)
         table = _finally(sub, full, loop)
     elif isinstance(f, Globally):
-        sub = _eval_table(f.operand, rows, prefix, memo, lower)
+        sub = _eval_table(f.operand, rows, prefix, memo)
         table = full ^ _finally(full ^ sub, full, loop)
     elif isinstance(f, Until):
-        a = _eval_table(f.lhs, rows, prefix, memo, lower)
-        b = _eval_table(f.rhs, rows, prefix, memo, lower)
+        a = _eval_table(f.lhs, rows, prefix, memo)
+        b = _eval_table(f.rhs, rows, prefix, memo)
         # with the loop written out twice, a U b holds on each run of a|b
         # up to its last b; adding the run's lowest bit carries through the
         # a-only bits after that b

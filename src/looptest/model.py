@@ -6,17 +6,21 @@ assignments first, then the controller assignments, both in source order with
 read-latest semantics.
 
 A state is a tuple holding one value per state variable, in the order of
-state_variables().  Expressions have one lowering, lower_expr, to Python
-source over a flat row.  The model is lowered once, at first use, to
-compiled Python over rows (CompiledModel): one step function, which the
+state_variables().  Expressions have two lowerings.  lower_expr gives
+Python source over a flat row: the model is lowered once, at first use, to
+compiled Python over rows (CompiledModel), one step function, which the
 concrete step runs to its end and the search resumes after each nondet
-value it chooses, and one compiled predicate per goal or LTL atom.
+value it chooses.  lower_set gives the sets where an expression takes
+each value or fails, over any algebra of sets: the BDDs of symbolic.py, or
+RowSets, where a set of rows is one integer bitmask, so a coverage goal or
+an LTL atom is decided over many rows at once without compiling anything.
 eval_expr lowers an expression over a dict's names for one-off use.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -159,7 +163,8 @@ class Expr:
     """Base class for expression nodes.  Nodes compare structurally.
 
     Nodes are never changed after construction, so each computes its
-    structural hash once.
+    structural hash once, after those of its subtrees: deepest first, from
+    an explicit stack, so a deep tree hashes without deep recursion.
     """
 
     _hash = None
@@ -169,7 +174,16 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((type(self),) + self._key())
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                unhashed = [kid for kid in _children(node)
+                            if kid._hash is None]
+                if unhashed:
+                    stack.extend(unhashed)
+                else:
+                    stack.pop()
+                    node._hash = hash((type(node),) + node._key())
         return self._hash
 
     def _key(self):  # pragma: no cover - abstract
@@ -582,9 +596,9 @@ def step(model: ClosedLoopModel, state: tuple,
 #
 # A row holds one value per declared variable, in declaration order.  An
 # expression lowers to Python source over the row ``r``, compiled once per
-# assignment or predicate.  Division and mod are floored and raise
-# EvalError by zero, and an error is raised only where a left-to-right,
-# short-circuiting evaluation reaches the failing node.
+# assignment.  Division and mod are floored and raise EvalError by zero,
+# and an error is raised only where a left-to-right, short-circuiting
+# evaluation reaches the failing node.
 
 
 def floor_div(a: int, b: int) -> int:
@@ -638,19 +652,36 @@ def lower_expr(expr: Expr, slot_of: Mapping[str, int],
     deeply nested expressions do not run into the interpreter's recursion
     limit.
     """
-    done = []  # (source, binding strength) of finished subexpressions
-    todo = [(expr, False)]
+    source, _strength = _fold(
+        expr, lambda node, parts: _emit(node, parts, slot_of, yields))
+    return source
+
+
+def _fold(expr: Expr, combine, memo: Optional[dict] = None):
+    """combine(node, its children's results) applied bottom-up from an
+    explicit stack, so deeply nested expressions do not run into the
+    interpreter's recursion limit.  memo, if given, holds the results of
+    finished operator nodes and gains those of this expression's."""
+    done = []  # results of finished subexpressions
+    todo = [expr]  # nodes to expand, and (node, child count) to combine
     while todo:
-        node, ready = todo.pop()
-        kids = _children(node)
-        if kids and not ready:
-            todo.append((node, True))
-            todo.extend((kid, False) for kid in reversed(kids))
-            continue
-        parts = done[len(done) - len(kids):]
-        del done[len(done) - len(kids):]
-        done.append(_emit(node, parts, slot_of, yields))
-    return done[0][0]
+        node = todo.pop()
+        if node.__class__ is tuple:
+            node, count = node
+            result = combine(node, done[-count:])
+            del done[-count:]
+            if memo is not None:
+                memo[node] = result
+        else:
+            kids = _children(node)
+            if not kids:
+                result = combine(node, ())
+            elif memo is None or (result := memo.get(node)) is None:
+                todo.append((node, len(kids)))
+                todo.extend(reversed(kids))
+                continue
+        done.append(result)
+    return done[0]
 
 
 def _children(node: Expr) -> tuple:
@@ -712,8 +743,7 @@ class CompiledModel:
     assignments, and resumes lists what each of its yields stands for;
     step() runs it on tuples of state values.  row() builds
     the row of a position from its state values and nondet mapping.
-    predicate() compiles an expression to a function of a row, once per
-    structurally distinct expression.
+    Goals and atoms are not compiled: RowSets decides them over rows.
     """
 
     def __init__(self, model: ClosedLoopModel):
@@ -723,20 +753,11 @@ class CompiledModel:
         self._enter = self._row_function(model, checked=True)
         self.resumes = []
         self.advance = self._advance_function(model)
-        self._predicates = {}
 
     def step(self, values: tuple, nondet: Mapping[str, object]) -> tuple:
         """State values after one step from the given ones."""
         (state,) = self.advance(self._enter(values, nondet), 0)
         return state
-
-    def predicate(self, expr: Expr):
-        """The expression as a function of a row, compiled on first use."""
-        fn = self._predicates.get(expr)
-        if fn is None:
-            fn = self._compile(f"lambda r: {lower_expr(expr, self.slot_of)}")
-            self._predicates[expr] = fn
-        return fn
 
     def _advance_function(self, model: ClosedLoopModel):
         """advance(r, pos): a generator that runs assignment pos and the
@@ -795,11 +816,172 @@ class CompiledModel:
         lines.append(f"    return [{', '.join(items)}]\n")
         return self._define("\n".join(lines))
 
-    def _compile(self, source: str):
-        return eval(compile(source, self._filename, "eval"), _HELPERS)
-
     def _define(self, source: str):
         space = {}
         exec(compile(source, self._filename, "exec"), _HELPERS, space)
         (fn,) = space.values()
         return fn
+
+
+# --------------------------------------------------------------------------
+# Lowering to sets: where an expression takes each value, and where it fails
+#
+# An algebra of sets provides true (the set of everything), and_, or_,
+# not_ and iff; false is 0.  A boolean expression lowers to one set, any
+# other to a map from each value it can take to the set where it takes it,
+# in the style of Bryant 1986.  Next to the value goes the set where
+# evaluating it raises, under the same short-circuit rules as lower_expr.
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.floordiv, "mod": operator.mod}
+
+
+def lower_set(expr: Expr, env, algebra, memo: Optional[dict] = None) -> tuple:
+    """(value, error) of an expression over sets of the algebra.
+
+    env.get(name) is a variable's value: a set for a bool, else a map from
+    each value to its set.  A name env does not hold fails everywhere.
+    memo keeps the (value, error) of every subexpression lowered over the
+    same env, so later expressions sharing them skip their lowering.
+    """
+    return _fold(expr, lambda node, parts: _set_of(node, parts, env, algebra),
+                 {} if memo is None else memo)
+
+
+def _as_map(value) -> dict:
+    # only an undefined name, which fails everywhere, gives a set where a
+    # value map belongs; its value is never read
+    return value if isinstance(value, dict) else {}
+
+
+def _set_of(node: Expr, parts: list, env, alg) -> tuple:
+    """(value, error) of a node, given those of its children."""
+    if isinstance(node, Lit):
+        if isinstance(node.value, bool):
+            return (alg.true if node.value else 0), 0
+        return {node.value: alg.true}, 0
+    if isinstance(node, Ref):
+        value = env.get(node.name)
+        return (0, alg.true) if value is None else (value, 0)
+    if isinstance(node, Unary):
+        ((value, err),) = parts
+        if node.op == "!":
+            return alg.not_(value), err
+        return {-x: g for x, g in _as_map(value).items()}, err
+    and_, or_ = alg.and_, alg.or_
+    if isinstance(node, Binary):
+        (a, err_a), (b, err_b) = parts
+        op = node.op
+        if op == "&&":
+            return and_(a, b), or_(err_a, and_(a, err_b))
+        if op == "||":
+            return or_(a, b), or_(err_a, and_(alg.not_(a), err_b))
+        if op == "->":
+            return or_(alg.not_(a), b), or_(err_a, and_(a, err_b))
+        err = or_(err_a, err_b)
+        if op in ("==", "!=") and not isinstance(a, dict) \
+                and not isinstance(b, dict):
+            same = alg.iff(a, b)
+            return (same if op == "==" else alg.not_(same)), err
+        compare = _COMPARE.get(op)
+        arith = _ARITH.get(op)
+        if compare is None and arith is None:
+            return 0, alg.true
+        out = 0 if compare else {}
+        for x, gx in _as_map(a).items():
+            for y, gy in _as_map(b).items():
+                guard = and_(gx, gy)
+                if guard == 0:
+                    continue
+                if compare:
+                    if compare(x, y):
+                        out = or_(out, guard)
+                elif y == 0 and op in ("/", "mod"):
+                    err = or_(err, guard)
+                else:
+                    r = arith(x, y)
+                    out[r] = or_(out.get(r, 0), guard)
+        return out, err
+    if not isinstance(node, Cond):
+        return 0, alg.true
+    (c, err_c), (then, err_t), (other, err_o) = parts
+    not_c = alg.not_(c)
+    err = or_(err_c, or_(and_(c, err_t), and_(not_c, err_o)))
+    if not isinstance(then, dict) and not isinstance(other, dict):
+        return or_(and_(c, then), and_(not_c, other)), err
+    out = {}
+    for arm, guard_arm in ((then, c), (other, not_c)):
+        for x, g in _as_map(arm).items():
+            guard = and_(guard_arm, g)
+            if guard:
+                out[x] = or_(out.get(x, 0), guard)
+    return out, err
+
+
+class RowSets:
+    """The algebra of sets of rows, each set an integer bitmask with bit i
+    for rows[i], and the env of those rows for lower_set.
+
+    A variable's value over the rows is built on its first read: one mask
+    for a bool, else one mask per value it takes.
+    """
+
+    def __init__(self, model: ClosedLoopModel, rows: list):
+        self.model = model
+        self.rows = rows
+        self.true = (1 << len(rows)) - 1
+        self._columns = None
+        self._values = {}
+        self._memo = {}
+
+    and_ = operator.and_
+    or_ = operator.or_
+
+    def not_(self, u: int) -> int:
+        return self.true ^ u
+
+    def iff(self, u: int, v: int) -> int:
+        return self.true ^ u ^ v
+
+    def get(self, name: str):
+        value = self._values.get(name)
+        if value is None and self.model.has_var(name):
+            if self._columns is None:
+                # row 0 is the last digit, so it lands in bit 0
+                self._columns = list(zip(*reversed(self.rows))) \
+                    or [()] * len(self.model.variables)
+            column = self._columns[self.model.compiled().slot_of[name]]
+            if isinstance(self.model.var(name).domain, BoolDomain):
+                value = int(b"0" + bytes(column).translate(_DIGITS), 2)
+            else:
+                value = {x: int("0" + "".join(["1" if y == x else "0"
+                                               for y in column]), 2)
+                         for x in set(column)}
+            self._values[name] = value
+        return value
+
+    def lower(self, expr: Expr) -> tuple:
+        """lower_set over these rows, sharing subexpressions across calls."""
+        return lower_set(expr, self, self, self._memo)
+
+    def first_hit(self, expr: Expr):
+        """Index of the first row where the expression holds, or None.
+        Where a row fails before that, its error is raised."""
+        value, err = self.lower(expr)
+        hit = value & ~err
+        if err and not (hit and hit & -hit < err & -err):
+            self.fail(expr, err & -err)
+        return (hit & -hit).bit_length() - 1 if hit else None
+
+    def fail(self, expr: Expr, bit: int):
+        """Raise what evaluating the expression raises on the row of a
+        one-bit mask."""
+        names = self.model.compiled().slot_of
+        eval_expr(expr, dict(zip(names, self.rows[bit.bit_length() - 1])))
+        raise RuntimeError(f"set lowering of {expr} disagrees with eval_expr")
+
+
+#: bools as bytes to binary digits
+_DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from .model import (Binary, BoolDomain, ClosedLoopModel, Lit, Ref, Unary,
-                    VarKind)
+from .model import BoolDomain, ClosedLoopModel, VarKind, lower_set
 
 
 class BDD:
@@ -33,6 +32,8 @@ class BDD:
     the variable at `level` then `high` else `low`".  Levels grow from the
     root down and no two nodes are alike, so equal functions are equal ints.
     """
+
+    true = 1
 
     def __init__(self, levels: int):
         self.levels = levels
@@ -266,24 +267,6 @@ class BDD:
         return rec(u) << rank_of(u)
 
 
-_COMPARE = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a // b,
-    "mod": lambda a, b: a % b,
-}
-
-
 def _group_key(name: str) -> int:
     """Array index of a flattened name (door.2 -> 2); -1 for scalars."""
     _base, dot, idx = name.rpartition(".")
@@ -369,7 +352,7 @@ class StepRelation:
         chain = []
         for k, asn in enumerate(steps):
             e = self._enc[asn.target]
-            value, err = self._lower(asn.expr, env)
+            value, err = lower_set(asn.expr, env, bdd)
             if not isinstance(value, int):
                 inside = {x: g for x, g in value.items() if x in e.index}
                 for x, g in value.items():
@@ -441,77 +424,9 @@ class StepRelation:
                                                           e.index[x])))
         return out
 
-    def _lower(self, expr, env: dict):
-        """Lower an expression to (value, error) over env's bits.
-
-        value is a BDD for boolean expressions and otherwise a map from each
-        value the expression can take to the BDD of when it takes it; error
-        is the BDD of when evaluating it raises.
-        """
-        bdd = self.bdd
-        if isinstance(expr, Lit):
-            if isinstance(expr.value, bool):
-                return int(expr.value), 0
-            return {expr.value: 1}, 0
-        if isinstance(expr, Ref):
-            return env[expr.name], 0
-        if isinstance(expr, Unary):
-            value, err = self._lower(expr.operand, env)
-            if expr.op == "!":
-                return bdd.not_(value), err
-            return {-x: g for x, g in value.items()}, err
-        if isinstance(expr, Binary):
-            a, err_a = self._lower(expr.lhs, env)
-            b, err_b = self._lower(expr.rhs, env)
-            op = expr.op
-            if op == "&&":
-                return bdd.and_(a, b), bdd.or_(err_a, bdd.and_(a, err_b))
-            if op == "||":
-                return (bdd.or_(a, b),
-                        bdd.or_(err_a, bdd.and_(bdd.not_(a), err_b)))
-            if op == "->":
-                return (bdd.or_(bdd.not_(a), b),
-                        bdd.or_(err_a, bdd.and_(a, err_b)))
-            err = bdd.or_(err_a, err_b)
-            if isinstance(a, int):
-                same = bdd.iff(a, b)
-                return (same if op == "==" else bdd.not_(same)), err
-            compare = _COMPARE.get(op)
-            out = 0 if compare else {}
-            for x, gx in a.items():
-                for y, gy in b.items():
-                    guard = bdd.and_(gx, gy)
-                    if guard == 0:
-                        continue
-                    if compare:
-                        if compare(x, y):
-                            out = bdd.or_(out, guard)
-                    elif y == 0 and op in ("/", "mod"):
-                        err = bdd.or_(err, guard)
-                    else:
-                        r = _ARITH[op](x, y)
-                        out[r] = bdd.or_(out.get(r, 0), guard)
-            return out, err
-        # conditional
-        c, err_c = self._lower(expr.cond, env)
-        then, err_t = self._lower(expr.then, env)
-        other, err_o = self._lower(expr.other, env)
-        not_c = bdd.not_(c)
-        err = bdd.or_(err_c, bdd.or_(bdd.and_(c, err_t),
-                                     bdd.and_(not_c, err_o)))
-        if isinstance(then, int):
-            return bdd.or_(bdd.and_(c, then), bdd.and_(not_c, other)), err
-        out = {}
-        for arm, guard_arm in ((then, c), (other, not_c)):
-            for x, g in arm.items():
-                guard = bdd.and_(guard_arm, g)
-                if guard:
-                    out[x] = bdd.or_(out.get(x, 0), guard)
-        return out, err
-
     def candidates(self, predicate) -> int:
         """States where the predicate holds or fails for some column."""
-        value, err = self._lower(predicate, self._current_env)
+        value, err = lower_set(predicate, self._current_env, self.bdd)
         return self.bdd.and_exists(self.bdd.or_(value, err),
                                    self._valid_nondet, self._nondet_mask)
 

@@ -11,8 +11,10 @@ Scanning its discovery order gives the same answer a fresh per-goal search
 would: layers are built in depth order, and inside a layer nodes are added
 parent-first with each parent's successors sorted by nondet column, so the
 first hit is a shortest witness with the lexicographically least column
-sequence.  Only nondet values the compiled step reads are branched on, and
-goal predicates are scanned over the position row each node keeps.
+sequence.  Only nondet values the compiled step reads are branched on.
+Each node keeps its position row, and a goal is decided over a whole
+explicit layer at once: lowered by model.lower_set to row bitmasks, its
+first hit is the lowest set bit of the first layer that has one.
 
 Explicit branching multiplies with every nondet value read, so once a search
 has spent SYMBOLIC_HANDOFF_STEPS branch steps it continues symbolically (see
@@ -39,6 +41,7 @@ from .model import (
     Lit,
     ModelError,
     Ref,
+    RowSets,
     Unary,
     VarKind,
     eval_expr,
@@ -172,8 +175,13 @@ def enumerate_goals(model: ClosedLoopModel, reqs: list,
                  f"var {ref_text(v.name)}={Lit(value)}")
 
     sub_mode = "maximal" if mode == "maximal" else "all"
+    produced = set()
     for req in reqs:
         for expr in ltl.boolean_subformulas(req.formula, sub_mode):
+            # an earlier requirement pushed it and its negation already
+            if expr in produced:
+                continue
+            produced.add(expr)
             names = referenced_names(expr)
             if names & nondet_names:
                 continue
@@ -232,12 +240,13 @@ class BoundedExplorer:
         for k, slot in compiled.resumes:
             values = model.variables[slot].domain.values()
             self._branches.append((k, slot, values[0], values[:0:-1]))
-        self._predicate = compiled.predicate
 
         root_tuple = init_state(model)
         self.nodes = [root_tuple]
         self.parents = [-1]
         self.rows = [tuple(self._row(root_tuple, model.nondet_defaults()))]
+        # (first node, RowSets of its rows) of each explicit layer
+        self._row_layers = [(0, RowSets(model, self.rows[:]))]
         self._visited = {root_tuple: 0}
         self._depth_built = 0
         self._frontier = (0, 1)  # node range of the deepest explicit layer
@@ -354,6 +363,8 @@ class BoundedExplorer:
         else:
             self._depth_built += 1
             self._frontier = (new_start, len(self.nodes))
+            self._row_layers.append(
+                (new_start, RowSets(self.model, self.rows[new_start:])))
             return True
         self._hand_off()
         return self._extend_symbolic()
@@ -451,28 +462,28 @@ class BoundedExplorer:
         return columns, len(columns)
 
     def _search(self, predicate: Expr):
-        fn = self._predicate(predicate)
-        rows = self.rows
-        idx = 0
+        explicit = 0
         layer = 1
         candidates = None
         while True:
-            while idx < len(rows):
-                if fn(rows[idx]):
-                    return self._tree_path(idx)
-                idx += 1
+            while explicit < len(self._row_layers):
+                start, rows = self._row_layers[explicit]
+                hit = rows.first_hit(predicate)
+                if hit is not None:
+                    return self._tree_path(start + hit)
+                explicit += 1
             if self._relation is not None:
                 if candidates is None:
                     candidates = self._relation.candidates(predicate)
                 while layer < len(self._layers):
-                    hit = self._search_layer(fn, candidates, layer)
+                    hit = self._search_layer(predicate, candidates, layer)
                     if hit is not None:
                         return hit
                     layer += 1
             if not self._extend_layer():
                 return None
 
-    def _search_layer(self, fn, candidates: int, layer: int):
+    def _search_layer(self, predicate: Expr, candidates: int, layer: int):
         """First state of a symbolic layer, in breadth-first order, that
         satisfies the predicate under the column producing it.
 
@@ -484,7 +495,8 @@ class BoundedExplorer:
         left = relation.bdd.and_(self._layers[layer], candidates)
         while left:
             columns, state = self._symbolic_path(layer, left)
-            if fn(self._env(state, columns[-1])):
+            row = self._env(state, columns[-1])
+            if RowSets(self.model, [row]).first_hit(predicate) is not None:
                 return columns
             left = relation.without(left, state)
         return None
@@ -561,12 +573,11 @@ def generate_suite(model: ClosedLoopModel, reqs: list,
                                       status="COVERED", test_id=tid,
                                       position=position)
             trace = simulate_lasso(model, case, step_cap=config.step_cap)
-            rows, _ = ltl.position_rows(trace)
+            rows = RowSets(model, ltl.position_rows(trace)[0])
             for j in range(i + 1, len(goals)):
                 if outcomes[j] is not None:
                     continue
-                test = model.compiled().predicate(goals[j].predicate)
-                if any(test(row) for row in rows):
+                if rows.first_hit(goals[j].predicate) is not None:
                     outcomes[j] = GoalOutcome(index=j + 1,
                                               origin=goals[j].origin,
                                               status="SUBSUMED", test_id=tid)

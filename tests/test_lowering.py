@@ -1,10 +1,10 @@
-"""The compiled step, compiled predicates and the search that drives the
-compiled step against the tree-walking references in oracles.py: same
-values, same exception class and message."""
+"""The compiled step, the set lowering of goals and atoms, and the search
+that drives the compiled step against the tree-walking references in
+oracles.py: same values, same exception class and message."""
 
 import random
 
-from looptest import casegen, testgen
+from looptest import casegen, ltl, testgen
 from looptest.dsl import parse_model
 from looptest.model import (
     Assignment,
@@ -17,11 +17,15 @@ from looptest.model import (
     Lit,
     ModelError,
     Ref,
+    RowSets,
+    Unary,
     UpdateBlock,
     eval_expr,
+    lower_set,
     step,
     validate_model,
 )
+from looptest.sim import TestCase, simulate_lasso
 from looptest.testgen import BoundedExplorer
 
 import oracles
@@ -132,40 +136,81 @@ def _value(fn, *args):
         return type(err), str(err)
 
 
-def test_compiled_predicates_match_reference_eval():
+def _raises(outcome) -> bool:
+    return isinstance(outcome[1], str) and issubclass(outcome[0], ModelError)
+
+
+def _row_outcome(value, err, i: int):
+    """What lowered sets say of row i: that it fails, or its typed value."""
+    bit = 1 << i
+    if err & bit:
+        return "fails"
+    if isinstance(value, dict):
+        (x,) = [x for x, rows in value.items() if rows & bit]
+        return type(x), x
+    return bool, bool(value & bit)
+
+
+def _first_hit(goal, envs: list):
+    """The reference scan of a goal: the index of the first env where it
+    holds, or the error of the first env that raises before one does."""
+    for i, env in enumerate(envs):
+        outcome = _value(oracles.reference_eval, goal, env)
+        if _raises(outcome):
+            return outcome
+        if outcome[1]:
+            return int, i
+    return type(None), None
+
+
+def test_row_sets_match_reference_eval():
     rng = random.Random(77)
     raised = set()
+    hit_errors = set()
     for i in range(300):
         model = randgen.random_model(rng, name=f"p{i}")
         ints = [v.name for v in model.variables
                 if isinstance(v.domain, IntRange)]
         bools = [v.name for v in model.variables
                  if isinstance(v.domain, BoolDomain)]
-        compiled = model.compiled()
         state = oracles.reference_root(model)
         column = {v.name: rng.choice(list(v.domain.values()))
                   for v in model.nondet_variables()}
         names = [v.name for v in model.state_variables()]
         env = dict(zip(names, state), **column)
-        row = compiled.row(state, column)
+        # more rows from their own generator, so rng draws the same models
+        # and expressions whatever the rows
+        more = random.Random(i)
+        envs = [env] + [{v.name: more.choice(list(v.domain.values()))
+                         for v in model.variables} for _ in range(5)]
+        rows = RowSets(model, [[e[v.name] for v in model.variables]
+                               for e in envs])
         for _ in range(10):
-            expr = randgen.random_expr(rng, ints, bools,
-                                       rng.choice(("int", "bool")), 4,
+            kind = rng.choice(("int", "bool"))
+            expr = randgen.random_expr(rng, ints, bools, kind, 4,
                                        missing=0.05)
-            got = _value(compiled.predicate(expr), row)
             want = _value(oracles.reference_eval, expr, env)
-            assert got == want, (str(expr), env)
             assert _value(eval_expr, expr, env) == want, (str(expr), env)
-            if isinstance(want[1], str) and issubclass(want[0], ModelError):
-                raised.add(want[1].split(" '")[0])
-    assert raised == {"division by zero", "mod by zero",
-                      "undefined variable"}
+            value, err = lower_set(expr, rows, rows)
+            for k, row_env in enumerate(envs):
+                outcome = _value(oracles.reference_eval, expr, row_env)
+                if _raises(outcome):
+                    raised.add(outcome[1].split(" '")[0])
+                    outcome = "fails"
+                assert _row_outcome(value, err, k) == outcome, \
+                    (str(expr), row_env)
+            goal = expr if kind == "bool" else Binary("!=", expr, Lit(0))
+            first = _first_hit(goal, envs)
+            assert _value(rows.first_hit, goal) == first, (str(goal), envs)
+            if _raises(first):
+                hit_errors.add(first[1].split(" '")[0])
+    assert raised == hit_errors == {"division by zero", "mod by zero",
+                                    "undefined variable"}
 
 
 def test_short_circuit_hides_undefined_variables():
     model = randgen._SYN_MODEL
-    compiled = model.compiled()
-    row = compiled.row((True, False, 0), {})
+    rows = RowSets(model, [model.compiled().row((True, False, 0), {})])
     missing = Ref("missing")
     cases = [
         (Binary("&&", Ref("q"), missing), False),
@@ -175,9 +220,10 @@ def test_short_circuit_hides_undefined_variables():
         (Cond(Ref("q"), missing, Lit(2)), 2),
     ]
     for expr, want in cases:
-        assert compiled.predicate(expr)(row) == want
+        value, err = lower_set(expr, rows, rows)
+        assert _row_outcome(value, err, 0) == (type(want), want)
     evaluated = Binary("&&", Ref("p"), missing)
-    assert _value(compiled.predicate(evaluated), row) == \
+    assert _value(rows.first_hit, evaluated) == \
         _value(oracles.reference_eval, evaluated, {"p": True})
 
 
@@ -230,11 +276,13 @@ def test_explorer_layers_match_reference_bfs(monkeypatch):
             oracles.reference_layers(study.model, bound)
 
 
-def test_deep_chains_compile():
+def _deep_model():
+    """A model whose assignments nest 600 deep: a chain of conditionals
+    and a chain of ||."""
     depth = 600
     chain = " || ".join(f"x == {i % 3}" for i in range(depth))
     arms = "".join(f"x == {i % 3} ? {i % 3} : " for i in range(depth))
-    model = parse_model(f"""model deep;
+    return parse_model(f"""model deep;
 nondet go : bool;
 input x : int 0..3 = 3;
 output y : bool = false;
@@ -245,6 +293,10 @@ controller {{
   y = {chain} || go;
 }}
 """)
+
+
+def test_deep_chains_compile():
+    model = _deep_model()
     state = oracles.reference_root(model)
     for go in (True, False, True):
         want = oracles.reference_step(model, state, {"go": go})
@@ -255,3 +307,29 @@ controller {{
     layers = oracles.reference_layers(model, 3)
     assert _explored_layers(model, 3) == layers
     assert [len(layer) for layer in layers] == [1, 2]
+
+
+def test_deep_chains_decide_goals_and_atoms():
+    model = _deep_model()
+    # the controller's expression is chain || go; x is 3 at the root
+    chain = model.controller.assignments[0].expr.lhs
+    root = dict(zip(["x", "y"], oracles.reference_root(model)),
+                go=False)
+    assert oracles.reference_eval(chain, root) is False
+    assert BoundedExplorer(model, 3).find(Unary("!", chain)) == ([], 0)
+    # go=false steps x to 2, the first state where the chain holds
+    columns, position = BoundedExplorer(model, 3).find(chain)
+    assert (columns, position) == ([(False,)], 1)
+    state = oracles.reference_step(model, oracles.reference_root(model),
+                                   {"go": False})
+    assert oracles.reference_eval(
+        chain, dict(zip(["x", "y"], state), go=False)) is True
+
+    case = TestCase(tid="t0", variables=("go",),
+                    rows=((True,), (False,), (True,)))
+    trace = simulate_lasso(model, case)
+    envs, _ = ltl.position_envs(trace)
+    atom = ltl.Atom(chain)
+    for position in range(trace.prefix_len + trace.loop_len):
+        assert ltl.eval_on_lasso(atom, trace, position) is \
+            oracles.reference_eval(chain, envs[position])

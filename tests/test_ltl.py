@@ -21,7 +21,7 @@ from looptest.ltl import (
     position_envs,
     to_expr,
 )
-from looptest.model import Binary, Lit, Ref
+from looptest.model import Binary, EvalError, Lit, Ref
 from looptest.sim import LassoTrace, TestCase, simulate_lasso
 
 import oracles
@@ -86,6 +86,20 @@ def test_position_bounds_checked():
     t = make_lasso([(True, False, 0)], prefix=0)
     with pytest.raises(ValueError):
         eval_on_lasso(P, t, position=1)
+
+
+def test_atom_raises_at_its_earliest_failing_position():
+    # 1 / (n - 2) fails at n = 2; at n = 1 it passes and 1 mod (n - 1)
+    # fails.  Every position is evaluated, so the one asked does not matter.
+    n = Ref("n")
+    atom = Atom(Binary("==", Binary(
+        "+", Binary("/", Lit(1), Binary("-", n, Lit(2))),
+        Binary("mod", Lit(1), Binary("-", n, Lit(1)))), Lit(0)))
+    for order, message in (((1, 2), "mod by zero"),
+                           ((2, 1), "division by zero")):
+        states = [(False, False, k) for k in (0,) + order + (3,)]
+        with pytest.raises(EvalError, match=message):
+            eval_on_lasso(atom, make_lasso(states, prefix=1), 3)
 
 
 def test_prefix_zero_lasso_distinguishes_first_visit_from_reentry():
