@@ -25,30 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Binary, Expr, RowSets, Unary
+from .model import Binary, Expr, Node, RowSets, Unary
 
 
-class Formula:
-    """Base class for LTL nodes; comparison is structural.  Nodes are never
-    changed after construction, so each computes its hash once.
+class Formula(Node):
+    """Base class for LTL nodes; comparison is structural.
 
     level is the binding strength the printer and the parser share: atoms
     and prefix operators bind tighter than every infix operator.
     """
 
-    _hash = None
     level = 5
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((type(self),) + self._key())
-        return self._hash
-
-    def _key(self):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class Atom(Formula):

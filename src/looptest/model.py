@@ -159,35 +159,62 @@ class Variable:
 # Expressions
 
 
-class Expr:
-    """Base class for expression nodes.  Nodes compare structurally.
+class Node:
+    """A tree node that compares and hashes structurally: by its type and
+    _key(), whose Node items are its subtrees.
 
-    Nodes are never changed after construction, so each computes its
-    structural hash once, after those of its subtrees: deepest first, from
-    an explicit stack, so a deep tree hashes without deep recursion.
+    Nodes are never changed after construction, so each computes its hash
+    once, after those of its subtrees.  Hashing and comparing both walk
+    from an explicit stack, so a deep tree needs no deep recursion.
     """
 
     _hash = None
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        if self is other:
+            return True
+        if type(self) is not type(other):
+            return False
+        mine, theirs = self._hash, other._hash
+        if mine != theirs and mine is not None and theirs is not None:
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(a._key(), b._key()):
+                if x is y:
+                    continue
+                if not isinstance(x, Node):
+                    if x != y:
+                        return False
+                elif type(x) is not type(y):
+                    return False
+                else:
+                    stack.append((x, y))
+        return True
 
     def __hash__(self):
         if self._hash is None:
             stack = [self]
             while stack:
                 node = stack[-1]
-                unhashed = [kid for kid in _children(node)
-                            if kid._hash is None]
-                if unhashed:
-                    stack.extend(unhashed)
-                else:
+                key = node._key()
+                ready = True
+                for kid in key:
+                    if isinstance(kid, Node) and kid._hash is None:
+                        stack.append(kid)
+                        ready = False
+                if ready:
                     stack.pop()
-                    node._hash = hash((type(node),) + node._key())
+                    node._hash = hash((type(node),) + key)
         return self._hash
 
     def _key(self):  # pragma: no cover - abstract
         raise NotImplementedError
+
+
+class Expr(Node):
+    """Base class for expression nodes."""
 
 
 class Lit(Expr):
@@ -585,8 +612,12 @@ def step(model: ClosedLoopModel, state: tuple,
     """Run one full step: plant assignments, then controller assignments.
 
     The nondeterministic values for this step must all be supplied; they are
-    readable by both blocks but never assigned.  Every assignment is checked
-    against the target's domain.
+    readable by both blocks but never assigned, and each is checked against
+    its domain.  Every assignment's value lies in the target's domain:
+    proven when the model is lowered or tested at run time, which raises
+    DomainViolation.  The proof assumes the given state's values lie in
+    their domains, or are their variables' init values, as init_state and
+    step produce them.
     """
     return model.compiled().step(state, nondet)
 
@@ -657,27 +688,29 @@ def lower_expr(expr: Expr, slot_of: Mapping[str, int],
     return source
 
 
-def _fold(expr: Expr, combine, memo: Optional[dict] = None):
+def _fold(expr, combine, memo: Optional[dict] = None, children=None):
     """combine(node, its children's results) applied bottom-up from an
     explicit stack, so deeply nested expressions do not run into the
     interpreter's recursion limit.  memo, if given, holds the results of
-    finished operator nodes and gains those of this expression's."""
+    finished operator nodes and gains those of this expression's.
+    children(node) gives a node's children, _children(node) by default."""
+    children = children or _children
     done = []  # results of finished subexpressions
-    todo = [expr]  # nodes to expand, and (node, child count) to combine
+    todo = [expr]  # nodes to expand, and [node, child count] to combine
     while todo:
         node = todo.pop()
-        if node.__class__ is tuple:
+        if node.__class__ is list:
             node, count = node
             result = combine(node, done[-count:])
             del done[-count:]
             if memo is not None:
                 memo[node] = result
         else:
-            kids = _children(node)
+            kids = children(node)
             if not kids:
                 result = combine(node, ())
             elif memo is None or (result := memo.get(node)) is None:
-                todo.append((node, len(kids)))
+                todo.append([node, len(kids)])
                 todo.extend(reversed(kids))
                 continue
         done.append(result)
@@ -741,9 +774,12 @@ class CompiledModel:
 
     advance() is the model's step, the only compiled form of its
     assignments, and resumes lists what each of its yields stands for;
-    step() runs it on tuples of state values.  row() builds
-    the row of a position from its state values and nondet mapping.
-    Goals and atoms are not compiled: RowSets decides them over rows.
+    step() runs it on tuples of state values.  Each assigned value lies in
+    its target's domain: proven at lowering by a value-set analysis, or
+    tested at run time for the assignments tested lists (by their
+    DomainViolation where).  row() builds the row of a position from its
+    state values and nondet mapping.  Goals and atoms are not compiled:
+    RowSets decides them over rows.
     """
 
     def __init__(self, model: ClosedLoopModel):
@@ -752,6 +788,7 @@ class CompiledModel:
         self.row = self._row_function(model, checked=False)
         self._enter = self._row_function(model, checked=True)
         self.resumes = []
+        self.tested = ()
         self.advance = self._advance_function(model)
 
     def step(self, values: tuple, nondet: Mapping[str, object]) -> tuple:
@@ -767,6 +804,7 @@ class CompiledModel:
         (k, slot), then reads the slot again; a copy of the row taken there
         can be run from pos=k with another value."""
         nondet = {self.slot_of[v.name] for v in model.nondet_variables()}
+        read_sets = {v.name: _read_set(v) for v in model.variables}
         lines = ["def advance(r, pos):"]
         k = 0
         for block_name, block in (("plant", model.plant),
@@ -781,13 +819,17 @@ class CompiledModel:
                     yields[read] = len(self.resumes)
                     self.resumes.append((k, read))
                 slot = self.slot_of[asn.target]
-                test = model.var(asn.target).domain.test_source("v")
+                domain = model.var(asn.target).domain
                 where = f"{block_name} assignment {i + 1}"
-                lines += [
-                    f"        v = {lower_expr(asn.expr, self.slot_of, yields)}",
-                    f"        if not ({test}):",
-                    f"            raise _violation({asn.target!r}, v, {where!r})",
-                    f"        r[{slot}] = v"]
+                lines.append(
+                    f"        v = {lower_expr(asn.expr, self.slot_of, yields)}")
+                values = _fold((asn.expr, read_sets), _values_of, None, _narrowed)
+                if values is None or not all(domain.contains(x) for _, x in values):
+                    self.tested += (where,)
+                    lines += [
+                        f"        if not ({domain.test_source('v')}):",
+                        f"            raise _violation({asn.target!r}, v, {where!r})"]
+                lines.append(f"        r[{slot}] = v")
                 k += 1
         items = "".join(f"r[{self.slot_of[v.name]}], "
                         for v in model.state_variables())
@@ -985,3 +1027,88 @@ class RowSets:
 
 #: bools as bytes to binary digits
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+# --------------------------------------------------------------------------
+# Value sets: what an expression can evaluate to, worked out at lowering
+# (value-set abstract interpretation, Cousot & Cousot 1977).  A set holds
+# (class, value) pairs, since True is not 1.  None is a set not worked out:
+# past _VALUE_CAP values or operand pairs, for arithmetic on other than
+# ints, and for unknown operators and names, which raise.
+
+_VALUE_CAP = 4096
+_BOOLS = frozenset({(bool, False), (bool, True)})
+
+
+def _read_set(v: Variable) -> Optional[set]:
+    """What a read of v sees: its domain, and a state variable's init
+    outside it, which the variable keeps until it is assigned."""
+    dom = v.domain
+    if isinstance(dom, IntRange) and dom.hi - dom.lo >= _VALUE_CAP:
+        return None
+    init = () if v.kind is VarKind.NONDET or dom.contains(v.init) else (v.init,)
+    return {(x.__class__, x) for x in (*dom.values(), *init)}
+
+
+def _gives_bool(node: Expr) -> bool:
+    """Whether a node gives a bool whatever its operands: ! and comparisons."""
+    if isinstance(node, Unary):
+        return node.op == "!"
+    return isinstance(node, Binary) and node.op in _COMPARE
+
+
+def _narrowed(item: tuple) -> list:
+    """The (child, read sets) items a (node, read sets) item's value set is
+    worked out from: not the operands of a node that gives a bool, nor a
+    conditional's guard.  Where the guard compares a variable with a
+    literal, the then-arm reads the values passing it, the else-arm the
+    others."""
+    node, reads = item
+    if not isinstance(node, Cond):
+        return [] if _gives_bool(node) else [(kid, reads) for kid in _children(node)]
+    arms = [reads, reads]
+    guard = node.cond
+    if isinstance(guard, Binary) and guard.op in _COMPARE:
+        flip = isinstance(guard.lhs, Lit)
+        ref, lit = (guard.rhs, guard.lhs) if flip else (guard.lhs, guard.rhs)
+        if isinstance(ref, Ref) and isinstance(lit, Lit) and reads.get(ref.name):
+            split = (set(), set())
+            try:
+                for pair in reads[ref.name]:
+                    args = (lit.value, pair[1]) if flip else (pair[1], lit.value)
+                    split[not _COMPARE[guard.op](*args)].add(pair)
+                arms = [{**reads, ref.name: values} for values in split]
+            except TypeError:  # the guard raises, so no arm runs
+                pass
+    return [(node.then, arms[0]), (node.other, arms[1])]
+
+
+def _values_of(item: tuple, parts: list) -> Optional[set]:
+    """The value set of a (node, read sets) item, given its children's."""
+    node, reads = item
+    if isinstance(node, Lit):
+        return {(node.value.__class__, node.value)}
+    if isinstance(node, Ref):
+        return reads.get(node.name)
+    if isinstance(node, Cond):
+        return None if None in parts else parts[0] | parts[1]
+    if _gives_bool(node):
+        return _BOOLS
+    if not isinstance(node, (Unary, Binary)):
+        return None
+    op = node.op
+    # -x is 0 - x
+    a, b = ({(int, 0)}, *parts) if isinstance(node, Unary) else parts
+    if a is None or b is None:
+        return None
+    if op in ("&&", "||"):  # Python's and/or give an operand
+        return a | b
+    if op == "->":
+        return _BOOLS | b
+    arith = _ARITH.get(op)
+    if arith is None or len(a) * len(b) > _VALUE_CAP \
+            or any(cls is not int for cls, _ in a | b):
+        return None
+    # a zero divisor raises before the value is stored
+    return {(int, arith(x, y)) for _, x in a for _, y in b
+            if y or op not in ("/", "mod")}

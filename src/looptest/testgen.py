@@ -377,8 +377,10 @@ class BoundedExplorer:
         from . import symbolic
         relation = symbolic.StepRelation(self.model)
         start, end = self._frontier
-        self._layers = [relation.state_set(self.nodes[start:end])]
-        self._reached = relation.state_set(self.nodes)
+        frontier = relation.state_set(self.nodes[start:end])
+        self._layers = [frontier]
+        self._reached = relation.bdd.or_(
+            frontier, relation.state_set(self.nodes[:start]))
         self._reached_count = len(self.nodes)
         self._relation = relation
         self._limit = self.step_cap

@@ -3,6 +3,9 @@ that drives the compiled step against the tree-walking references in
 oracles.py: same values, same exception class and message."""
 
 import random
+from itertools import islice, product
+
+import pytest
 
 from looptest import casegen, ltl, testgen
 from looptest.dsl import parse_model
@@ -13,6 +16,7 @@ from looptest.model import (
     ClosedLoopModel,
     Cond,
     DomainViolation,
+    EvalError,
     IntRange,
     Lit,
     ModelError,
@@ -20,8 +24,12 @@ from looptest.model import (
     RowSets,
     Unary,
     UpdateBlock,
+    Variable,
+    VarKind,
     eval_expr,
+    init_state,
     lower_set,
+    referenced_names,
     step,
     validate_model,
 )
@@ -126,6 +134,125 @@ controller {
     assert _outcome(step, model, state, {"go": True}) == \
         _outcome(oracles.reference_step, model, state, {"go": True}) == \
         (DomainViolation, "plant assignment 1: value 3 outside domain of 'x'")
+
+
+def _outside_init(rng, model):
+    """The model, unvalidated, with one state variable's init outside its
+    domain: a value of another class or past an end, which still compares
+    and adds without a TypeError."""
+    target = rng.choice(model.state_variables())
+    domain = target.domain
+    if isinstance(domain, IntRange):
+        init = rng.choice((domain.lo - 1, domain.hi + 1, True))
+    else:
+        init = rng.choice((0, 2) if isinstance(domain, BoolDomain) else (0, 5))
+    return ClosedLoopModel(
+        name=model.name + "-init", plant=model.plant,
+        controller=model.controller,
+        variables=tuple(Variable(v.name, v.kind, v.domain, init)
+                        if v is target else v for v in model.variables))
+
+
+def _read_values(model, name) -> list:
+    """The values a read of the variable can see within a step."""
+    v = model.var(name)
+    values = list(v.domain.values())
+    if v.kind is not VarKind.NONDET and not v.domain.contains(v.init):
+        values.append(v.init)
+    return values
+
+
+def test_assignments_without_run_time_test_stay_in_their_domains():
+    rng = random.Random(1313)
+    dropped = kept_faulty = 0
+    for i in range(600):
+        model = randgen.random_model(rng, name=f"d{i}")
+        if i % 2:
+            model = _faulty(rng, model)
+        if i % 3 == 2:
+            model = _outside_init(rng, model)
+        tested = model.compiled().tested
+        for block_name, block in (("plant", model.plant),
+                                  ("controller", model.controller)):
+            for k, asn in enumerate(block.assignments):
+                if f"{block_name} assignment {k + 1}" in tested:
+                    kept_faulty += i % 2
+                    continue
+                dropped += 1
+                domain = model.var(asn.target).domain
+                names = sorted(referenced_names(asn.expr))
+                reads = product(*[_read_values(model, n) for n in names])
+                for values in islice(reads, 3000):
+                    env = dict(zip(names, values))
+                    # the compiled step's and/or give an operand, where the
+                    # reference gives a bool, so check both
+                    for evaluate in (oracles.reference_eval, eval_expr):
+                        try:
+                            value = evaluate(asn.expr, env)
+                        except EvalError:
+                            continue
+                        assert domain.contains(value), \
+                            (i, str(asn.expr), env, value)
+    assert dropped > 900 and kept_faulty > 100, (dropped, kept_faulty)
+
+
+def _counter(update: str):
+    return parse_model(f"""model counter;
+nondet go : bool;
+input x : int 0..2 = 0;
+plant {{
+  x = {update};
+}}
+controller {{
+}}
+""")
+
+
+@pytest.mark.parametrize("update", ["x < 2 ? x + 1 : x",
+                                    "2 > x ? x + 1 : x"])
+def test_clamped_counter_is_not_tested_at_run_time(update):
+    model = _counter(update)
+    assert validate_model(model) == []
+    compiled = model.compiled()
+    assert compiled.tested == ()
+    assert "_violation" not in compiled.advance.__code__.co_names
+    state = init_state(model)
+    for want in (1, 2, 2):
+        state = step(model, state, {"go": True})
+        assert state == (want,)
+
+
+@pytest.mark.parametrize("update", ["x + 1", "0 < x ? x + 1 : x"])
+def test_unproven_assignment_keeps_its_run_time_test(update):
+    model = _counter(update)
+    compiled = model.compiled()
+    assert compiled.tested == ("plant assignment 1",)
+    assert "_violation" in compiled.advance.__code__.co_names
+    assert _outcome(step, model, (2,), {"go": False}) == \
+        (DomainViolation, "plant assignment 1: value 3 outside domain of 'x'")
+
+
+def test_init_outside_its_domain_is_read_as_it_is():
+    # unvalidated: a's init is a bool, which an int variable never holds
+    model = ClosedLoopModel(
+        name="loose",
+        variables=(Variable("a", VarKind.PLANT, IntRange(0, 2), True),
+                   Variable("x", VarKind.INPUT, IntRange(0, 2), 0)),
+        plant=UpdateBlock((Assignment("x", Ref("a")),)),
+        controller=UpdateBlock(()))
+    assert validate_model(model) != []
+    assert model.compiled().tested == ("plant assignment 1",)
+    assert _outcome(step, model, init_state(model), {}) == \
+        (DomainViolation, "plant assignment 1: value True outside domain of 'x'")
+
+
+@pytest.mark.parametrize("kind, sizes", [("elevator", range(3, 9)),
+                                         ("pnp", range(2, 6))])
+def test_case_studies_need_no_run_time_domain_test(kind, sizes):
+    for n in sizes:
+        compiled = casegen.build(kind, n).model.compiled()
+        assert compiled.tested == (), (kind, n)
+        assert "_violation" not in compiled.advance.__code__.co_names
 
 
 def _value(fn, *args):

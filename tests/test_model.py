@@ -2,6 +2,7 @@
 
 import pytest
 
+from looptest.ltl import Atom, Or
 from looptest.model import (
     Assignment,
     Binary,
@@ -102,6 +103,24 @@ def test_structural_equality_and_hash():
     assert a != Binary("||", Ref("x"), Lit(True))
     # bool and int literals stay distinct even though True == 1 in Python
     assert Lit(True) != Lit(1)
+
+
+def test_deep_trees_compare_without_recursion():
+    def chain(leaf, join, odd=None):
+        """A 600-deep left-nested chain, leaf odd swapped for x == 9."""
+        out = leaf(Binary("==", Ref("x"), Lit(0)))
+        for i in range(1, 600):
+            value = 9 if i == odd else i % 3
+            out = join(out, leaf(Binary("==", Ref("x"), Lit(value))))
+        return out
+
+    for leaf, join in ((lambda e: e, lambda a, b: Binary("||", a, b)),
+                       (Atom, Or)):
+        a, b = chain(leaf, join), chain(leaf, join)
+        assert a is not b and a == b and not a != b
+        assert len({a, b}) == 1
+        assert a != chain(leaf, join, odd=1)
+        assert a != chain(leaf, join, odd=599)
 
 
 def test_str_uses_minimal_parentheses():

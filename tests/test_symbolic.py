@@ -13,6 +13,7 @@ import pytest
 from looptest import casegen, ltl, testgen
 from looptest.dsl import parse_model
 from looptest.model import Binary, EvalError, Lit, ModelError, Ref, Unary
+from looptest.symbolic import StepRelation
 from looptest.testgen import BoundedExplorer, GeneratorConfig
 
 import oracles
@@ -119,6 +120,26 @@ controller {
     assert [out.origin for out in symbolic[2].outcomes] == \
         ["var y=false", "var x=0"]
     assert symbolic == _outcome(monkeypatch, NEVER, run)
+
+
+def test_state_set_matches_the_bits_contains_reads():
+    rng = random.Random(91)
+    models = [randgen.random_model(rng, name=f"e{i}") for i in range(40)]
+    # array variables lay their bits out by index, not declaration order
+    models += [casegen.build(kind, 2).model for kind in ("elevator", "pnp")]
+    for model in models:
+        states = [state for layer in oracles.reference_layers(model, 4)
+                  for state, _parent, _column in layer]
+        relation = StepRelation(model)
+        bdd = relation.bdd
+        want = 0
+        for state in states:
+            want = bdd.or_(want, bdd.cube(relation.bits(state)))
+        assert relation.count(want) == len(states)
+        assert relation._tables is not None
+        assert relation.state_set(states) == want
+        relation._tables = None  # encode bit by bit instead
+        assert relation.state_set(states) == want
 
 
 def test_find_matches_explicit_search_on_any_predicate(monkeypatch):
