@@ -47,9 +47,6 @@ class Atom(Formula):
     def _key(self):
         return (self.expr,)
 
-    def __repr__(self):
-        return f"Atom({self.expr!r})"
-
     def __str__(self):
         text = str(self.expr)
         if isinstance(self.expr, Binary) and self.expr.op in ("&&", "||", "->"):
@@ -68,9 +65,6 @@ class _Prefix(Formula):
 
     def _key(self):
         return (self.operand,)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.operand!r})"
 
     def __str__(self):
         # a letter needs a space to stay apart from the name after it
@@ -109,9 +103,6 @@ class _Infix(Formula):
 
     def _key(self):
         return (self.lhs, self.rhs)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.lhs!r}, {self.rhs!r})"
 
     def __str__(self):
         lhs = _sub(self.lhs, self.level, tighten=self.right)

@@ -55,9 +55,67 @@ class VarKind(enum.Enum):
 
 PLANT_TARGETS = (VarKind.INPUT, VarKind.PLANT)
 CTRL_TARGETS = (VarKind.OUTPUT, VarKind.CTRL)
+_SHALLOW = 64  # Node trees less high than this compare recursing
 
 
-class BoolDomain:
+class Node:
+    """A value that compares, hashes and prints structurally: by its type
+    and _key(), whose Node items are its subtrees.  Nodes never change, so
+    each computes its hash and height once, after its subtrees', from an
+    explicit stack.  Trees less than _SHALLOW high compare by their keys,
+    recursing; deeper ones walk from a stack down to their shallow subtrees.
+    """
+
+    _hash = None
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return False
+        if self._hash is None:
+            hash(self)
+        if self._height < _SHALLOW:
+            return self._key() == other._key()
+        if self._hash != hash(other):
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(a._key(), b._key()):
+                if isinstance(x, Node) and type(x) is type(y) \
+                        and x._height >= _SHALLOW and x is not y:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                key = node._key()
+                height = 1  # 0 while a subtree is not hashed yet
+                for kid in key:
+                    if isinstance(kid, Node):
+                        if kid._hash is None:
+                            stack.append(kid)
+                            height = 0
+                        elif height and kid._height >= height:
+                            height = kid._height + 1
+                if height:
+                    stack.pop()
+                    node._height = height
+                    node._hash = hash((type(node),) + key)
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+    def _key(self):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+class BoolDomain(Node):
     """Two-valued domain, printed as 0/1 in files."""
 
     def values(self):
@@ -73,17 +131,11 @@ class BoolDomain:
     def first(self):
         return False
 
-    def __eq__(self, other):
-        return isinstance(other, BoolDomain)
-
-    def __hash__(self):
-        return hash(BoolDomain)
-
-    def __repr__(self):
-        return "BoolDomain()"
+    def _key(self):
+        return ()
 
 
-class IntRange:
+class IntRange(Node):
     """Inclusive integer interval lo..hi."""
 
     def __init__(self, lo: int, hi: int):
@@ -104,17 +156,11 @@ class IntRange:
     def first(self):
         return self.lo
 
-    def __eq__(self, other):
-        return isinstance(other, IntRange) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((IntRange, self.lo, self.hi))
-
-    def __repr__(self):
-        return f"IntRange({self.lo}, {self.hi})"
+    def _key(self):
+        return (self.lo, self.hi)
 
 
-class EnumDomain:
+class EnumDomain(Node):
     """Finite set of named labels; values are the label strings."""
 
     def __init__(self, labels: Iterable[str]):
@@ -132,11 +178,8 @@ class EnumDomain:
     def first(self):
         return self.labels[0]
 
-    def __eq__(self, other):
-        return isinstance(other, EnumDomain) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((EnumDomain, self.labels))
+    def _key(self):
+        return (self.labels,)
 
     def __repr__(self):
         return f"EnumDomain({list(self.labels)})"
@@ -157,60 +200,6 @@ class Variable:
 
 # --------------------------------------------------------------------------
 # Expressions
-
-
-class Node:
-    """A tree node that compares and hashes structurally: by its type and
-    _key(), whose Node items are its subtrees.
-
-    Nodes are never changed after construction, so each computes its hash
-    once, after those of its subtrees.  Hashing and comparing both walk
-    from an explicit stack, so a deep tree needs no deep recursion.
-    """
-
-    _hash = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return False
-        mine, theirs = self._hash, other._hash
-        if mine != theirs and mine is not None and theirs is not None:
-            return False
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            for x, y in zip(a._key(), b._key()):
-                if x is y:
-                    continue
-                if not isinstance(x, Node):
-                    if x != y:
-                        return False
-                elif type(x) is not type(y):
-                    return False
-                else:
-                    stack.append((x, y))
-        return True
-
-    def __hash__(self):
-        if self._hash is None:
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                key = node._key()
-                ready = True
-                for kid in key:
-                    if isinstance(kid, Node) and kid._hash is None:
-                        stack.append(kid)
-                        ready = False
-                if ready:
-                    stack.pop()
-                    node._hash = hash((type(node),) + key)
-        return self._hash
-
-    def _key(self):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class Expr(Node):
@@ -244,9 +233,6 @@ class Ref(Expr):
     def _key(self):
         return (self.name,)
 
-    def __repr__(self):
-        return f"Ref({self.name!r})"
-
     def __str__(self):
         return ref_text(self.name)
 
@@ -260,9 +246,6 @@ class Unary(Expr):
 
     def _key(self):
         return (self.op, self.operand)
-
-    def __repr__(self):
-        return f"Unary({self.op!r}, {self.operand!r})"
 
     def __str__(self):
         inner = str(self.operand)
@@ -308,9 +291,6 @@ class Binary(Expr):
     def _key(self):
         return (self.op, self.lhs, self.rhs)
 
-    def __repr__(self):
-        return f"Binary({self.op!r}, {self.lhs!r}, {self.rhs!r})"
-
     def __str__(self):
         prec = _PREC[self.op]
         if self.op == "->":
@@ -331,9 +311,6 @@ class Cond(Expr):
 
     def _key(self):
         return (self.cond, self.then, self.other)
-
-    def __repr__(self):
-        return f"Cond({self.cond!r}, {self.then!r}, {self.other!r})"
 
     def __str__(self):
         parts = (
@@ -612,12 +589,10 @@ def step(model: ClosedLoopModel, state: tuple,
     """Run one full step: plant assignments, then controller assignments.
 
     The nondeterministic values for this step must all be supplied; they are
-    readable by both blocks but never assigned, and each is checked against
-    its domain.  Every assignment's value lies in the target's domain:
-    proven when the model is lowered or tested at run time, which raises
-    DomainViolation.  The proof assumes the given state's values lie in
-    their domains, or are their variables' init values, as init_state and
-    step produce them.
+    readable by both blocks but never assigned.  Every assignment's value is
+    proven at lowering or tested at run time to lie in the target's domain;
+    the proof assumes the given state's values lie in their domains (or are
+    their init values), as init_state and step produce them.
     """
     return model.compiled().step(state, nondet)
 
@@ -688,13 +663,21 @@ def lower_expr(expr: Expr, slot_of: Mapping[str, int],
     return source
 
 
-def _fold(expr, combine, memo: Optional[dict] = None, children=None):
-    """combine(node, its children's results) applied bottom-up from an
-    explicit stack, so deeply nested expressions do not run into the
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Cond):
+        return (node.cond, node.then, node.other)
+    return ()
+
+
+def _fold(expr, combine, memo: Optional[dict] = None, children=_children):
+    """combine(node, the results of children(node)) applied bottom-up from
+    an explicit stack, so deeply nested expressions do not run into the
     interpreter's recursion limit.  memo, if given, holds the results of
-    finished operator nodes and gains those of this expression's.
-    children(node) gives a node's children, _children(node) by default."""
-    children = children or _children
+    finished operator nodes and gains those of this expression's."""
     done = []  # results of finished subexpressions
     todo = [expr]  # nodes to expand, and [node, child count] to combine
     while todo:
@@ -715,16 +698,6 @@ def _fold(expr, combine, memo: Optional[dict] = None, children=None):
                 continue
         done.append(result)
     return done[0]
-
-
-def _children(node: Expr) -> tuple:
-    if isinstance(node, Unary):
-        return (node.operand,)
-    if isinstance(node, Binary):
-        return (node.lhs, node.rhs)
-    if isinstance(node, Cond):
-        return (node.cond, node.then, node.other)
-    return ()
 
 
 def _emit(node: Expr, parts: list, slot_of, yields) -> tuple:
@@ -774,12 +747,10 @@ class CompiledModel:
 
     advance() is the model's step, the only compiled form of its
     assignments, and resumes lists what each of its yields stands for;
-    step() runs it on tuples of state values.  Each assigned value lies in
-    its target's domain: proven at lowering by a value-set analysis, or
-    tested at run time for the assignments tested lists (by their
-    DomainViolation where).  row() builds the row of a position from its
-    state values and nondet mapping.  Goals and atoms are not compiled:
-    RowSets decides them over rows.
+    step() runs it on tuples of state values; each assigned value is proven
+    at lowering or tested at run time to lie in its target's domain.  row()
+    builds the row of a position from its state values and nondet mapping.
+    Goals and atoms are not compiled: RowSets decides them over rows.
     """
 
     def __init__(self, model: ClosedLoopModel):
@@ -788,7 +759,6 @@ class CompiledModel:
         self.row = self._row_function(model, checked=False)
         self._enter = self._row_function(model, checked=True)
         self.resumes = []
-        self.tested = ()
         self.advance = self._advance_function(model)
 
     def step(self, values: tuple, nondet: Mapping[str, object]) -> tuple:
@@ -821,11 +791,9 @@ class CompiledModel:
                 slot = self.slot_of[asn.target]
                 domain = model.var(asn.target).domain
                 where = f"{block_name} assignment {i + 1}"
-                lines.append(
-                    f"        v = {lower_expr(asn.expr, self.slot_of, yields)}")
+                lines.append(f"        v = {lower_expr(asn.expr, self.slot_of, yields)}")
                 values = _fold((asn.expr, read_sets), _values_of, None, _narrowed)
                 if values is None or not all(domain.contains(x) for _, x in values):
-                    self.tested += (where,)
                     lines += [
                         f"        if not ({domain.test_source('v')}):",
                         f"            raise _violation({asn.target!r}, v, {where!r})"]
@@ -1031,80 +999,64 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 # --------------------------------------------------------------------------
 # Value sets: what an expression can evaluate to, worked out at lowering
-# (value-set abstract interpretation, Cousot & Cousot 1977).  A set holds
-# (class, value) pairs, since True is not 1.  None is a set not worked out:
-# past _VALUE_CAP values or operand pairs, for arithmetic on other than
-# ints, and for unknown operators and names, which raise.
+# by folding items (node, each variable's value set) (Cousot & Cousot 1977).
+# A value set holds (class, value) pairs, since True is not 1, or is None,
+# not worked out: past _VALUE_CAP values or operand pairs, for arithmetic on
+# other than ints, and for unknown operators and names, which raise.
 
 _VALUE_CAP = 4096
 _BOOLS = frozenset({(bool, False), (bool, True)})
+_GIVES_BOOL = {"!", *_COMPARE}  # the operators whose value is a bool
 
 
 def _read_set(v: Variable) -> Optional[set]:
-    """What a read of v sees: its domain, and a state variable's init
-    outside it, which the variable keeps until it is assigned."""
-    dom = v.domain
-    if isinstance(dom, IntRange) and dom.hi - dom.lo >= _VALUE_CAP:
+    """v's domain, and a state variable's init, kept until it is assigned."""
+    if isinstance(v.domain, IntRange) and v.domain.hi - v.domain.lo >= _VALUE_CAP:
         return None
-    init = () if v.kind is VarKind.NONDET or dom.contains(v.init) else (v.init,)
-    return {(x.__class__, x) for x in (*dom.values(), *init)}
-
-
-def _gives_bool(node: Expr) -> bool:
-    """Whether a node gives a bool whatever its operands: ! and comparisons."""
-    if isinstance(node, Unary):
-        return node.op == "!"
-    return isinstance(node, Binary) and node.op in _COMPARE
+    return {(x.__class__, x) for x in (*v.domain.values(), v.init) if x is not None}
 
 
 def _narrowed(item: tuple) -> list:
-    """The (child, read sets) items a (node, read sets) item's value set is
-    worked out from: not the operands of a node that gives a bool, nor a
-    conditional's guard.  Where the guard compares a variable with a
+    """An item's child items: none below an operator giving bools, and not
+    a conditional's guard.  Where the guard compares a variable with a
     literal, the then-arm reads the values passing it, the else-arm the
-    others."""
+    values failing it."""
     node, reads = item
+    if isinstance(node, (Unary, Binary)) and node.op not in _GIVES_BOOL:
+        return [(kid, reads) for kid in _children(node)]
     if not isinstance(node, Cond):
-        return [] if _gives_bool(node) else [(kid, reads) for kid in _children(node)]
+        return []
     arms = [reads, reads]
     guard = node.cond
     if isinstance(guard, Binary) and guard.op in _COMPARE:
         flip = isinstance(guard.lhs, Lit)
         ref, lit = (guard.rhs, guard.lhs) if flip else (guard.lhs, guard.rhs)
         if isinstance(ref, Ref) and isinstance(lit, Lit) and reads.get(ref.name):
-            split = (set(), set())
-            try:
-                for pair in reads[ref.name]:
-                    args = (lit.value, pair[1]) if flip else (pair[1], lit.value)
-                    split[not _COMPARE[guard.op](*args)].add(pair)
-                arms = [{**reads, ref.name: values} for values in split]
-            except TypeError:  # the guard raises, so no arm runs
-                pass
+            arms = [{**reads, ref.name: set()}, {**reads, ref.name: set()}]
+            for pair in reads[ref.name]:
+                args = (lit.value, pair[1]) if flip else (pair[1], lit.value)
+                try:
+                    arms[not _COMPARE[guard.op](*args)][ref.name].add(pair)
+                except TypeError:  # the guard raises, so neither arm runs
+                    pass
     return [(node.then, arms[0]), (node.other, arms[1])]
 
 
 def _values_of(item: tuple, parts: list) -> Optional[set]:
-    """The value set of a (node, read sets) item, given its children's."""
+    """An item's value set, given its child items'."""
     node, reads = item
     if isinstance(node, Lit):
         return {(node.value.__class__, node.value)}
     if isinstance(node, Ref):
         return reads.get(node.name)
-    if isinstance(node, Cond):
-        return None if None in parts else parts[0] | parts[1]
-    if _gives_bool(node):
+    op = "?" if isinstance(node, Cond) else getattr(node, "op", None)
+    if op in _GIVES_BOOL:
         return _BOOLS
-    if not isinstance(node, (Unary, Binary)):
+    if op is None or None in parts:
         return None
-    op = node.op
-    # -x is 0 - x
-    a, b = ({(int, 0)}, *parts) if isinstance(node, Unary) else parts
-    if a is None or b is None:
-        return None
-    if op in ("&&", "||"):  # Python's and/or give an operand
-        return a | b
-    if op == "->":
-        return _BOOLS | b
+    if op in ("?", "&&", "||", "->"):  # an arm, or an operand and/or give
+        return (_BOOLS if op == "->" else parts[0]) | parts[1]
+    a, b = parts if len(parts) == 2 else ({(int, 0)}, *parts)  # -x is 0 - x
     arith = _ARITH.get(op)
     if arith is None or len(a) * len(b) > _VALUE_CAP \
             or any(cls is not int for cls, _ in a | b):

@@ -326,14 +326,13 @@ class StepRelation:
         self._nondet = [self._enc[v.name] for v in model.nondet_variables()]
         self.cur_levels = sorted(b for e in self._state for b in e.cur)
         # Each state variable's value -> its bits, the variables taken in
-        # the order of their levels, when their levels follow one another
-        # in cur_levels: a state's bit row is then their concatenation.
+        # the order of their levels, which follow one another in
+        # cur_levels: a state's bit row is their concatenation.
         order = sorted(enumerate(self._state), key=lambda ie: ie[1].cur[:1])
+        assert [b for _, e in order for b in e.cur] == self.cur_levels
         self._tables = [(i, {x: tuple(_binary(e.cur, k).values())
                              for k, x in enumerate(e.values)})
                         for i, e in order]
-        if [b for _, e in order for b in e.cur] != self.cur_levels:
-            self._tables = None
         next_levels = [b + 1 for b in self.cur_levels]
         nondet_levels = [b for e in self._nondet for b in e.cur]
         self._to_next = list(range(level + 1))
@@ -506,13 +505,9 @@ class StepRelation:
         return out
 
     def state_set(self, states: list) -> int:
-        if self._tables is None:
-            rows = {tuple(bits[b] for b in self.cur_levels)
-                    for bits in map(self.bits, states)}
-        else:
-            rows = {tuple(chain.from_iterable([table[state[i]]
-                                               for i, table in self._tables]))
-                    for state in states}
+        rows = {tuple(chain.from_iterable([table[state[i]]
+                                           for i, table in self._tables]))
+                for state in states}
         return self.bdd.from_rows(self.cur_levels, sorted(rows))
 
     def contains(self, states: int, state: tuple) -> bool:

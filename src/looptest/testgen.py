@@ -377,10 +377,9 @@ class BoundedExplorer:
         from . import symbolic
         relation = symbolic.StepRelation(self.model)
         start, end = self._frontier
-        frontier = relation.state_set(self.nodes[start:end])
-        self._layers = [frontier]
+        self._layers = [relation.state_set(self.nodes[start:end])]
         self._reached = relation.bdd.or_(
-            frontier, relation.state_set(self.nodes[:start]))
+            self._layers[0], relation.state_set(self.nodes[:start]))
         self._reached_count = len(self.nodes)
         self._relation = relation
         self._limit = self.step_cap

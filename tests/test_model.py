@@ -106,12 +106,12 @@ def test_structural_equality_and_hash():
 
 
 def test_deep_trees_compare_without_recursion():
-    def chain(leaf, join, odd=None):
-        """A 600-deep left-nested chain, leaf odd swapped for x == 9."""
+    def chain(leaf, join, odd=None, value=9):
+        """A 600-deep left-nested chain, leaf odd swapped for x == value."""
         out = leaf(Binary("==", Ref("x"), Lit(0)))
         for i in range(1, 600):
-            value = 9 if i == odd else i % 3
-            out = join(out, leaf(Binary("==", Ref("x"), Lit(value))))
+            out = join(out, leaf(Binary("==", Ref("x"),
+                                        Lit(value if i == odd else i % 3))))
         return out
 
     for leaf, join in ((lambda e: e, lambda a, b: Binary("||", a, b)),
@@ -121,6 +121,9 @@ def test_deep_trees_compare_without_recursion():
         assert len({a, b}) == 1
         assert a != chain(leaf, join, odd=1)
         assert a != chain(leaf, join, odd=599)
+        # -1 and -2 hash alike, so only the walk down to the leaf parts them
+        c, d = chain(leaf, join, 1, -1), chain(leaf, join, 1, -2)
+        assert hash(c) == hash(d) and c != d
 
 
 def test_str_uses_minimal_parentheses():
