@@ -10,16 +10,19 @@ Parsing is tolerant about whitespace; serializers emit one canonical form, so
 serialize(parse(text)) is the canonical spelling of any accepted input and is
 a fixpoint of the round trip.
 
-Models and requirements share one regular-expression scanner and one
-precedence-climbing routine, _climb, which each parser calls with its
-syntax's printing table (model._PREC, the ltl infix levels).  Integer
-literals are ASCII digits in all three formats.
+Models and requirements share one regular-expression scanner, whose tokens
+are their texts (a line and column are worked out again only for an error),
+and one precedence-climbing routine, _climb, which each parser calls with
+its syntax's printing table (model._PREC, the ltl infix levels).  Every node
+a parse call builds goes through one table of that call, so equal subtrees
+of one file are one object.  Integer literals are ASCII digits in all three
+formats.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from itertools import islice
 
 from .model import (
     Assignment,
@@ -56,27 +59,17 @@ class ParseError(ModelError):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # "id" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-# One alternative per token kind, tried in order at each position.  Blanks
-# and comments match no named group and are skipped.  An identifier starts
-# with a letter or '_' (str.isalpha) and goes on with letters, digits or '_'
-# (str.isalnum); [^\W\d] also admits numeric characters such as '²', which
-# tokenize rejects.  Integer literals are ASCII digits only.
-_SCAN = re.compile(r"""
-    (?P<nl>\n)
-  | [ \t\r]+
-  | //[^\n]*
-  | (?P<int>[0-9]+)
-  | (?P<id>expect-(?:pass|fail)|[^\W\d]\w*)
-  | (?P<punct>->|==|!=|<=|>=|&&|\|\||\.\.|[-+*/<>=!(){}\[\],:;?])
-  | (?P<stray>.)
-""", re.VERBOSE)
+# Each match skips blanks and // comments, then takes one token: an integer
+# (ASCII digits), an identifier, punctuation or any other character, which
+# tokenize rejects as stray; at the end it takes "", the end of input.  An
+# identifier starts with a letter or '_' (str.isalpha) and goes on with
+# letters, digits or '_' (str.isalnum); [^\W\d] also admits numeric
+# characters such as '²', which tokenize rejects too.
+_SCAN = re.compile(r"""(?:[ \t\r\n]|//[^\n]*+)*+(
+    [0-9]+ | expect-(?:pass|fail) | [^\W\d]\w*
+  | -> | == | != | <= | >= | && | \|\| | \.\. | . | \Z)""", re.VERBOSE)
+_PUNCT = frozenset(
+    "-> == != <= >= && || .. + - * / < > = ! ( ) { } [ ] , : ; ?".split())
 
 _DECL_KEYWORDS = {
     "nondet": VarKind.NONDET,
@@ -94,73 +87,91 @@ _RESERVED = frozenset(_DECL_KEYWORDS) | {
 
 
 def tokenize(text: str) -> list:
-    """Split source text into tokens, dropping whitespace and // comments."""
-    tokens = []
-    line = 1
-    line_start = 0
-    for match in _SCAN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        if kind == "nl":
-            line += 1
-            line_start = match.end()
-            continue
-        word = match.group()
-        col = match.start() - line_start + 1
-        if kind == "stray" or (kind == "id" and not (word[0].isalpha()
-                                                     or word[0] == "_")):
-            raise ParseError(f"stray character {word[0]!r}", line, col)
-        tokens.append(Token(kind, word, line, col))
-    # a comment on the last line runs to the end, and takes no column
-    comment = text.find("//", line_start)
-    end = len(text) if comment < 0 else comment
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+    """Split source text into token texts, dropping blanks and // comments,
+    and ending in "" for the end of input.  A token's kind is its first
+    character's: an ASCII digit starts an integer, a letter or '_' an
+    identifier; anything else is punctuation."""
+    tokens = _SCAN.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:  # blanks after the last token
+        tokens.pop()
+    stray = [word for word in set(tokens) if word and not (
+        "0" <= word[0] <= "9" or word[0].isalpha() or word[0] == "_"
+        or word in _PUNCT)]
+    if stray:
+        at = min(map(tokens.index, stray))
+        raise ParseError(f"stray character {tokens[at][0]!r}",
+                         *next(_positions(text, at)))
     return tokens
 
 
+def _positions(text: str, first: int = 0):
+    """Yield the 1-based (line, column) of each token of text from token
+    number first on, scanning it again: positions are needed only for
+    errors.  A comment on the last line takes no column from the end."""
+    for match in islice(_SCAN.finditer(text), first, None):
+        start = match.start(1)
+        line_start = text.rfind("\n", 0, start) + 1
+        if not match.group(1) and "//" in text[line_start:]:
+            start = text.index("//", line_start)
+        yield text.count("\n", 0, start) + 1, start - line_start + 1
+
+
+def _is_id(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _shared(nodes: dict, key: tuple, *parts):
+    """key[0](*parts), built once per table.  key is the class, its leaf
+    values (a literal's value with its class, so true and 1 stay apart) and
+    the ids of its children, which are shared already: a node equal to one
+    built before is found by one dict lookup, with no tree walk."""
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = key[0](*parts)
+    return node
+
+
 class _Cursor:
-    """Token stream with one-token lookahead."""
+    """One parse call: the token texts with one-token lookahead, and the
+    table through which every node built is shared."""
 
-    def __init__(self, tokens: list):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
+        self.nodes = {}
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+    def next(self) -> str:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.tokens[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
-        return self.next()
+    def expect(self, text: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok != text:
+            self.error(f"expected {text!r}, got {tok or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
-    def expect_id(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "id":
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", tok.line, tok.col)
-        return self.next()
+    def expect_id(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.pos]
+        if not _is_id(tok):
+            self.error(f"expected {what}, got {tok or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str, at: int | None = None):
+        """Raise at token at, by default the next one."""
+        at = self.pos if at is None else at
+        raise ParseError(message, *next(_positions(self.text, at)))
 
 
 # --------------------------------------------------------------------------
@@ -169,117 +180,102 @@ class _Cursor:
 
 def _parse_int(cur: _Cursor) -> int:
     sign = -1 if cur.accept("-") else 1
-    tok = cur.peek()
-    if tok.kind != "int":
+    if not cur.peek().isdigit():
         cur.error("expected an integer")
-    cur.next()
-    return sign * int(tok.text, 10)
+    return sign * int(cur.next(), 10)
 
 
-def _parse_ref_name(cur: _Cursor) -> str:
-    """A possibly indexed name: door[2] flattens to door.2."""
-    tok = cur.expect_id()
-    name = tok.text
+def _indexed(cur: _Cursor, name: str) -> str:
+    """name, read already, and an index if one follows: door[2] flattens
+    to door.2."""
     if cur.accept("["):
-        idx = cur.peek()
-        if idx.kind != "int":
+        if not cur.peek().isdigit():
             cur.error("array index must be an integer literal")
-        cur.next()
+        name = f"{name}.{cur.next()}"
         cur.expect("]")
-        name = f"{name}.{idx.text}"
     return name
 
 
-def _climb(cur: _Cursor, operand, infix: dict, build, level: int):
+def _climb(cur: _Cursor, operand, infix: dict, level: int):
     """Precedence climbing: an operand, then every operator of infix that
     binds at level or tighter, so one call per operand, not per level.
 
-    infix maps an operator's text to (level, associates right, tag), larger
-    levels binding tighter; build(tag, lhs, rhs) makes the node.
+    infix maps an operator's text to (its level, the level its right
+    operand binds at, head), larger levels binding tighter; the node is
+    head[0](*head[1:], lhs, rhs), keyed in the table by head and the ids.
     """
     lhs = operand()
     while True:
-        op = infix.get(cur.peek().text)
+        op = infix.get(cur.tokens[cur.pos])
         if op is None or op[0] < level:
             return lhs
-        cur.next()
-        rhs = _climb(cur, operand, infix, build, op[0] if op[1] else op[0] + 1)
-        lhs = build(op[2], lhs, rhs)
+        cur.pos += 1
+        rhs = _climb(cur, operand, infix, op[1])
+        head = op[2]
+        lhs = _shared(cur.nodes, head + (id(lhs), id(rhs)), *head[1:], lhs, rhs)
 
 
-# the binary operators at their printing levels; ?: is parsed on its own
-_BINARY = {op: (prec, op == "->", op)
+# the binary operators at their printing levels, -> associating right and
+# the rest left; ?: is parsed on its own
+_BINARY = {op: (prec, prec if op == "->" else prec + 1, (Binary, op))
            for op, prec in _PREC.items() if op != "?"}
 
 
 class _ExprParser:
     """Recursive descent over the expression grammar.  Binary operators
-    bind at their levels in model._PREC, the table the printer reads.
-
-    resolve(name, token) turns an identifier into a Ref or enum-label Lit.
+    bind at their levels in model._PREC, the table the printer reads.  An
+    identifier names a variable of var_names or an enum label of labels.
     """
 
-    def __init__(self, cur: _Cursor, resolve: Callable[[str, Token], Expr]):
+    def __init__(self, cur: _Cursor, var_names, labels):
         self.cur = cur
-        self.resolve = resolve
+        self.var_names = var_names
+        self.labels = labels
 
     def parse(self) -> Expr:
         """A whole expression: binary operators, then an optional ?: chain."""
-        guard = self.binary(_PREC["->"])
+        guard = _climb(self.cur, self.operand, _BINARY, _PREC["->"])
         if self.cur.accept("?"):
             then = self.parse()
             self.cur.expect(":")
             other = self.parse()
-            return Cond(guard, then, other)
+            return _shared(self.cur.nodes, (Cond, id(guard), id(then), id(other)),
+                           guard, then, other)
         return guard
 
-    def binary(self, level: int) -> Expr:
-        """An expression whose operators all bind at level or tighter, the
-        levels of model._PREC; -> associates right, the rest left."""
-        return _climb(self.cur, self.unary, _BINARY, Binary, level)
-
-    def unary(self) -> Expr:
-        if self.cur.accept("!"):
-            return Unary("!", self.unary())
-        if self.cur.accept("-"):
-            operand = self.unary()
-            # fold a negated literal so -5 parses as the literal it prints as
-            if isinstance(operand, Lit) and isinstance(operand.value, int) \
-                    and not isinstance(operand.value, bool):
-                return Lit(-operand.value)
-            return Unary("-", operand)
-        return self.primary()
-
-    def primary(self) -> Expr:
-        tok = self.cur.peek()
-        if tok.kind == "int":
-            self.cur.next()
-            return Lit(int(tok.text, 10))
-        if tok.text == "(":
-            self.cur.next()
+    def operand(self) -> Expr:
+        """A literal, a name, a parenthesized expression or ! or - before
+        an operand."""
+        cur = self.cur
+        tok = cur.tokens[cur.pos]
+        if tok.isdigit():
+            cur.pos += 1
+            return _shared(cur.nodes, (Lit, int, int(tok, 10)), int(tok, 10))
+        if tok == "true" or tok == "false":
+            cur.pos += 1
+            return _shared(cur.nodes, (Lit, bool, tok == "true"), tok == "true")
+        if _is_id(tok):
+            at = cur.pos
+            cur.pos += 1
+            name = _indexed(cur, tok)
+            if name in self.var_names:
+                return _shared(cur.nodes, (Ref, name), name)
+            if name in self.labels:
+                return _shared(cur.nodes, (Lit, str, name), name)
+            cur.error(f"unknown identifier '{ref_text(name)}'", at)
+        if tok == "(":
+            cur.pos += 1
             inner = self.parse()
-            self.cur.expect(")")
+            cur.expect(")")
             return inner
-        if tok.kind == "id":
-            if tok.text == "true":
-                self.cur.next()
-                return Lit(True)
-            if tok.text == "false":
-                self.cur.next()
-                return Lit(False)
-            name = _parse_ref_name(self.cur)
-            return self.resolve(name, tok)
-        self.cur.error(f"expected an expression, got {tok.text or 'end of input'!r}")
-
-
-def _make_resolver(var_names, labels) -> Callable[[str, Token], Expr]:
-    def resolve(name: str, tok: Token) -> Expr:
-        if name in var_names:
-            return Ref(name)
-        if name in labels:
-            return Lit(name)
-        raise ParseError(f"unknown identifier '{ref_text(name)}'", tok.line, tok.col)
-    return resolve
+        if tok != "!" and tok != "-":
+            cur.error(f"expected an expression, got {tok or 'end of input'!r}")
+        cur.pos += 1
+        operand = self.operand()
+        # fold a negated literal so -5 parses as the literal it prints as
+        if tok == "-" and isinstance(operand, Lit) and type(operand.value) is int:
+            return _shared(cur.nodes, (Lit, int, -operand.value), -operand.value)
+        return _shared(cur.nodes, (Unary, tok, id(operand)), tok, operand)
 
 
 # --------------------------------------------------------------------------
@@ -287,29 +283,29 @@ def _make_resolver(var_names, labels) -> Callable[[str, Token], Expr]:
 
 
 def parse_model(text: str) -> ClosedLoopModel:
-    """Parse a .clm model file.  Structural only; run validate_model after."""
-    cur = _Cursor(tokenize(text))
+    """Parse a .clm model file.  Structural only; run validate_model after.
+
+    Equal subexpressions and domains of one file are one object.
+    """
+    cur = _Cursor(text)
     cur.expect("model")
-    name = cur.expect_id("model name").text
+    name = cur.expect_id("model name")
     cur.expect(";")
 
     variables = []
     var_names = set()
     labels = set()
-    while cur.peek().kind == "id" and cur.peek().text in _DECL_KEYWORDS:
-        kind = _DECL_KEYWORDS[cur.next().text]
-        name_tok = cur.peek()
-        base = cur.expect_id("variable name").text
+    while cur.peek() in _DECL_KEYWORDS:
+        kind = _DECL_KEYWORDS[cur.next()]
+        at = cur.pos
+        base = cur.expect_id("variable name")
         if base in _RESERVED:
-            raise ParseError(f"'{base}' is a reserved word",
-                             name_tok.line, name_tok.col)
+            cur.error(f"'{base}' is a reserved word", at)
         count = None
         if cur.accept("["):
-            size = cur.peek()
-            if size.kind != "int":
+            if not cur.peek().isdigit():
                 cur.error("array size must be an integer literal")
-            cur.next()
-            count = int(size.text, 10)
+            count = int(cur.next(), 10)
             if count < 1:
                 cur.error("array size must be positive")
             cur.expect("]")
@@ -326,53 +322,51 @@ def parse_model(text: str) -> ClosedLoopModel:
             variables.append(Variable(n, kind, domain, init))
             var_names.add(n)
 
-    resolve = _make_resolver(var_names, labels)
+    parser = _ExprParser(cur, var_names, labels)
     blocks = {}
     for block_name in ("plant", "controller"):
         cur.expect(block_name)
         cur.expect("{")
         assignments = []
         while not cur.accept("}"):
-            target = _parse_ref_name(cur)
+            target = _indexed(cur, cur.expect_id())
             cur.expect("=")
-            expr = _ExprParser(cur, resolve).parse()
+            expr = parser.parse()
             cur.expect(";")
             assignments.append(Assignment(target, expr))
         blocks[block_name] = UpdateBlock(tuple(assignments))
-    tok = cur.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    if cur.peek():
+        cur.error(f"unexpected trailing input {cur.peek()!r}")
     return ClosedLoopModel(name=name, variables=tuple(variables),
                            plant=blocks["plant"], controller=blocks["controller"])
 
 
 def _parse_domain(cur: _Cursor):
     if cur.accept("bool"):
-        return BoolDomain()
+        return _shared(cur.nodes, (BoolDomain,))
     if cur.accept("int"):
         lo = _parse_int(cur)
         cur.expect("..")
         hi = _parse_int(cur)
-        return IntRange(lo, hi)
+        return _shared(cur.nodes, (IntRange, lo, hi), lo, hi)
     if cur.accept("enum"):
         cur.expect("{")
         names = []
         while True:
-            tok = cur.peek()
-            label = cur.expect_id("enum label").text
+            at = cur.pos
+            label = cur.expect_id("enum label")
             if label in _RESERVED:
-                raise ParseError(f"'{label}' is a reserved word",
-                                 tok.line, tok.col)
+                cur.error(f"'{label}' is a reserved word", at)
             names.append(label)
             if not cur.accept(","):
                 break
         cur.expect("}")
-        return EnumDomain(names)
+        return _shared(cur.nodes, (EnumDomain, tuple(names)), names)
     cur.error("expected a domain: bool, int lo..hi, or enum {...}")
 
 
 def _parse_init(cur: _Cursor, domain):
-    tok = cur.peek()
+    at = cur.pos
     if isinstance(domain, BoolDomain):
         if cur.accept("true"):
             return True
@@ -381,9 +375,9 @@ def _parse_init(cur: _Cursor, domain):
         cur.error("bool init must be true or false")
     if isinstance(domain, IntRange):
         return _parse_int(cur)
-    label = cur.expect_id("enum label").text
+    label = cur.expect_id("enum label")
     if label not in domain.labels:
-        raise ParseError(f"label '{label}' not in the enum", tok.line, tok.col)
+        cur.error(f"label '{label}' not in the enum", at)
     return label
 
 
@@ -462,25 +456,25 @@ def serialize_model(model: ClosedLoopModel) -> str:
 def parse_reqs(text: str, model: ClosedLoopModel) -> list:
     """Parse a .ltl requirements file against a model's declarations.
 
-    Equal subformulas of one file are one object.
+    Equal subformulas and subexpressions of one file are one object.
 
     Note on grouping: parentheses at formula level group formulas, so an
     atom may not start with '(' (write `a + 1 == 2`, which parses fine, not
     `(a + 1) == 2`).
     """
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     parser = _LtlParser(cur, model)
     reqs = []
     seen = set()
-    while cur.peek().kind != "eof":
-        tok = cur.expect_id("requirement name")
-        rid = tok.text
+    while cur.peek():
+        at = cur.pos
+        rid = cur.expect_id("requirement name")
         if rid in seen:
-            raise ParseError(f"duplicate requirement id '{rid}'", tok.line, tok.col)
+            cur.error(f"duplicate requirement id '{rid}'", at)
         seen.add(rid)
         expectation = None
-        if cur.peek().text in ("expect-pass", "expect-fail"):
-            expectation = cur.next().text
+        if cur.peek() in ("expect-pass", "expect-fail"):
+            expectation = cur.next()
         cur.expect(":")
         formula = parser.parse()
         cur.expect(";")
@@ -495,15 +489,15 @@ def parse_ltl(text: str, model: ClosedLoopModel) -> ltl.Formula:
     Same grammar as the formula part of a requirements file, including the
     note on parentheses in parse_reqs.
     """
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     formula = _LtlParser(cur, model).parse()
-    if cur.peek().kind != "eof":
-        cur.error(f"unexpected '{cur.peek().text}' after formula")
+    if cur.peek():
+        cur.error(f"unexpected '{cur.peek()}' after formula")
     return formula
 
 
 # the formula operators at their printing levels
-_INFIX = {cls.symbol: (cls.level, cls.right, cls)
+_INFIX = {cls.symbol: (cls.level, cls.level if cls.right else cls.level + 1, (cls,))
           for cls in ltl._Infix.__subclasses__()}
 _PREFIX = {cls.symbol: cls for cls in ltl._Prefix.__subclasses__()}
 
@@ -511,47 +505,45 @@ _PREFIX = {cls.symbol: cls for cls in ltl._Prefix.__subclasses__()}
 class _LtlParser:
     """Formula grammar: the infix operators of ltl at their levels (-> loosest,
     then ||, U, &&), then the prefix operators ! X F G and atoms.
-
-    Every node built is interned, so equal subformulas are one object.
     """
 
     def __init__(self, cur: _Cursor, model: ClosedLoopModel):
         self.cur = cur
         self.model = model
         self.labels = enum_label_map(model)
-        self.atoms = _ExprParser(cur, _make_resolver(
-            {v.name for v in model.variables}, self.labels))
-        self.nodes = {}
-
-    def node(self, cls, *parts) -> ltl.Formula:
-        built = cls(*parts)
-        return self.nodes.setdefault(built, built)
+        self.atoms = _ExprParser(cur, {v.name for v in model.variables},
+                                 self.labels)
 
     def parse(self) -> ltl.Formula:
         # every infix level is at least 1, so level 0 admits them all
-        return _climb(self.cur, self.unary, _INFIX, self.node, 0)
+        return _climb(self.cur, self.unary, _INFIX, 0)
 
     def unary(self) -> ltl.Formula:
-        tok = self.cur.peek()
-        if tok.text in _PREFIX:
-            self.cur.next()
-            return self.node(_PREFIX[tok.text], self.unary())
-        if tok.text == "(":
-            self.cur.next()
+        cur = self.cur
+        tok = cur.peek()
+        if tok in _PREFIX:
+            cur.next()
+            operand = self.unary()
+            return _shared(cur.nodes, (_PREFIX[tok], id(operand)), operand)
+        if tok == "(":
+            cur.next()
             inner = self.parse()
-            self.cur.expect(")")
+            cur.expect(")")
             return inner
-        expr = self.atoms.binary(_PREC["=="])
-        self._check_bool(expr, tok)
-        return self.node(ltl.Atom, expr)
+        at = cur.pos
+        expr = _climb(cur, self.atoms.operand, _BINARY, _PREC["=="])
+        key = (ltl.Atom, id(expr))
+        if key not in cur.nodes:  # an atom met before passed its check
+            self._check_bool(expr, at)
+        return _shared(cur.nodes, key, expr)
 
-    def _check_bool(self, expr: Expr, tok: Token):
+    def _check_bool(self, expr: Expr, at: int):
         diags = []
         t = _type_of(expr, self.model, self.labels, diags, "atom")
         if diags:
-            raise ParseError(diags[0].message, tok.line, tok.col)
+            self.cur.error(diags[0].message, at)
         if t != "bool":
-            raise ParseError("atoms must be boolean", tok.line, tok.col)
+            self.cur.error("atoms must be boolean", at)
 
 
 def serialize_reqs(reqs: list) -> str:

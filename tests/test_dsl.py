@@ -1,5 +1,6 @@
 """Parsing and canonical serialization of the three file formats."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from looptest import casegen
 from looptest.dsl import (
     ParseError,
+    _positions,
     parse_ltl,
     parse_model,
     parse_reqs,
@@ -16,14 +18,16 @@ from looptest.dsl import (
     serialize_suite,
     tokenize,
 )
-from looptest.ltl import Finally, Globally, Implies, Next, Not, Until
+from looptest.ltl import Finally, Formula, Globally, Implies, Next, Not, Until
 from looptest.model import (
     Binary,
     BoolDomain,
     ClosedLoopModel,
     Cond,
+    Expr,
     IntRange,
     Lit,
+    Node,
     Unary,
     UpdateBlock,
     Variable,
@@ -133,11 +137,24 @@ _SCAN_PIECES = ("\t", "\r", "\n", " ", "//", "/", "expect", "expect-pass",
                 "|", "||", "&", ".", "..", "$", "#")
 
 
+def _kind(tok):
+    if not tok:
+        return "eof"
+    if "0" <= tok[0] <= "9":
+        return "int"
+    return "id" if tok[0].isalpha() or tok[0] == "_" else "punct"
+
+
 def _scan(scanner, text):
+    """Each token as (kind, text, line, col), or the error's text.  tokenize
+    gives token texts: the kind comes from the first character, and the
+    position from dsl._positions, which works it out for a parse error."""
     try:
-        return [tuple(tok) for tok in scanner(text)]
+        tokens = scanner(text)
     except ParseError as err:
         return str(err)
+    return [tok if isinstance(tok, tuple) else (_kind(tok), tok, *position)
+            for tok, position in zip(tokens, _positions(text))]
 
 
 def test_tokenize_matches_the_reference_scanner():
@@ -294,6 +311,74 @@ def test_expression_roundtrip_fuzz():
     assert any(p == "==" and kid in _BOOL_HEADS for p, _, kid in shapes)
 
 
+def _subtrees(roots, kind):
+    """Every node reached from roots through children of class kind."""
+    nodes, stack = [], list(roots)
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(kid for kid in node._key() if isinstance(kid, kind))
+    return nodes
+
+
+def _token_spans(text):
+    """(start, end) offsets of text's tokens, the end of input left out."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    spans = []
+    for _, word, line, col in oracles.reference_tokenize(text)[:-1]:
+        start = line_starts[line - 1] + col - 1
+        spans.append((start, start + len(word)))
+    return spans
+
+
+# digest of the outcomes below; any change to what a text parses to, or to
+# an error's class, message, line or column, changes it
+_GOLDEN_PARSES = \
+    "b7f6ef8463591f089f08777abf274147c8d12b21b8283dab066fc39d369d7b47"
+
+
+def test_mutated_case_study_texts_parse_as_pinned():
+    """3,000 seeded token mutations of the elevator and pnp n=3 model and
+    requirement texts, the requirements parsed against the unmutated model.
+    Each outcome is the canonical text and a count of distinct nodes, or
+    the error with its position.  Requirements count their formula nodes
+    by identity (equal subformulas are one object), models their
+    expression nodes by structure."""
+    rng = random.Random(14)
+    sources = []
+    for study in (casegen.elevator(3), casegen.pnp(3)):
+        for text in (study.model_text, study.reqs_text):
+            spans = _token_spans(text)
+            pool = [text[a:b] for a, b in spans] + ["²", "$", "//", "-", "("]
+            sources.append((text, spans, pool, study.model))
+    digest = hashlib.sha256()
+    for i in range(3000):
+        text, spans, pool, model = sources[i % 4]
+        k = rng.randrange(len(spans) - 1)
+        (start, end), (after, stop) = spans[k], spans[k + 1]
+        piece = rng.choice(pool)
+        text = (text[:start] + text[end:],  # delete, replace, insert, swap
+                text[:start] + piece + text[end:],
+                text[:start] + piece + " " + text[start:],
+                text[:start] + text[after:stop] + text[end:after]
+                + text[start:end] + text[stop:])[rng.randrange(4)]
+        try:
+            if i % 2 == 0:
+                parsed = parse_model(text)
+                roots = [a.expr for block in (parsed.plant, parsed.controller)
+                         for a in block.assignments]
+                outcome = (serialize_model(parsed),
+                           len(set(_subtrees(roots, Expr))))
+            else:
+                reqs = parse_reqs(text, model)
+                nodes = _subtrees([r.formula for r in reqs], Formula)
+                outcome = (serialize_reqs(reqs), len(set(map(id, nodes))))
+        except Exception as err:  # noqa: BLE001 - the class is the outcome
+            outcome = (type(err).__name__, str(err))
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == _GOLDEN_PARSES
+
+
 # --------------------------------------------------------------------------
 # Requirements
 
@@ -370,16 +455,54 @@ def test_atoms_must_be_boolean():
 def test_parse_reqs_shares_equal_subformulas():
     study = casegen.build("pnp", 3)
     reqs = parse_reqs(study.reqs_text, study.model)
-    nodes = []
-    stack = [req.formula for req in reqs]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(getattr(node, part) for part in ("operand", "lhs", "rhs")
-                     if hasattr(node, part))
+    nodes = _subtrees([req.formula for req in reqs], Formula)
     assert len(nodes) == 831
     assert len(set(nodes)) == 240
     assert len({id(node) for node in nodes}) == 240
+    # the expressions of atoms too: distinct objects are distinct trees
+    nodes = _subtrees([req.formula for req in reqs], Node)
+    assert len(nodes) == 1188
+    assert len(set(nodes)) == len({id(node) for node in nodes}) == 263
+    reqs = parse_reqs("R : G (level + 1 == 2 -> F level + 1 > 1);\n"
+                      "S : level == 1 U level + 1 > 1;\n", reqs_model())
+    nodes = _subtrees([req.formula for req in reqs], Node)
+    assert len(nodes) == 26
+    assert len(set(nodes)) == len({id(node) for node in nodes}) == 14
+
+
+def test_parse_model_shares_equal_subexpressions():
+    model = parse_model(casegen.pnp(3).model_text)
+    nodes = _subtrees([a.expr for block in (model.plant, model.controller)
+                       for a in block.assignments], Expr)
+    assert len(nodes) == 682
+    assert len(set(nodes)) == len({id(node) for node in nodes}) == 193
+    domains = {id(v.domain) for v in model.variables}
+    assert len(domains) == len({v.domain for v in model.variables}) == 5
+
+
+def test_bool_and_int_literals_are_never_shared():
+    text = ("model m;\ninput b : bool = false;\ninput x : int 0..1 = 0;\n"
+            "plant {\n  b = x == 1 || b == true;\n  x = b ? 1 : 0;\n}\n"
+            "controller {\n}\n")
+    model = parse_model(text)
+    one, true = (model.plant.assignments[0].expr.lhs.rhs,
+                 model.plant.assignments[0].expr.rhs.rhs)
+    assert (type(one.value), type(true.value)) == (int, bool)
+    assert model.plant.assignments[1].expr.then is one
+    reqs = parse_reqs("R : b == true && x == 1 && X x == 1;\n", model)
+    atoms = _subtrees([reqs[0].formula], Formula)
+    values = {id(atom.expr.rhs): atom.expr.rhs.value for atom in atoms
+              if hasattr(atom, "expr")}
+    assert sorted(map(repr, values.values())) == ["1", "True"]
+
+
+def test_separate_parses_share_no_node():
+    study = casegen.build("pnp", 3)
+    first, second = (parse_reqs(study.reqs_text, study.model)
+                     for _ in range(2))
+    ids = [{id(node) for node in _subtrees([r.formula for r in reqs], Node)}
+           for reqs in (first, second)]
+    assert ids[0].isdisjoint(ids[1])
 
 
 def test_duplicate_requirement_ids_rejected():
