@@ -92,7 +92,7 @@ def tokenize(text: str) -> list:
     character's: an ASCII digit starts an integer, a letter or '_' an
     identifier; anything else is punctuation."""
     tokens = _SCAN.findall(text)
-    if len(tokens) > 1 and not tokens[-2]:  # blanks after the last token
+    if len(tokens) > 1 and not tokens[-2]:  # trailing blanks give a second ""
         tokens.pop()
     stray = [word for word in set(tokens) if word and not (
         "0" <= word[0] <= "9" or word[0].isalpha() or word[0] == "_"

@@ -27,6 +27,7 @@ from looptest.model import (
     Expr,
     IntRange,
     Lit,
+    ModelError,
     Node,
     Unary,
     UpdateBlock,
@@ -153,7 +154,9 @@ def _scan(scanner, text):
         tokens = scanner(text)
     except ParseError as err:
         return str(err)
-    return [tok if isinstance(tok, tuple) else (_kind(tok), tok, *position)
+    if scanner is not tokenize:
+        return [tuple(tok) for tok in tokens]
+    return [(_kind(tok), tok, *position)
             for tok, position in zip(tokens, _positions(text))]
 
 
@@ -343,7 +346,8 @@ def test_mutated_case_study_texts_parse_as_pinned():
     Each outcome is the canonical text and a count of distinct nodes, or
     the error with its position.  Requirements count their formula nodes
     by identity (equal subformulas are one object), models their
-    expression nodes by structure."""
+    expression nodes by structure, which holds whether or not equal
+    subexpressions are shared."""
     rng = random.Random(14)
     sources = []
     for study in (casegen.elevator(3), casegen.pnp(3)):
@@ -373,7 +377,7 @@ def test_mutated_case_study_texts_parse_as_pinned():
                 reqs = parse_reqs(text, model)
                 nodes = _subtrees([r.formula for r in reqs], Formula)
                 outcome = (serialize_reqs(reqs), len(set(map(id, nodes))))
-        except Exception as err:  # noqa: BLE001 - the class is the outcome
+        except ModelError as err:
             outcome = (type(err).__name__, str(err))
         digest.update(repr(outcome).encode())
     assert digest.hexdigest() == _GOLDEN_PARSES
