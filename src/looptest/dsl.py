@@ -59,17 +59,19 @@ class ParseError(ModelError):
         self.col = col
 
 
-# Each match skips blanks and // comments, then takes one token: an integer
-# (ASCII digits), an identifier, punctuation or any other character, which
-# tokenize rejects as stray; at the end it takes "", the end of input.  An
-# identifier starts with a letter or '_' (str.isalpha) and goes on with
-# letters, digits or '_' (str.isalnum); [^\W\d] also admits numeric
-# characters such as '²', which tokenize rejects too.
-_SCAN = re.compile(r"""(?:[ \t\r\n]|//[^\n]*+)*+(
-    [0-9]+ | expect-(?:pass|fail) | [^\W\d]\w*
-  | -> | == | != | <= | >= | && | \|\| | \.\. | . | \Z)""", re.VERBOSE)
 _PUNCT = frozenset(
     "-> == != <= >= && || .. + - * / < > = ! ( ) { } [ ] , : ; ?".split())
+
+# Each match skips blanks and // comments, then takes one token: an integer
+# (ASCII digits), an identifier, punctuation (the two-character operators
+# of _PUNCT first) or any other character, which tokenize rejects as stray;
+# at the end it takes "", the end of input.  An identifier starts with a
+# letter or '_' (str.isalpha) and goes on with letters, digits or '_'
+# (str.isalnum); [^\W\d] also admits numeric characters such as '²', which
+# tokenize rejects too.
+_SCAN = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*([0-9]+|expect-(?:pass|fail)|[^\W\d]\w*|"
+                   + "".join(re.escape(p) + "|" for p in sorted(_PUNCT) if len(p) > 1)
+                   + r".|\Z)")
 
 _DECL_KEYWORDS = {
     "nondet": VarKind.NONDET,
@@ -95,8 +97,7 @@ def tokenize(text: str) -> list:
     if len(tokens) > 1 and not tokens[-2]:  # trailing blanks give a second ""
         tokens.pop()
     stray = [word for word in set(tokens) if word and not (
-        "0" <= word[0] <= "9" or word[0].isalpha() or word[0] == "_"
-        or word in _PUNCT)]
+        "0" <= word[0] <= "9" or _is_id(word) or word in _PUNCT)]
     if stray:
         at = min(map(tokens.index, stray))
         raise ParseError(f"stray character {tokens[at][0]!r}",

@@ -8,6 +8,7 @@ import pytest
 from looptest import casegen
 from looptest.dsl import (
     ParseError,
+    _is_id,
     _positions,
     parse_ltl,
     parse_model,
@@ -143,7 +144,7 @@ def _kind(tok):
         return "eof"
     if "0" <= tok[0] <= "9":
         return "int"
-    return "id" if tok[0].isalpha() or tok[0] == "_" else "punct"
+    return "id" if _is_id(tok) else "punct"
 
 
 def _scan(scanner, text):
