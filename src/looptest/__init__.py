@@ -1,4 +1,8 @@
-"""Closed-loop test generation and checking for plant/controller models."""
+"""Closed-loop test generation and checking for plant/controller models.
+
+The case studies, looptest.casegen, are loaded on first use: nothing on the
+load, generate or execute paths needs them.
+"""
 
 from .model import (
     Assignment,
@@ -72,6 +76,15 @@ from .testgen import (
     generate_suite,
 )
 from .runner import ExecutionReport, ReqVerdict, execute_suite
-from . import casegen
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    # PEP 562; "from . import casegen" here would call this hook again
+    if name == "casegen":
+        import importlib
+        return importlib.import_module(".casegen", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["casegen"])

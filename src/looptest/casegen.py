@@ -9,7 +9,7 @@ satisfy (expect-pass) and a deliberately broken variant of each property
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     Assignment,
@@ -61,14 +61,9 @@ def _natom(name: str) -> ltl.Formula:
     return ltl.Not(ltl.Atom(Ref(name)))
 
 
-@dataclass(frozen=True)
-class CaseStudy:
-    name: str
-    model: ClosedLoopModel
-    reqs: list
-    model_text: str
-    reqs_text: str
-    suggested_max_len: int
+class CaseStudy(namedtuple("CaseStudy", "name model reqs model_text "
+                                        "reqs_text suggested_max_len")):
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------

@@ -22,8 +22,7 @@ same trace share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .model import Binary, Expr, Node, RowSets, Unary
 
@@ -141,13 +140,14 @@ def _sub(node: Formula, parent_level: int, tighten: bool = False) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Requirement:
-    """A named formula with an optional expected outcome tag."""
+class Requirement(namedtuple("Requirement", "rid formula expectation",
+                             defaults=(None,))):
+    """A named formula with an optional expected outcome tag.
 
-    rid: str
-    formula: Formula
-    expectation: Optional[str] = None  # None | "expect-pass" | "expect-fail"
+    expectation is None, "expect-pass" or "expect-fail".
+    """
+
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 
 class ModelError(Exception):
@@ -185,17 +185,14 @@ class EnumDomain(Node):
         return f"EnumDomain({list(self.labels)})"
 
 
-Domain = Union[BoolDomain, IntRange, EnumDomain]
+class Variable(namedtuple("Variable", "name kind domain init",
+                          defaults=(None,))):
+    """A declared scalar variable.  Nondeterministic variables carry no init.
 
+    kind is a VarKind and domain a BoolDomain, IntRange or EnumDomain.
+    """
 
-@dataclass(frozen=True)
-class Variable:
-    """A declared scalar variable.  Nondeterministic variables carry no init."""
-
-    name: str
-    kind: VarKind
-    domain: Domain
-    init: Optional[object] = None
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
@@ -359,44 +356,36 @@ def referenced_names(expr: Expr) -> set:
 # Blocks and the model itself
 
 
-@dataclass(frozen=True)
-class Assignment:
-    target: str
-    expr: Expr
+class Assignment(namedtuple("Assignment", "target expr")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UpdateBlock:
+class UpdateBlock(namedtuple("UpdateBlock", "assignments", defaults=((),))):
     """An ordered sequence of assignments executed with read-latest semantics."""
 
-    assignments: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosedLoopModel:
-    """A plant/controller pair over declared variables, in declaration order."""
+class ClosedLoopModel(namedtuple("ClosedLoopModel",
+                                 "name variables plant controller")):
+    """A plant/controller pair over declared variables, in declaration order.
 
-    name: str
-    variables: tuple
-    plant: UpdateBlock
-    controller: UpdateBlock
-    _by_name: dict = field(default=None, compare=False, repr=False)
-    _nondet: tuple = field(default=None, compare=False, repr=False)
-    _state: tuple = field(default=None, compare=False, repr=False)
-    _compiled: object = field(default=None, compare=False, repr=False)
+    No __slots__: the lookup tables and the compiled model live in the
+    instance __dict__, outside equality, hash and repr.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {v.name: v for v in self.variables})
-        object.__setattr__(self, "_nondet", tuple(
-            v for v in self.variables if v.kind is VarKind.NONDET))
-        object.__setattr__(self, "_state", tuple(
-            v for v in self.variables if v.kind is not VarKind.NONDET))
-        object.__setattr__(self, "_compiled", None)
+    def __init__(self, *fields, **named):
+        self._by_name = {v.name: v for v in self.variables}
+        self._nondet = tuple(
+            v for v in self.variables if v.kind is VarKind.NONDET)
+        self._state = tuple(
+            v for v in self.variables if v.kind is not VarKind.NONDET)
+        self._compiled = None
 
-    def compiled(self) -> "CompiledModel":
+    def compiled(self) -> CompiledModel:
         """The model lowered to compiled Python, built on first use."""
         if self._compiled is None:
-            object.__setattr__(self, "_compiled", CompiledModel(self))
+            self._compiled = CompiledModel(self)
         return self._compiled
 
     def var(self, name: str) -> Variable:
@@ -421,10 +410,8 @@ class ClosedLoopModel:
 # Validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    message: str
-    where: str
+class Diagnostic(namedtuple("Diagnostic", "message where")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.where}: {self.message}"
@@ -513,7 +500,7 @@ def _type_name(t) -> str:
     return str(t)
 
 
-def _domain_type(dom: Domain):
+def _domain_type(dom: BoolDomain | IntRange | EnumDomain):
     if isinstance(dom, BoolDomain):
         return "bool"
     if isinstance(dom, IntRange):
@@ -594,7 +581,10 @@ def step(model: ClosedLoopModel, state: tuple,
     the proof assumes the given state's values lie in their domains (or are
     their init values), as init_state and step produce them.
     """
-    return model.compiled().step(state, nondet)
+    # the cache is read inline: this runs once per simulated step, and a
+    # method call on a tuple subclass with a __dict__ takes the interpreter's
+    # slow attribute path
+    return (model._compiled or model.compiled()).step(state, nondet)
 
 
 # --------------------------------------------------------------------------
@@ -673,7 +663,7 @@ def _children(node: Expr) -> tuple:
     return ()
 
 
-def _fold(expr, combine, memo: Optional[dict] = None, children=_children):
+def _fold(expr, combine, memo: dict | None = None, children=_children):
     """combine(node, the results of children(node)) applied bottom-up from
     an explicit stack, so deeply nested expressions do not run into the
     interpreter's recursion limit.  memo, if given, holds the results of
@@ -848,7 +838,7 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.floordiv, "mod": operator.mod}
 
 
-def lower_set(expr: Expr, env, algebra, memo: Optional[dict] = None) -> tuple:
+def lower_set(expr: Expr, env, algebra, memo: dict | None = None) -> tuple:
     """(value, error) of an expression over sets of the algebra.
 
     env.get(name) is a variable's value: a set for a bool, else a map from
@@ -1009,7 +999,7 @@ _BOOLS = frozenset({(bool, False), (bool, True)})
 _GIVES_BOOL = {"!", *_COMPARE}  # the operators whose value is a bool
 
 
-def _read_set(v: Variable) -> Optional[set]:
+def _read_set(v: Variable) -> set | None:
     """v's domain, and a state variable's init, kept until it is assigned."""
     if isinstance(v.domain, IntRange) and v.domain.hi - v.domain.lo >= _VALUE_CAP:
         return None
@@ -1042,7 +1032,7 @@ def _narrowed(item: tuple) -> list:
     return [(node.then, arms[0]), (node.other, arms[1])]
 
 
-def _values_of(item: tuple, parts: list) -> Optional[set]:
+def _values_of(item: tuple, parts: list) -> set | None:
     """An item's value set, given its child items'."""
     node, reads = item
     if isinstance(node, Lit):

@@ -14,26 +14,22 @@ ltl.eval_on_lasso).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .ltl import eval_on_lasso
 from .model import ClosedLoopModel, ModelError
 from .sim import TestSuite, dump_trace, simulate_lasso
 
 
-@dataclass(frozen=True)
-class ReqVerdict:
-    rid: str
-    status: str  # "pass" | "violated" | "error"
-    test_id: Optional[str] = None
-    trace: Optional[object] = None
-    message: Optional[str] = None
+class ReqVerdict(namedtuple("ReqVerdict", "rid status test_id trace message",
+                            defaults=(None, None, None))):
+    """status is "pass", "violated" or "error"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
-    verdicts: tuple
+class ExecutionReport(namedtuple("ExecutionReport", "verdicts")):
+    __slots__ = ()
 
     @property
     def violated(self) -> int:

@@ -7,7 +7,8 @@ periodic execution; simulate_lasso finds the finite lasso that describes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import MappingProxyType
 
 from .model import (
     BoolDomain,
@@ -24,15 +25,15 @@ class StepCapExceeded(ModelError):
     """Lasso search walked more steps than the configured cap."""
 
 
-@dataclass(frozen=True)
-class TestCase:
-    """A named matrix of nondeterministic values, one row per step."""
+class TestCase(namedtuple("TestCase", "tid variables rows")):
+    """A named matrix of nondeterministic values, one row per step.
 
+    variables holds the nondet variable names in declaration order; rows
+    holds L tuples of values aligned to variables.
+    """
+
+    __slots__ = ()
     __test__ = False  # keep pytest from collecting this
-
-    tid: str
-    variables: tuple  # nondet variable names, declaration order
-    rows: tuple       # length L, each a tuple of values aligned to variables
 
     @property
     def length(self) -> int:
@@ -44,14 +45,11 @@ class TestCase:
         return dict(zip(self.variables, row))
 
 
-@dataclass(frozen=True)
-class TestSuite:
+class TestSuite(namedtuple("TestSuite", "variables cases")):
     """Test cases sharing one nondet variable ordering."""
 
+    __slots__ = ()
     __test__ = False  # keep pytest from collecting this
-
-    variables: tuple
-    cases: tuple
 
     @property
     def element_count(self) -> int:
@@ -89,8 +87,10 @@ def validate_test(model: ClosedLoopModel, case: TestCase) -> list:
     return diags
 
 
-@dataclass
-class LassoTrace:
+class LassoTrace(namedtuple(
+        "LassoTrace",
+        "model case states nondet prefix_len loop_len wrap_nondet",
+        defaults=(MappingProxyType({}),))):
     """The ultimately periodic execution a test case induces.
 
     states[k] is the state after k steps, a tuple over the model's state
@@ -98,16 +98,11 @@ class LassoTrace:
     applied by the step that produced states[k] (None at position 0).
     Positions prefix_len .. prefix_len+loop_len-1 repeat forever;
     wrap_nondet is what the step leaving the last position applies on its
-    way back to the loop start.
+    way back to the loop start (by default a read-only empty mapping).
+    The states and nondet lists leave a trace unhashable.
     """
 
-    model: ClosedLoopModel
-    case: TestCase
-    states: list
-    nondet: list
-    prefix_len: int
-    loop_len: int
-    wrap_nondet: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def positions(self) -> int:
@@ -186,12 +181,13 @@ def dump_trace(trace: LassoTrace) -> str:
     model = trace.model
     row = model.compiled().row
     defaults = model.nondet_defaults()
+    names = [v.name for v in model.variables]
     lines = []
     for k, state in enumerate(trace.states):
         nondet = trace.nondet[k]
         values = row(state, defaults if nondet is None else nondet)
         marker = " loop-start" if k == trace.prefix_len else ""
-        pairs = " ".join(f"{v.name}={value_text(value)}"
-                         for v, value in zip(model.variables, values))
+        pairs = " ".join(f"{name}={value_text(value)}"
+                         for name, value in zip(names, values))
         lines.append(f"#{k}{marker} {pairs}")
     return "\n".join(lines)

@@ -29,8 +29,7 @@ hold the explicit layers only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .model import (
     UNSET,
@@ -73,8 +72,7 @@ class _Handoff(Exception):
     """The explicit search spent its share of branch steps."""
 
 
-@dataclass(frozen=True)
-class CoverageGoal:
+class CoverageGoal(namedtuple("CoverageGoal", "predicate origin")):
     """One thing a suite should witness: predicate true at some position.
 
     The predicate is evaluated over a position environment: all state
@@ -82,41 +80,35 @@ class CoverageGoal:
     (position 0 carries each nondet variable's first domain value).
     """
 
-    predicate: Expr
-    origin: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(namedtuple(
+        "GeneratorConfig", "max_len goal_mode state_cap step_cap",
+        defaults=("maximal", DEFAULT_STATE_CAP, DEFAULT_STEP_CAP))):
     """Search bound, goal mode and budgets.
 
-    state_cap bounds the states reached by the search, explicit and
-    symbolic alike.  step_cap bounds explicit branch steps (the symbolic
-    phase takes none, apart from replaying the one state whose step fails)
-    and each lasso simulation.
+    goal_mode is "maximal", "all" or "all-kinds".  state_cap bounds the
+    states reached by the search, explicit and symbolic alike.  step_cap
+    bounds explicit branch steps (the symbolic phase takes none, apart from
+    replaying the one state whose step fails) and each lasso simulation.
     """
 
-    max_len: int
-    goal_mode: str = "maximal"  # "maximal" | "all" | "all-kinds"
-    state_cap: int = DEFAULT_STATE_CAP
-    step_cap: int = DEFAULT_STEP_CAP
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GoalOutcome:
-    index: int  # 1-based position in the goal list
-    origin: str
-    status: str  # "COVERED" | "SUBSUMED" | "UNREACHABLE"
-    test_id: Optional[str] = None
-    position: Optional[int] = None
+class GoalOutcome(namedtuple("GoalOutcome",
+                             "index origin status test_id position",
+                             defaults=(None, None))):
+    """index is the 1-based position in the goal list; status is
+    "COVERED", "SUBSUMED" or "UNREACHABLE"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GenerationReport:
-    bound: int
-    outcomes: tuple
-    test_count: int
-    element_count: int
+class GenerationReport(namedtuple(
+        "GenerationReport", "bound outcomes test_count element_count")):
+    __slots__ = ()
 
     def text(self) -> str:
         lines = []

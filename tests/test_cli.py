@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from looptest.cli import _write_atomic, main
+from looptest import casegen
+from looptest.cli import CASE_KINDS, _write_atomic, main
 from looptest.dsl import load_model, load_suite, parse_reqs
 
 
@@ -47,6 +48,11 @@ def _execute(workdir, *extra):
                  "--model", str(workdir / "run.clm"),
                  "--reqs", str(workdir / "run.ltl"),
                  "--suite", str(workdir / "suite.cts"), *extra])
+
+
+def test_case_kinds_are_the_casegen_builders():
+    # the parser lists them without loading casegen
+    assert CASE_KINDS == tuple(sorted(casegen.BUILDERS))
 
 
 def test_casegen_writes_both_files(tmp_path, capsys):

@@ -1,7 +1,18 @@
-"""Source hygiene: no module-level import that the module never uses."""
+"""Source hygiene: no module-level import that the module never uses,
+annotations that resolve without the package importing typing, and an
+import that loads only what loading a model needs."""
 
 import ast
+import importlib
+import inspect
+import json
+import subprocess
+import sys
+import typing
 from pathlib import Path
+from types import SimpleNamespace
+
+from looptest import casegen
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = (sorted(ROOT.glob("src/looptest/*.py"))
@@ -55,3 +66,105 @@ def f(x: Optional[int]) -> str:
     return json.dumps(osp.join("a", str(x)))
 """
     assert unused_imports(text) == [(2, "os"), (5, "Union")]
+
+
+def _defined_functions(module) -> dict:
+    """qualname -> function of every function and method defined at module
+    or class level in module (properties and static/class methods too)."""
+    found = {}
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found[obj.__qualname__] = obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                if isinstance(attr, (staticmethod, classmethod)):
+                    attr = attr.__func__
+                parts = ((attr.fget, attr.fset, attr.fdel)
+                         if isinstance(attr, property) else (attr,))
+                for f in parts:
+                    if (inspect.isfunction(f)
+                            and f.__code__.co_filename == module.__file__):
+                        found[f.__qualname__] = f
+    return found
+
+
+def _nested_annotations(tree: ast.Module) -> dict:
+    """(name, line) -> {argument or "return": annotation source} of each
+    annotated function defined inside another function."""
+    out = {}
+    for outer in ast.walk(tree):
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        for node in ast.walk(outer):
+            if node is outer or not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            notes = {a.arg: ast.unparse(a.annotation)
+                     for a in args if a.annotation is not None}
+            if node.returns is not None:
+                notes["return"] = ast.unparse(node.returns)
+            if notes:
+                out[(node.name, node.lineno)] = notes
+    return out
+
+
+def test_every_annotation_resolves():
+    # the package imports no typing, so a name an annotation reads must be
+    # a builtin or a name the module binds (collections.abc included)
+    for path in sorted(ROOT.glob("src/looptest/*.py")):
+        if path.name == "__main__.py":
+            continue
+        name = path.stem if path.stem != "__init__" else ""
+        module = importlib.import_module(
+            "looptest" + ("." + name if name else ""))
+        tree = ast.parse(path.read_text())
+        functions = _defined_functions(module)
+        top = {f"{c.name}.{f.name}" if c else f.name
+               for c in [None] + [n for n in tree.body
+                                  if isinstance(n, ast.ClassDef)]
+               for f in (c.body if c else tree.body)
+               if isinstance(f, ast.FunctionDef)}
+        assert top <= set(functions), (path.name, top - set(functions))
+        for function in functions.values():
+            typing.get_type_hints(function)
+        for notes in _nested_annotations(tree).values():
+            typing.get_type_hints(SimpleNamespace(__annotations__=notes),
+                                  vars(module))
+
+
+_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import looptest
+model = looptest.load_model(sys.argv[2])
+looptest.load_reqs(sys.argv[3], model)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# none of these is needed to import the package and load a model
+UNNEEDED = ("dataclasses", "typing", "inspect", "ast", "looptest.casegen",
+            "looptest.symbolic", "looptest.cli")
+
+
+def test_import_and_load_keep_a_small_footprint(tmp_path):
+    study = casegen.pnp(3)
+    (tmp_path / "pnp3.clm").write_text(study.model_text)
+    (tmp_path / "pnp3.ltl").write_text(study.reqs_text)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, str(ROOT / "src"),
+         str(tmp_path / "pnp3.clm"), str(tmp_path / "pnp3.ltl")],
+        capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "looptest.dsl" in loaded
+    assert not loaded & set(UNNEEDED), sorted(loaded & set(UNNEEDED))
+
+
+def test_cli_leaves_casegen_to_its_subcommand():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import looptest.cli; "
+         "print('looptest.casegen' in sys.modules)", str(ROOT / "src")],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
