@@ -13,10 +13,10 @@ a fixpoint of the round trip.
 Models and requirements share one regular-expression scanner, whose tokens
 are their texts (a line and column are worked out again only for an error),
 and one precedence-climbing routine, _climb, which each parser calls with
-its syntax's printing table (model._PREC, the ltl infix levels).  Every node
-a parse call builds goes through one table of that call, so equal subtrees
-of one file are one object.  Integer literals are ASCII digits in all three
-formats.
+its syntax's printing table (model._PREC, the ltl infix levels).  Nodes are
+interned by their constructors (model.Node), so equal subtrees are one
+object, within a file and across parses.  Integer literals are ASCII digits
+in all three formats.
 """
 
 from __future__ import annotations
@@ -121,26 +121,13 @@ def _is_id(tok: str) -> bool:
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _shared(nodes: dict, key: tuple, *parts):
-    """key[0](*parts), built once per table.  key is the class, its leaf
-    values (a literal's value with its class, so true and 1 stay apart) and
-    the ids of its children, which are shared already: a node equal to one
-    built before is found by one dict lookup, with no tree walk."""
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = key[0](*parts)
-    return node
-
-
 class _Cursor:
-    """One parse call: the token texts with one-token lookahead, and the
-    table through which every node built is shared."""
+    """One parse call: the token texts with one-token lookahead."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
-        self.nodes = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -202,8 +189,8 @@ def _climb(cur: _Cursor, operand, infix: dict, level: int):
     binds at level or tighter, so one call per operand, not per level.
 
     infix maps an operator's text to (its level, the level its right
-    operand binds at, head), larger levels binding tighter; the node is
-    head[0](*head[1:], lhs, rhs), keyed in the table by head and the ids.
+    operand binds at, class, leading arguments), larger levels binding
+    tighter; the node is class(*leading arguments, lhs, rhs).
     """
     lhs = operand()
     while True:
@@ -212,13 +199,12 @@ def _climb(cur: _Cursor, operand, infix: dict, level: int):
             return lhs
         cur.pos += 1
         rhs = _climb(cur, operand, infix, op[1])
-        head = op[2]
-        lhs = _shared(cur.nodes, head + (id(lhs), id(rhs)), *head[1:], lhs, rhs)
+        lhs = op[2](*op[3], lhs, rhs)
 
 
 # the binary operators at their printing levels, -> associating right and
 # the rest left; ?: is parsed on its own
-_BINARY = {op: (prec, prec if op == "->" else prec + 1, (Binary, op))
+_BINARY = {op: (prec, prec if op == "->" else prec + 1, Binary, (op,))
            for op, prec in _PREC.items() if op != "?"}
 
 
@@ -240,8 +226,7 @@ class _ExprParser:
             then = self.parse()
             self.cur.expect(":")
             other = self.parse()
-            return _shared(self.cur.nodes, (Cond, id(guard), id(then), id(other)),
-                           guard, then, other)
+            return Cond(guard, then, other)
         return guard
 
     def operand(self) -> Expr:
@@ -251,18 +236,18 @@ class _ExprParser:
         tok = cur.tokens[cur.pos]
         if tok.isdigit():
             cur.pos += 1
-            return _shared(cur.nodes, (Lit, int, int(tok, 10)), int(tok, 10))
+            return Lit(int(tok, 10))
         if tok == "true" or tok == "false":
             cur.pos += 1
-            return _shared(cur.nodes, (Lit, bool, tok == "true"), tok == "true")
+            return Lit(tok == "true")
         if _is_id(tok):
             at = cur.pos
             cur.pos += 1
             name = _indexed(cur, tok)
             if name in self.var_names:
-                return _shared(cur.nodes, (Ref, name), name)
+                return Ref(name)
             if name in self.labels:
-                return _shared(cur.nodes, (Lit, str, name), name)
+                return Lit(name)
             cur.error(f"unknown identifier '{ref_text(name)}'", at)
         if tok == "(":
             cur.pos += 1
@@ -275,8 +260,8 @@ class _ExprParser:
         operand = self.operand()
         # fold a negated literal so -5 parses as the literal it prints as
         if tok == "-" and isinstance(operand, Lit) and type(operand.value) is int:
-            return _shared(cur.nodes, (Lit, int, -operand.value), -operand.value)
-        return _shared(cur.nodes, (Unary, tok, id(operand)), tok, operand)
+            return Lit(-operand.value)
+        return Unary(tok, operand)
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +271,8 @@ class _ExprParser:
 def parse_model(text: str) -> ClosedLoopModel:
     """Parse a .clm model file.  Structural only; run validate_model after.
 
-    Equal subexpressions and domains of one file are one object.
+    Equal subexpressions and domains are one object, in this file and in
+    every other parse (see model.Node).
     """
     cur = _Cursor(text)
     cur.expect("model")
@@ -344,12 +330,12 @@ def parse_model(text: str) -> ClosedLoopModel:
 
 def _parse_domain(cur: _Cursor):
     if cur.accept("bool"):
-        return _shared(cur.nodes, (BoolDomain,))
+        return BoolDomain()
     if cur.accept("int"):
         lo = _parse_int(cur)
         cur.expect("..")
         hi = _parse_int(cur)
-        return _shared(cur.nodes, (IntRange, lo, hi), lo, hi)
+        return IntRange(lo, hi)
     if cur.accept("enum"):
         cur.expect("{")
         names = []
@@ -362,7 +348,7 @@ def _parse_domain(cur: _Cursor):
             if not cur.accept(","):
                 break
         cur.expect("}")
-        return _shared(cur.nodes, (EnumDomain, tuple(names)), names)
+        return EnumDomain(names)
     cur.error("expected a domain: bool, int lo..hi, or enum {...}")
 
 
@@ -457,7 +443,8 @@ def serialize_model(model: ClosedLoopModel) -> str:
 def parse_reqs(text: str, model: ClosedLoopModel) -> list:
     """Parse a .ltl requirements file against a model's declarations.
 
-    Equal subformulas and subexpressions of one file are one object.
+    Equal subformulas and subexpressions are one object, in this file and
+    in every other parse (see model.Node).
 
     Note on grouping: parentheses at formula level group formulas, so an
     atom may not start with '(' (write `a + 1 == 2`, which parses fine, not
@@ -498,7 +485,7 @@ def parse_ltl(text: str, model: ClosedLoopModel) -> ltl.Formula:
 
 
 # the formula operators at their printing levels
-_INFIX = {cls.symbol: (cls.level, cls.level if cls.right else cls.level + 1, (cls,))
+_INFIX = {cls.symbol: (cls.level, cls.level if cls.right else cls.level + 1, cls, ())
           for cls in ltl._Infix.__subclasses__()}
 _PREFIX = {cls.symbol: cls for cls in ltl._Prefix.__subclasses__()}
 
@@ -514,6 +501,7 @@ class _LtlParser:
         self.labels = enum_label_map(model)
         self.atoms = _ExprParser(cur, {v.name for v in model.variables},
                                  self.labels)
+        self.checked = set()  # the atom expressions that passed _check_bool
 
     def parse(self) -> ltl.Formula:
         # every infix level is at least 1, so level 0 admits them all
@@ -525,7 +513,7 @@ class _LtlParser:
         if tok in _PREFIX:
             cur.next()
             operand = self.unary()
-            return _shared(cur.nodes, (_PREFIX[tok], id(operand)), operand)
+            return _PREFIX[tok](operand)
         if tok == "(":
             cur.next()
             inner = self.parse()
@@ -533,14 +521,14 @@ class _LtlParser:
             return inner
         at = cur.pos
         expr = _climb(cur, self.atoms.operand, _BINARY, _PREC["=="])
-        key = (ltl.Atom, id(expr))
-        if key not in cur.nodes:  # an atom met before passed its check
+        if expr not in self.checked:
             self._check_bool(expr, at)
-        return _shared(cur.nodes, key, expr)
+            self.checked.add(expr)
+        return ltl.Atom(expr)
 
     def _check_bool(self, expr: Expr, at: int):
         diags = []
-        t = _type_of(expr, self.model, self.labels, diags, "atom")
+        t = _type_of(expr, self.model._by_name, self.labels, diags, "atom")
         if diags:
             self.cur.error(diags[0].message, at)
         if t != "bool":

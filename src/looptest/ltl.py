@@ -24,27 +24,27 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Binary, Expr, Node, RowSets, Unary
+from .model import Binary, Expr, Node, RowSets, Unary, _intern
 
 
 class Formula(Node):
-    """Base class for LTL nodes; comparison is structural.
+    """Base class for LTL nodes, interned like every model.Node.
 
     level is the binding strength the printer and the parser share: atoms
     and prefix operators bind tighter than every infix operator.
     """
 
+    __slots__ = ()
     level = 5
 
 
 class Atom(Formula):
     """A temporal-free observation: a model expression of comparison level."""
 
-    def __init__(self, expr: Expr):
-        self.expr = expr
+    __slots__ = _fields = ("expr",)
 
-    def _key(self):
-        return (self.expr,)
+    def __new__(cls, expr: Expr):
+        return _intern((cls, id(expr)), expr)
 
     def __str__(self):
         text = str(self.expr)
@@ -57,13 +57,11 @@ class _Prefix(Formula):
     """An operator written before its one operand.  The temporal ones are
     letters (X, F, G); the boolean one shares its symbol with expressions."""
 
+    __slots__ = _fields = ("operand", "kids")
     symbol = ""
 
-    def __init__(self, operand: Formula):
-        self.operand = operand
-
-    def _key(self):
-        return (self.operand,)
+    def __new__(cls, operand: Formula):
+        return _intern((cls, id(operand)), operand, (operand,))
 
     def __str__(self):
         # a letter needs a space to stay apart from the name after it
@@ -72,18 +70,22 @@ class _Prefix(Formula):
 
 
 class Not(_Prefix):
+    __slots__ = ()
     symbol = "!"
 
 
 class Next(_Prefix):
+    __slots__ = ()
     symbol = "X"
 
 
 class Finally(_Prefix):
+    __slots__ = ()
     symbol = "F"
 
 
 class Globally(_Prefix):
+    __slots__ = ()
     symbol = "G"
 
 
@@ -93,15 +95,12 @@ class _Infix(Formula):
     temporal one is a letter (U); the boolean ones share their symbols with
     expressions."""
 
+    __slots__ = _fields = ("lhs", "rhs", "kids")
     symbol = ""
     right = False
 
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def _key(self):
-        return (self.lhs, self.rhs)
+    def __new__(cls, lhs: Formula, rhs: Formula):
+        return _intern((cls, id(lhs), id(rhs)), lhs, rhs, (lhs, rhs))
 
     def __str__(self):
         lhs = _sub(self.lhs, self.level, tighten=self.right)
@@ -110,6 +109,7 @@ class _Infix(Formula):
 
 
 class And(_Infix):
+    __slots__ = ()
     symbol = "&&"
     level = 4
 
@@ -117,17 +117,20 @@ class And(_Infix):
 class Until(_Infix):
     """Strong until: the right side must eventually hold."""
 
+    __slots__ = ()
     symbol = "U"
     level = 3
     right = True
 
 
 class Or(_Infix):
+    __slots__ = ()
     symbol = "||"
     level = 2
 
 
 class Implies(_Infix):
+    __slots__ = ()
     symbol = "->"
     level = 1
     right = True
@@ -156,74 +159,62 @@ class Requirement(namedtuple("Requirement", "rid formula expectation",
 
 def is_temporal_free(f: Formula) -> bool:
     """True when no X, F, G or U occurs in the formula."""
-    if isinstance(f, Atom):
-        return True
-    if f.symbol.isalpha():  # X, F, G or U
-        return False
-    if isinstance(f, _Prefix):
-        return is_temporal_free(f.operand)
-    return is_temporal_free(f.lhs) and is_temporal_free(f.rhs)
+    return _lowered(f, {}) is not None
 
 
 def to_expr(f: Formula) -> Expr:
     """Lower a temporal-free formula to a plain model expression."""
-    if isinstance(f, Atom):
-        return f.expr
-    if f.symbol.isalpha():
+    expr = _lowered(f, {})
+    if expr is None:
         raise ValueError(f"not temporal free: {f}")
-    if isinstance(f, _Prefix):
-        return Unary(f.symbol, to_expr(f.operand))
-    return Binary(f.symbol, to_expr(f.lhs), to_expr(f.rhs))
+    return expr
 
 
-def boolean_subformulas(f: Formula, mode: str = "maximal") -> list:
+def _lowered(f: Formula, memo: dict):
+    """f as a model expression, None where X, F, G or U occurs in it; memo
+    keeps the result of every subformula lowered."""
+    if f in memo:
+        return memo[f]
+    if isinstance(f, Atom):
+        expr = f.expr
+    elif f.symbol.isalpha():  # X, F, G or U
+        expr = None
+    else:
+        parts = [_lowered(kid, memo) for kid in f.kids]
+        make = Unary if isinstance(f, _Prefix) else Binary
+        expr = None if None in parts else make(f.symbol, *parts)
+    memo[f] = expr
+    return expr
+
+
+def boolean_subformulas(f: Formula, mode: str = "maximal",
+                        memo: dict | None = None) -> list:
     """Temporal-free subtrees of a formula, as model expressions.
 
     With mode "maximal" (the default) only subtrees not contained in a larger
     temporal-free subtree are returned.  With mode "all", every temporal-free
     subtree is returned.  Order is pre-order; structural duplicates are
-    dropped.
+    dropped.  memo, if given, keeps the expression of every subformula
+    lowered (None where it is temporal), so later calls sharing it lower
+    each subformula once.
     """
     if mode not in ("maximal", "all"):
         raise ValueError(f"unknown subformula mode {mode!r}")
-    out = []
-    seen = set()
-    lowered = {}  # node -> its expression, None where it is temporal
-
-    def lower(node: Formula):
-        if node in lowered:
-            return lowered[node]
-        if isinstance(node, Atom):
-            expr = node.expr
-        elif node.symbol.isalpha():  # X, F, G or U
-            expr = None
-        elif isinstance(node, _Prefix):
-            operand = lower(node.operand)
-            expr = None if operand is None else Unary(node.symbol, operand)
-        else:
-            lhs, rhs = lower(node.lhs), lower(node.rhs)
-            expr = None if lhs is None or rhs is None \
-                else Binary(node.symbol, lhs, rhs)
-        lowered[node] = expr
-        return expr
+    out = {}  # the expressions found, in order
+    lowered = {} if memo is None else memo
 
     def walk(node: Formula, inside_free: bool):
-        expr = lower(node)
+        expr = _lowered(node, lowered)
         free = expr is not None
         if free and (mode == "all" or not inside_free):
-            if expr not in seen:
-                seen.add(expr)
-                out.append(expr)
+            out[expr] = None
             if mode == "maximal":
                 return
-        if isinstance(node, _Prefix):
-            walk(node.operand, free or inside_free)
-        elif isinstance(node, _Infix):
-            walk(node.lhs, free or inside_free)
-            walk(node.rhs, free or inside_free)
+        for kid in node.kids:
+            walk(kid, free or inside_free)
 
     walk(f, False)
-    return out
+    return list(out)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,10 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
+# the weak reference type, without the weakref module, whose import would
+# add to every fresh start
+from _weakref import ref as _weakref
+
 
 class ModelError(Exception):
     """Base class for everything raised by this package."""
@@ -55,68 +59,66 @@ class VarKind(enum.Enum):
 
 PLANT_TARGETS = (VarKind.INPUT, VarKind.PLANT)
 CTRL_TARGETS = (VarKind.OUTPUT, VarKind.CTRL)
-_SHALLOW = 64  # Node trees less high than this compare recursing
 
 
 class Node:
-    """A value that compares, hashes and prints structurally: by its type
-    and _key(), whose Node items are its subtrees.  Nodes never change, so
-    each computes its hash and height once, after its subtrees', from an
-    explicit stack.  Trees less than _SHALLOW high compare by their keys,
-    recursing; deeper ones walk from a stack down to their shallow subtrees.
+    """A value built once per structure: each constructor interns its node
+    by class, leaf values and subtrees, process-wide, so structurally equal
+    nodes are one object, and == and hash are identity.  Nodes never change.
+    _fields names the slots a new node gets from its constructor's
+    arguments, kids the subtrees an operator node holds among them; repr
+    prints every field but kids, as _key() gives them.
     """
 
-    _hash = None
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return False
-        if self._hash is None:
-            hash(self)
-        if self._height < _SHALLOW:
-            return self._key() == other._key()
-        if self._hash != hash(other):
-            return False
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            for x, y in zip(a._key(), b._key()):
-                if isinstance(x, Node) and type(x) is type(y) \
-                        and x._height >= _SHALLOW and x is not y:
-                    stack.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self):
-        if self._hash is None:
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                key = node._key()
-                height = 1  # 0 while a subtree is not hashed yet
-                for kid in key:
-                    if isinstance(kid, Node):
-                        if kid._hash is None:
-                            stack.append(kid)
-                            height = 0
-                        elif height and kid._height >= height:
-                            height = kid._height + 1
-                if height:
-                    stack.pop()
-                    node._height = height
-                    node._hash = hash((type(node),) + key)
-        return self._hash
+    __slots__ = ("__weakref__",)
+    _fields = ()
+    kids = ()
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
-    def _key(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields if n != "kids")
+
+
+# key -> weak reference to the live node of that key, and back; a node's
+# death drops its entry.  No lock: build nodes from one thread at a time.
+_nodes = {}
+_keys = {}
+_dead = type(None)  # called like the weak reference of a dead node: None
+
+
+def _drop(entry, nodes=_nodes, keys=_keys):
+    # the tables are bound here, since a module's globals may be cleared
+    # before the last of its nodes dies
+    key = keys.pop(entry)
+    if nodes.get(key) is entry:
+        del nodes[key]
+
+
+def _intern(key: tuple, *values):
+    """The live node of key, else a new node of class key[0] whose _fields
+    take values.  key holds the class, the leaf values (a literal's with its
+    class, so true and 1 stay apart) and the ids of the subtrees: a live
+    node keeps its subtrees alive, so no id in a live entry's key is reused.
+    """
+    node = _nodes.get(key, _dead)()
+    if node is None:
+        node = object.__new__(key[0])
+        for name, value in zip(node._fields, values):
+            setattr(node, name, value)
+        entry = _nodes[key] = _weakref(node, _drop)
+        _keys[entry] = key
+    return node
 
 
 class BoolDomain(Node):
     """Two-valued domain, printed as 0/1 in files."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return _intern((cls,))
 
     def values(self):
         return (False, True)
@@ -131,16 +133,14 @@ class BoolDomain(Node):
     def first(self):
         return False
 
-    def _key(self):
-        return ()
-
 
 class IntRange(Node):
     """Inclusive integer interval lo..hi."""
 
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
+    __slots__ = _fields = ("lo", "hi")
+
+    def __new__(cls, lo: int, hi: int):
+        return _intern((cls, lo, hi), lo, hi)
 
     def values(self):
         return tuple(range(self.lo, self.hi + 1))
@@ -156,15 +156,15 @@ class IntRange(Node):
     def first(self):
         return self.lo
 
-    def _key(self):
-        return (self.lo, self.hi)
-
 
 class EnumDomain(Node):
     """Finite set of named labels; values are the label strings."""
 
-    def __init__(self, labels: Iterable[str]):
-        self.labels = tuple(labels)
+    __slots__ = _fields = ("labels",)
+
+    def __new__(cls, labels: Iterable[str]):
+        labels = tuple(labels)
+        return _intern((cls, labels), labels)
 
     def values(self):
         return self.labels
@@ -177,9 +177,6 @@ class EnumDomain(Node):
 
     def first(self):
         return self.labels[0]
-
-    def _key(self):
-        return (self.labels,)
 
     def __repr__(self):
         return f"EnumDomain({list(self.labels)})"
@@ -202,12 +199,16 @@ class Variable(namedtuple("Variable", "name kind domain init",
 class Expr(Node):
     """Base class for expression nodes."""
 
+    __slots__ = ()
+
 
 class Lit(Expr):
     """Literal: bool, int, or enum label (a string)."""
 
-    def __init__(self, value):
-        self.value = value
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value):
+        return _intern((cls, value.__class__, value), value)
 
     def _key(self):
         return (type(self.value).__name__, self.value)
@@ -224,11 +225,10 @@ class Lit(Expr):
 class Ref(Expr):
     """Reference to a declared variable by flattened name."""
 
-    def __init__(self, name: str):
-        self.name = name
+    __slots__ = _fields = ("name",)
 
-    def _key(self):
-        return (self.name,)
+    def __new__(cls, name: str):
+        return _intern((cls, name), name)
 
     def __str__(self):
         return ref_text(self.name)
@@ -237,12 +237,10 @@ class Ref(Expr):
 class Unary(Expr):
     """Unary operator: '!' (bool) or '-' (int)."""
 
-    def __init__(self, op: str, operand: Expr):
-        self.op = op
-        self.operand = operand
+    __slots__ = _fields = ("op", "operand", "kids")
 
-    def _key(self):
-        return (self.op, self.operand)
+    def __new__(cls, op: str, operand: Expr):
+        return _intern((cls, op, id(operand)), op, operand, (operand,))
 
     def __str__(self):
         inner = str(self.operand)
@@ -280,13 +278,10 @@ def _sub_text(parent_prec: int, node: Expr, tighten: bool = False) -> str:
 class Binary(Expr):
     """Binary operator application."""
 
-    def __init__(self, op: str, lhs: Expr, rhs: Expr):
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
+    __slots__ = _fields = ("op", "lhs", "rhs", "kids")
 
-    def _key(self):
-        return (self.op, self.lhs, self.rhs)
+    def __new__(cls, op: str, lhs: Expr, rhs: Expr):
+        return _intern((cls, op, id(lhs), id(rhs)), op, lhs, rhs, (lhs, rhs))
 
     def __str__(self):
         prec = _PREC[self.op]
@@ -301,13 +296,11 @@ class Binary(Expr):
 class Cond(Expr):
     """Conditional choice: cond ? then : other."""
 
-    def __init__(self, cond: Expr, then: Expr, other: Expr):
-        self.cond = cond
-        self.then = then
-        self.other = other
+    __slots__ = _fields = ("cond", "then", "other", "kids")
 
-    def _key(self):
-        return (self.cond, self.then, self.other)
+    def __new__(cls, cond: Expr, then: Expr, other: Expr):
+        return _intern((cls, id(cond), id(then), id(other)),
+                       cond, then, other, (cond, then, other))
 
     def __str__(self):
         parts = (
@@ -348,7 +341,7 @@ def referenced_names(expr: Expr) -> set:
         node = stack.pop()
         if isinstance(node, Ref):
             out.add(node.name)
-        stack.extend(_children(node))
+        stack.extend(node.kids)
     return out
 
 
@@ -427,7 +420,7 @@ def enum_label_map(model: ClosedLoopModel) -> dict:
     return out
 
 
-def _type_of(expr: Expr, model: ClosedLoopModel, labels: dict, diags: list, where: str):
+def _type_of(expr: Expr, by_name: dict, labels: dict, diags: list, where: str):
     """Infer an expression's type: 'bool', 'int', an EnumDomain, or None on error."""
 
     def fail(msg):
@@ -444,18 +437,19 @@ def _type_of(expr: Expr, model: ClosedLoopModel, labels: dict, diags: list, wher
             return fail(f"unknown enum label '{expr.value}'")
         return dom
     if isinstance(expr, Ref):
-        if not model.has_var(expr.name):
+        var = by_name.get(expr.name)
+        if var is None:
             return fail(f"undeclared variable '{expr.name}'")
-        return _domain_type(model.var(expr.name).domain)
+        return _domain_type(var.domain)
     if isinstance(expr, Unary):
-        t = _type_of(expr.operand, model, labels, diags, where)
+        t = _type_of(expr.operand, by_name, labels, diags, where)
         want = "bool" if expr.op == "!" else "int"
         if t is not None and t != want:
             return fail(f"operator '{expr.op}' needs {want}, got {_type_name(t)}")
         return want if t is not None else None
     if isinstance(expr, Binary):
-        lt = _type_of(expr.lhs, model, labels, diags, where)
-        rt = _type_of(expr.rhs, model, labels, diags, where)
+        lt = _type_of(expr.lhs, by_name, labels, diags, where)
+        rt = _type_of(expr.rhs, by_name, labels, diags, where)
         if lt is None or rt is None:
             return None
         op = expr.op
@@ -481,11 +475,11 @@ def _type_of(expr: Expr, model: ClosedLoopModel, labels: dict, diags: list, wher
             return "bool"
         return fail(f"unknown operator '{op}'")
     if isinstance(expr, Cond):
-        ct = _type_of(expr.cond, model, labels, diags, where)
+        ct = _type_of(expr.cond, by_name, labels, diags, where)
         if ct is not None and ct != "bool":
             fail(f"conditional guard must be bool, got {_type_name(ct)}")
-        tt = _type_of(expr.then, model, labels, diags, where)
-        ot = _type_of(expr.other, model, labels, diags, where)
+        tt = _type_of(expr.then, by_name, labels, diags, where)
+        ot = _type_of(expr.other, by_name, labels, diags, where)
         if tt is None or ot is None:
             return None
         if tt != ot:
@@ -513,6 +507,7 @@ def validate_model(model: ClosedLoopModel) -> list:
     diags = []
     seen = set()
     labels = {}
+    by_name = model._by_name
     for v in model.variables:
         where = f"variable '{v.name}'"
         if v.name in seen:
@@ -544,15 +539,15 @@ def validate_model(model: ClosedLoopModel) -> list:
     ):
         for i, asn in enumerate(block.assignments):
             where = f"{block_name} assignment {i + 1} to '{asn.target}'"
-            if not model.has_var(asn.target):
+            target = by_name.get(asn.target)
+            if target is None:
                 diags.append(Diagnostic("assignment to undeclared variable", where))
                 continue
-            target = model.var(asn.target)
             if target.kind not in allowed:
                 diags.append(Diagnostic(
                     f"{block_name} block may not assign a {target.kind.value} variable",
                     where))
-            t = _type_of(asn.expr, model, labels, diags, where)
+            t = _type_of(asn.expr, by_name, labels, diags, where)
             want = _domain_type(target.domain)
             if t is not None and t != want:
                 diags.append(Diagnostic(
@@ -639,31 +634,23 @@ _BINARY = {
 
 
 def lower_expr(expr: Expr, slot_of: Mapping[str, int],
-               yields: Mapping[int, int] = {}) -> str:
+               yields: Mapping[int, int] = {}, memo: dict | None = None) -> str:
     """Python source computing an expression over the row ``r``.
 
     yields maps a slot to a code: reading that slot while it holds UNSET
     yields the code, and once resumed reads the slot again, so the source
     belongs in a generator.  Built bottom-up from an explicit stack, so
     deeply nested expressions do not run into the interpreter's recursion
-    limit.
+    limit.  memo, if given, keeps the source of every subexpression lowered
+    over the same slot_of and yields.
     """
     source, _strength = _fold(
-        expr, lambda node, parts: _emit(node, parts, slot_of, yields))
+        expr, lambda node, parts: _emit(node, parts, slot_of, yields), memo)
     return source
 
 
-def _children(node: Expr) -> tuple:
-    if isinstance(node, Unary):
-        return (node.operand,)
-    if isinstance(node, Binary):
-        return (node.lhs, node.rhs)
-    if isinstance(node, Cond):
-        return (node.cond, node.then, node.other)
-    return ()
-
-
-def _fold(expr, combine, memo: dict | None = None, children=_children):
+def _fold(expr, combine, memo: dict | None = None,
+          children=operator.attrgetter("kids")):
     """combine(node, the results of children(node)) applied bottom-up from
     an explicit stack, so deeply nested expressions do not run into the
     interpreter's recursion limit.  memo, if given, holds the results of
@@ -766,6 +753,7 @@ class CompiledModel:
         nondet = {self.slot_of[v.name] for v in model.nondet_variables()}
         read_sets = {v.name: _read_set(v) for v in model.variables}
         lines = ["def advance(r, pos):"]
+        memo = {}  # the sources of assignments yielding nothing, alike in all
         k = 0
         for block_name, block in (("plant", model.plant),
                                   ("controller", model.controller)):
@@ -781,7 +769,8 @@ class CompiledModel:
                 slot = self.slot_of[asn.target]
                 domain = model.var(asn.target).domain
                 where = f"{block_name} assignment {i + 1}"
-                lines.append(f"        v = {lower_expr(asn.expr, self.slot_of, yields)}")
+                lines.append("        v = " + lower_expr(
+                    asn.expr, self.slot_of, yields, dict(memo) if yields else memo))
                 values = _fold((asn.expr, read_sets), _values_of, None, _narrowed)
                 if values is None or not all(domain.contains(x) for _, x in values):
                     lines += [
@@ -1012,10 +1001,10 @@ def _narrowed(item: tuple) -> list:
     literal, the then-arm reads the values passing it, the else-arm the
     values failing it."""
     node, reads = item
-    if isinstance(node, (Unary, Binary)) and node.op not in _GIVES_BOOL:
-        return [(kid, reads) for kid in _children(node)]
     if not isinstance(node, Cond):
-        return []
+        if getattr(node, "op", None) in _GIVES_BOOL:
+            return []
+        return [(kid, reads) for kid in node.kids]
     arms = [reads, reads]
     guard = node.cond
     if isinstance(guard, Binary) and guard.op in _COMPARE:

@@ -150,38 +150,30 @@ def enumerate_goals(model: ClosedLoopModel, reqs: list,
     if mode not in ("maximal", "all", "all-kinds"):
         raise ValueError(f"unknown goal mode {mode!r}")
     nondet_names = {v.name for v in model.nondet_variables()}
-    goals = []
-    seen = set()
-
-    def push(predicate: Expr, origin: str):
-        if predicate in seen:
-            return
-        seen.add(predicate)
-        goals.append(CoverageGoal(predicate=predicate, origin=origin))
-
+    origins = {}  # each goal's predicate, in order, to its first origin
     for v in model.variables:
         if v.kind is VarKind.NONDET and mode != "all-kinds":
             continue
         for value in v.domain.values():
-            push(_value_goal(v.name, value, v.domain),
-                 f"var {ref_text(v.name)}={Lit(value)}")
+            origins.setdefault(_value_goal(v.name, value, v.domain),
+                               f"var {ref_text(v.name)}={Lit(value)}")
 
     sub_mode = "maximal" if mode == "maximal" else "all"
     produced = set()
+    lowered = {}  # every subformula lowered once, across the requirements
     for req in reqs:
-        for expr in ltl.boolean_subformulas(req.formula, sub_mode):
-            # an earlier requirement pushed it and its negation already
+        for expr in ltl.boolean_subformulas(req.formula, sub_mode, lowered):
+            # an earlier requirement gave it and its negation already
             if expr in produced:
                 continue
             produced.add(expr)
-            names = referenced_names(expr)
-            if names & nondet_names:
+            if referenced_names(expr) & nondet_names:
                 continue
-            text = str(expr)
-            push(expr, f"sub {req.rid} {text}")
+            origins.setdefault(expr, f"sub {req.rid} {expr}")
             negated = Unary("!", expr)
-            push(negated, f"sub {req.rid} {negated}")
-    return goals
+            origins.setdefault(negated, f"sub {req.rid} {negated}")
+    return [CoverageGoal(predicate=predicate, origin=origin)
+            for predicate, origin in origins.items()]
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line behavior: subcommands, artifacts, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,40 @@ def test_pipeline_reruns_are_byte_identical(workdir, capsys):
             for art in ("suite.cts", "generation.txt", "execution.txt")))
     capsys.readouterr()
     assert texts[0] == texts[1]
+
+
+# The pipeline in a process that allocates first, so its nodes sit at other
+# addresses: argv is the source directory, the objects to allocate and the
+# command line.
+_BALLASTED = """
+import sys
+sys.path.insert(0, sys.argv[1])
+ballast = [object() for _ in range(int(sys.argv[2]))]
+from looptest.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def test_pipeline_is_byte_identical_across_processes(tmp_path):
+    study = casegen.pnp(3)
+    (tmp_path / "pnp3.clm").write_text(study.model_text)
+    (tmp_path / "pnp3.ltl").write_text(study.reqs_text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for seed, ballast in (("1", "0"), ("12345", "100000")):
+        out_dir = tmp_path / seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _BALLASTED, str(src), ballast, "pipeline",
+             "--model", str(tmp_path / "pnp3.clm"),
+             "--reqs", str(tmp_path / "pnp3.ltl"),
+             "--max-len", "11", "--goals", "all", "--out-dir", str(out_dir)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode in (0, 1), proc.stderr
+        runs.append((proc.returncode, proc.stdout) + tuple(
+            (out_dir / art).read_bytes()
+            for art in ("suite.cts", "generation.txt", "execution.txt")))
+    assert runs[0] == runs[1]
 
 
 def test_pipeline_writes_past_stale_temporary_files(workdir, capsys):

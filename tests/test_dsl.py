@@ -1,7 +1,11 @@
 """Parsing and canonical serialization of the three file formats."""
 
 import hashlib
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,17 @@ from looptest.dsl import (
     serialize_suite,
     tokenize,
 )
-from looptest.ltl import Finally, Formula, Globally, Implies, Next, Not, Until
+from looptest.ltl import (
+    Finally,
+    Formula,
+    Globally,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Until,
+    to_expr,
+)
 from looptest.model import (
     Binary,
     BoolDomain,
@@ -36,6 +50,7 @@ from looptest.model import (
     VarKind,
 )
 from looptest.sim import TestCase, TestSuite
+from looptest.testgen import enumerate_goals
 
 import oracles
 import randgen
@@ -501,13 +516,97 @@ def test_bool_and_int_literals_are_never_shared():
     assert sorted(map(repr, values.values())) == ["1", "True"]
 
 
-def test_separate_parses_share_no_node():
-    study = casegen.build("pnp", 3)
-    first, second = (parse_reqs(study.reqs_text, study.model)
-                     for _ in range(2))
-    ids = [{id(node) for node in _subtrees([r.formula for r in reqs], Node)}
-           for reqs in (first, second)]
-    assert ids[0].isdisjoint(ids[1])
+def test_nodes_built_outside_the_parser_are_the_parsed_ones():
+    study = casegen.pnp(3)
+    model = parse_model(study.model_text)
+    for built, parsed in zip(study.model.variables, model.variables):
+        assert built.domain is parsed.domain
+    exprs = [[a.expr for block in (m.plant, m.controller)
+              for a in block.assignments] for m in (study.model, model)]
+    assert len(exprs[0]) == len(exprs[1]) > 0
+    assert all(a is b for a, b in zip(*exprs))
+    reqs = parse_reqs(study.reqs_text, model)
+    assert all(a.formula is b.formula for a, b in zip(study.reqs, reqs))
+    # the negated goals, and ltl.to_expr, build what a model file spells so
+    model = parse_model(CANONICAL.replace(
+        "motor = lamp == on;",
+        "motor = !(lamp == on && level > 0);\n  motor = level > 0 || motor;"))
+    negated, joined = (a.expr for a in model.controller.assignments)
+    goals = enumerate_goals(model, parse_reqs(
+        "R : G (lamp == on && level > 0 -> F (level > 0 || motor));\n", model),
+        "all")
+    assert [goal.predicate for goal in goals].count(negated) == 1
+    formula = parse_ltl("level > 0 || motor", model)
+    assert isinstance(formula, Or) and to_expr(formula) is joined
+
+
+# Run in a fresh interpreter, so that no object another test keeps alive
+# holds a node of these parses.
+_DRAIN = """
+import gc, json, sys, weakref
+sys.path[:0] = sys.argv[1:3]
+from looptest import casegen, model
+from looptest.dsl import parse_model, parse_reqs
+from test_dsl import _subtrees
+study = casegen.pnp(3)
+texts = (study.model_text, study.reqs_text)
+del study
+gc.collect()
+
+def live():
+    return {id(node) for node in (e() for e in model._nodes.values())
+            if node is not None}
+
+def parse():
+    m = parse_model(texts[0])
+    return m, parse_reqs(texts[1], m)
+
+def nodes(parsed):
+    m, reqs = parsed
+    roots = [v.domain for v in m.variables] + [r.formula for r in reqs] + [
+        a.expr for block in (m.plant, m.controller) for a in block.assignments]
+    return _subtrees(roots, model.Node)
+
+before = live()
+size = len(model._nodes)
+first, second = parse(), parse()
+out = {"nodes": len(nodes(first)),
+       "shared": sum(a is b for a, b in zip(nodes(first), nodes(second)))}
+refs = [weakref.ref(node) for node in nodes(first) if id(node) not in before]
+del first, second
+gc.collect()
+out["theirs"] = len(refs)
+out["alive"] = sum(ref() is not None for ref in refs)
+out["live_after"] = len(live() - before)
+sizes = {len(model._nodes) - size}
+for _ in range(1000):
+    parsed = parse()
+    del parsed
+    sizes.add(len(model._nodes) - size)
+for i in range(10000):  # distinct leaves, each dropped at once
+    model.Lit(i)
+sizes.add(len(model._nodes) - size)
+out["sizes"] = sorted(sizes)
+out["keys"] = len(model._keys) - len(model._nodes)
+print(json.dumps(out))
+"""
+
+
+def test_parses_share_nodes_and_the_table_drains():
+    root = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRAIN, str(root.parent / "src"), str(root)],
+        capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    # two parses share every node
+    assert out["shared"] == out["nodes"] > 1000
+    # once both are dropped, no node they built is alive, so the table holds
+    # no live entry of theirs
+    assert out["theirs"] > 400
+    assert out["alive"] == out["live_after"] == 0
+    # nor any dead entry: after 1,000 parse/drop cycles, and 10,000 leaves
+    # built and dropped, the table is back to its size before the parses
+    assert out["sizes"] == [0] and out["keys"] == 0
 
 
 def test_duplicate_requirement_ids_rejected():

@@ -12,7 +12,7 @@ import typing
 from pathlib import Path
 from types import SimpleNamespace
 
-from looptest import casegen
+from looptest import casegen, ltl, model
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = (sorted(ROOT.glob("src/looptest/*.py"))
@@ -168,3 +168,12 @@ def test_cli_leaves_casegen_to_its_subcommand():
          "print('looptest.casegen' in sys.modules)", str(ROOT / "src")],
         capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["False"]
+
+
+def test_nodes_compare_by_identity():
+    # nodes are interned at construction, so no class of model or ltl
+    # defines its own equality or hash
+    for module in (model, ltl):
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                assert not {"__eq__", "__hash__"} & set(vars(obj)), obj

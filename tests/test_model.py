@@ -105,6 +105,19 @@ def test_structural_equality_and_hash():
     assert Lit(True) != Lit(1)
 
 
+def test_equal_nodes_are_one_object():
+    assert Binary("+", Ref("x"), Lit(1)) is Binary("+", Ref("x"), Lit(1))
+    assert Cond(Ref("c"), Lit(0), Lit(1)) is Cond(Ref("c"), Lit(0), Lit(1))
+    assert Lit(True) is not Lit(1) and Lit(False) is not Lit(0)
+    assert Lit(1) is Lit(1) and Lit("on") is not Ref("on")
+    assert IntRange(0, 3) is IntRange(0, 3)
+    assert EnumDomain(["a", "b"]) is EnumDomain(("a", "b"))
+    assert EnumDomain(["a", "b"]) is not EnumDomain(["b", "a"])
+    assert Atom(Ref("x")) is Atom(Ref("x"))
+    assert Or(Atom(Ref("x")), Atom(Ref("y"))) \
+        is not Or(Atom(Ref("y")), Atom(Ref("x")))
+
+
 def test_deep_trees_compare_without_recursion():
     def chain(leaf, join, odd=None, value=9):
         """A 600-deep left-nested chain, leaf odd swapped for x == value."""
@@ -116,14 +129,16 @@ def test_deep_trees_compare_without_recursion():
 
     for leaf, join in ((lambda e: e, lambda a, b: Binary("||", a, b)),
                        (Atom, Or)):
+        # equal chains are one object, unequal ones are not
         a, b = chain(leaf, join), chain(leaf, join)
-        assert a is not b and a == b and not a != b
+        assert a is b and a == b and not a != b
         assert len({a, b}) == 1
-        assert a != chain(leaf, join, odd=1)
-        assert a != chain(leaf, join, odd=599)
-        # -1 and -2 hash alike, so only the walk down to the leaf parts them
+        for odd in (1, 599):
+            other = chain(leaf, join, odd=odd)
+            assert other is not a and other != a and len({a, other}) == 2
+        # -1 and -2 hash alike as ints, yet their chains are told apart
         c, d = chain(leaf, join, 1, -1), chain(leaf, join, 1, -2)
-        assert hash(c) == hash(d) and c != d
+        assert c is not d and c != d and len({c, d}) == 2
 
 
 def test_str_uses_minimal_parentheses():
