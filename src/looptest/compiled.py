@@ -1,0 +1,395 @@
+"""A model lowered to compiled Python, loaded on first use.
+
+An expression lowers to a template of Python source reading slot i as the
+field {i}, for str.format to name the local holding its value where the
+source runs.  Division and mod are floored and raise EvalError by zero,
+and an error is raised only where a left-to-right, short-circuiting
+evaluation reaches the failing node.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from functools import partial
+from itertools import count, groupby
+
+from .model import (_ARITH, _COMPARE, UNSET, Binary, ClosedLoopModel, Cond,
+                    DomainViolation, EvalError, Expr, IntRange, Lit, Ref,
+                    Unary, Variable, VarKind, _fold)
+
+
+def floor_div(a: int, b: int) -> int:
+    """Floored a / b; division by zero raises EvalError."""
+    if b == 0:
+        raise EvalError("division by zero")
+    return a // b
+
+
+def floor_mod(a: int, b: int) -> int:
+    """Floored a mod b; mod by zero raises EvalError."""
+    if b == 0:
+        raise EvalError("mod by zero")
+    return a % b
+
+
+def _raise(message: str, *_operands):
+    raise EvalError(message)
+
+
+def _nondet_violation(variables, nondet: Mapping[str, object]):
+    """Raise for the first nondet value outside its domain."""
+    for v in variables:
+        if not v.domain.contains(nondet[v.name]):
+            raise DomainViolation(v.name, nondet[v.name], "nondet value")
+
+
+_HELPERS = {"floor_div": floor_div, "floor_mod": floor_mod, "_raise": _raise,
+            "_violation": DomainViolation,
+            "_nondet_violation": _nondet_violation, "UNSET": UNSET}
+
+# Python binding strength of each emitted form, larger binds tighter:
+# 1 conditional, 2 or, 3 and, 4 not, 5 comparison, 6 + -, 7 * // %, 8
+# unary minus, 9 atoms and calls.  Binary entries map a model operator to
+# its Python one, its own strength and the strengths its operands need;
+# comparisons never chain.
+_BINARY = {
+    "||": ("or", 2, 2, 2),
+    "&&": ("and", 3, 3, 3),
+    "==": ("==", 5, 6, 6), "!=": ("!=", 5, 6, 6),
+    "<": ("<", 5, 6, 6), "<=": ("<=", 5, 6, 6),
+    ">": (">", 5, 6, 6), ">=": (">=", 5, 6, 6),
+    "+": ("+", 6, 6, 7), "-": ("-", 6, 6, 7),
+    "*": ("*", 7, 7, 8),
+}
+
+#: braces doubled, so that text passes through str.format as it is
+_BRACES = str.maketrans({"{": "{{", "}": "}}"})
+
+
+def lower_expr(expr: Expr, slot_of: Mapping[str, int],
+               memo: dict | None = None) -> str:
+    """An expression's source template over slot_of, memo as for _fold."""
+    return _fold(expr, partial(_emit, slot_of), memo)[0]
+
+
+def _emit(slot_of, node: Expr, parts: list) -> tuple:
+    """(template, binding strength) of a node, given those of its
+    children."""
+    cls = node.__class__
+    if cls is Lit:
+        text = repr(node.value).translate(_BRACES)
+        return text, 8 if text.startswith("-") else 9
+    if cls is Ref:
+        slot = slot_of.get(node.name)
+        if slot is not None:
+            return f"{{{slot}}}", 9
+        message = f"undefined variable '{node.name}'"
+    elif cls is Unary:
+        return (f"not {_arg(parts[0], 4)}", 4) if node.op == "!" \
+            else (f"-{_arg(parts[0], 8)}", 8)
+    elif cls is Cond:
+        a, b, c = parts
+        return f"{_arg(b, 2)} if {_arg(a, 2)} else {c[0]}", 1
+    elif cls is Binary:
+        (a, b), op = parts, node.op
+        if op == "->":
+            return f"not {_arg(a, 4)} or {_arg(b, 2)}", 2
+        if op in _BINARY:
+            py, level, left, right = _BINARY[op]
+            return f"{_arg(a, left)} {py} {_arg(b, right)}", level
+        if op in ("/", "mod") and node.rhs.__class__ is Lit \
+                and node.rhs.value.__class__ is int and node.rhs.value:
+            # Python's // and % floor, and raise only by zero
+            return f"{_arg(a, 7)} {'//' if op == '/' else '%'} " \
+                   f"{_arg(b, 8)}", 7
+        # an unknown operator raises after evaluating both operands
+        message = f"unknown operator '{op}'"
+        call = {"/": "floor_div(", "mod": "floor_mod("}.get(
+            op, f"_raise({message!r}, ".translate(_BRACES))
+        return f"{call}{a[0]}, {b[0]})", 9
+    else:
+        message = f"cannot evaluate {node!r}"
+    return f"_raise({message!r})".translate(_BRACES), 9
+
+
+def _arg(part: tuple, need: int) -> str:
+    text, level = part
+    return text if level >= need else f"({text})"
+
+
+def _read_points(expr: Expr, present: list, memo: dict, slot_of) -> list:
+    """(slot, condition) of each loop an assignment reading the nondet
+    slots present needs, in evaluation order: one per run of reads of a
+    slot, the condition a source template that holds where evaluation
+    reaches one of the run's reads."""
+    runs = [(present[0], range(1 << 62))]  # every read of the one slot
+    if len(present) > 1:
+        slots = []  # the slot of each nondet read, in evaluation order
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Ref and slot_of.get(node.name) in present:
+                slots.append(slot_of[node.name])
+            stack.extend(reversed(node.kids))
+        runs = []
+        for slot, run in groupby(slots):  # counted among the slot's reads
+            first = sum(len(r) for s, r in runs if s == slot)
+            runs.append((slot, range(first, first + len(list(run)))))
+    points = []
+    for slot, run in runs:
+        field = f"{{{slot}}}"
+        reads = partial(_reads, run, count(), slot, memo, slot_of)
+        # subtrees whose templates do not read the slot are left out
+        points.append((slot, _fold(expr, reads, None, lambda node: (
+            node.kids if node.kids and field in memo[node][0] else ()))[0]))
+    return points
+
+
+_TRUE = ("True", 9)
+
+
+def _reads(run, numbers, slot, memo, slot_of, node, parts):
+    """(template, binding strength) of the source that holds where the
+    evaluation of node reaches a read of slot numbered in run, given those
+    of its children, or None where it never does.  It evaluates what the
+    expression evaluates before the read, in the same order, so it raises
+    where the expression raises."""
+    if node.__class__ is Ref:
+        read = slot_of.get(node.name) == slot and next(numbers) in run
+        return _TRUE if read else None
+    if parts.count(None) == len(parts):
+        return None
+    if node.__class__ is Unary:
+        return parts[0]
+    before = node.cond if node.__class__ is Cond else node.lhs
+    text = memo.get(before) or _emit(slot_of, before, ())
+    if node.__class__ is Cond:
+        guard, then, other = parts
+        if then is None and other is None:
+            branch = None
+        elif then is None or other is None:
+            branch = _and(text, then) if other is None \
+                else _and((f"not {_arg(text, 4)}", 4), other)
+        elif then is _TRUE:
+            branch = _or(text, other)
+        elif other is _TRUE:
+            branch = _or((f"not {_arg(text, 4)}", 4), then)
+        else:
+            branch = f"{_arg(then, 2)} if {_arg(text, 2)} else " \
+                     f"{other[0]}", 1
+        return _or(guard, branch)
+    left, right = parts
+    if right is not None and node.op in ("&&", "->"):
+        right = _and(text, right)
+    elif right is not None and node.op == "||":
+        right = _and((f"not {_arg(text, 4)}", 4), right)
+    elif right is not None and before.__class__ is not Lit and not (
+            before.__class__ is Ref and before.name in slot_of):
+        # a strict operand, evaluated for what it raises
+        right = _and((f"{_arg(text, 2)} or True", 2), right)
+    return _or(left, right)
+
+
+def _and(a: tuple, b: tuple) -> tuple:
+    return a if b is _TRUE else (f"{_arg(a, 3)} and {_arg(b, 3)}", 3)
+
+
+def _or(a: tuple | None, b: tuple | None) -> tuple | None:
+    if a is None or b is None or a is _TRUE:
+        return b if a is None else a
+    return f"{_arg(a, 2)} or {_arg(b, 2)}", 2
+
+
+#: Loops nested in one generated function, short of CPython's 20 blocks
+_NESTED_LOOPS = 16
+
+
+class CompiledModel:
+    """A model lowered once to compiled Python: row() builds a position's
+    row, step() tests a column's domains and passes it to expand().
+
+    expand(s, visited, best, steps, limit, over, *column) keeps assigned
+    values in fresh locals and loops over a nondet variable's domain where
+    it is read while UNSET.  Under a full column it returns the successor.
+    Else each leaf with an unvisited successor whose column (unread values
+    first) ranks lowest so far sets best[successor] = (rank, successor,
+    row), and steps counts the state and each branching iteration, calling
+    over(steps) past limit; expand returns it.  Assigned values are proven
+    at lowering or tested at run time to lie in their targets' domains.
+    """
+
+    def __init__(self, model: ClosedLoopModel):
+        self.slot_of = {v.name: i for i, v in enumerate(model.variables)}
+        space = dict(_HELPERS, NONDET=model.nondet_variables())
+        # the functions are kept out of their globals, which would make a
+        # cycle that only the collector frees; each finds the function it
+        # calls in a default argument, defined before it.  Two compile()
+        # calls peak lower in memory than one over all the source.
+        functions = {}
+        for lines in self._source(model, space):
+            exec(compile("\n".join(lines), f"<looptest model {model.name}>",
+                         "exec"), space, functions)
+        self.row, self.step, self.expand = (functions[name] for name in
+                                            ("row", "step", "expand"))
+
+    def _source(self, model: ClosedLoopModel, space: dict) -> list:
+        """The lines defining expand() and the functions it goes on in,
+        then those defining row() and step()."""
+        slot_of = self.slot_of
+        nondet = {v.name: slot_of[v.name] for v in model.nondet_variables()}
+        state = [slot_of[v.name] for v in model.state_variables()]
+        names = [f"x{slot}" for slot in slot_of.values()]
+        at = iter(range(len(state)))
+        row = [f"x{i}" if v.kind is VarKind.NONDET else f"s[{next(at)}]"
+               for i, v in enumerate(model.variables)]
+        fetch = [f"    x{slot} = nd[{name!r}]" for name, slot in nondet.items()]
+        column = "".join(f", x{slot}" for slot in nondet.values())
+        tests = " and ".join(model.var(name).domain.test_source(f"x{slot}")
+                             for name, slot in nondet.items())
+        head = ["def row(s, nd):", *fetch, f"    return [{', '.join(row)}]"]
+        tail = ["def step(s, nd, expand=expand):", *fetch,
+                f"    if not ({tests or True}):",
+                "        _nondet_violation(NONDET, nd)",
+                f"    return expand(s, None, None, 0, 1, None{column})\n"]
+        lines = [f"def expand(s, visited, best, steps, limit, over{column}",
+                 "    if (steps := steps + 1) > limit: over(steps)",
+                 f"    [{', '.join(names[slot] for slot in state)}] = s"]
+        functions = [lines]  # expand() and those it goes on in
+        read_sets = {v.name: _read_set(v) for v in model.variables}
+        fields = [(slot, f"{{{slot}}}") for slot in nondet.values()]
+        memo = {}  # the template of every operator node, alike everywhere
+        loops = fresh = 0  # loops open in the function being written
+        for block_name, block in (("plant", model.plant),
+                                  ("controller", model.controller)):
+            for i, asn in enumerate(block.assignments):
+                template = lower_expr(asn.expr, slot_of, memo)
+                present = [slot for slot, field in fields if field in template]
+                for slot, condition in _read_points(
+                        asn.expr, present, memo, slot_of) if present else ():
+                    old = names[slot]
+                    test = f"{old} is UNSET" if condition == "True" else \
+                        f"{old} is UNSET and ({condition})"
+                    fresh += 1
+                    new = names[slot] = f"x{slot}_{fresh}"
+                    pad = "    " * (loops + 1)
+                    lines += [f"{pad}for {new} in (D{slot} if "
+                              f"{test.format(*names)} else ({old},)):",
+                              f"{pad}    if {new} is not {old} and (steps := "
+                              "steps + 1) > limit: over(steps)"]
+                    loops += 1
+                    if loops == _NESTED_LOOPS:
+                        params = f"visited, best, steps, limit, over, " \
+                                 f"{', '.join(names)}"
+                        lines[0] += f", more=expand_{fresh}"
+                        lines += [f"{pad}    steps = more({params})",
+                                  f"{pad}    if visited is None:",
+                                  f"{pad}        return steps  # successor",
+                                  "    return steps"]
+                        lines = [f"def expand_{fresh}({params}"]
+                        functions.append(lines)
+                        loops = 0
+                pad = "    " * (loops + 1)
+                target = slot_of[asn.target]
+                fresh += 1
+                new = f"x{target}_{fresh}"
+                lines.append(f"{pad}{new} = {template.format(*names)}")
+                names[target] = new
+                domain = model.var(asn.target).domain
+                values = _fold((asn.expr, read_sets), _values_of, None,
+                               _narrowed)
+                if values is None or not all(domain.contains(x)
+                                             for _, x in values):
+                    where = f"{block_name} assignment {i + 1}"
+                    lines += [f"{pad}if not ({domain.test_source(new)}):",
+                              f"{pad}    raise _violation({asn.target!r}, "
+                              f"{new}, {where!r})"]
+        rank = ""
+        row = names[:]
+        for i, (name, slot) in enumerate(nondet.items()):
+            values = space[f"D{slot}"] = model.var(name).domain.values()
+            space[f"K{slot}"] = {UNSET: 0, **{x: r for r, x in
+                                             enumerate(values)}}
+            rank += f"K{slot}[{names[slot]}], "
+            row[slot] = f"D{slot}[k[{i}]]"
+        pad = "    " * (loops + 1)
+        lines += [
+            f"{pad}t = ({''.join(names[slot] + ', ' for slot in state)})",
+            f"{pad}if visited is None: return t",
+            f"{pad}if t not in visited:",
+            f"{pad}    k = ({rank})",
+            f"{pad}    held = best.get(t)",
+            f"{pad}    if held is None or k < held[0]:",
+            f"{pad}        best[t] = k, t, ({', '.join(row)},)",
+            "    return steps"]
+        return [line for lines in reversed(functions)
+                for line in (lines[0] + "):", *lines[1:])], head + tail
+
+
+# --------------------------------------------------------------------------
+# Value sets: what an expression can evaluate to, worked out at lowering
+# by folding items (node, each variable's value set) (Cousot & Cousot 1977).
+# A value set holds (class, value) pairs, since True is not 1, or is None,
+# not worked out: past _VALUE_CAP values or operand pairs, for arithmetic on
+# other than ints, and for unknown operators and names, which raise.
+
+_VALUE_CAP = 4096
+_BOOLS = frozenset({(bool, False), (bool, True)})
+_GIVES_BOOL = {"!", *_COMPARE}  # the operators whose value is a bool
+
+
+def _read_set(v: Variable) -> set | None:
+    """v's domain, and a state variable's init, kept until it is assigned."""
+    if isinstance(v.domain, IntRange) and v.domain.hi - v.domain.lo >= _VALUE_CAP:
+        return None
+    return {(x.__class__, x) for x in (*v.domain.values(), v.init) if x is not None}
+
+
+def _narrowed(item: tuple) -> list:
+    """An item's child items: none below an operator giving bools, and not
+    a conditional's guard.  Where the guard compares a variable with a
+    literal, the then-arm reads the values passing it, the else-arm the
+    values failing it."""
+    node, reads = item
+    if node.__class__ is not Cond:
+        if not node.kids or node.op in _GIVES_BOOL:
+            return ()
+        return [(kid, reads) for kid in node.kids]
+    arms = [reads, reads]
+    guard = node.cond
+    if isinstance(guard, Binary) and guard.op in _COMPARE:
+        flip = isinstance(guard.lhs, Lit)
+        ref, lit = (guard.rhs, guard.lhs) if flip else (guard.lhs, guard.rhs)
+        if isinstance(ref, Ref) and isinstance(lit, Lit) and reads.get(ref.name):
+            arms = [{**reads, ref.name: set()}, {**reads, ref.name: set()}]
+            for pair in reads[ref.name]:
+                args = (lit.value, pair[1]) if flip else (pair[1], lit.value)
+                try:
+                    arms[not _COMPARE[guard.op](*args)][ref.name].add(pair)
+                except TypeError:  # the guard raises, so neither arm runs
+                    pass
+    return [(node.then, arms[0]), (node.other, arms[1])]
+
+
+def _values_of(item: tuple, parts: list) -> set | None:
+    """An item's value set, given its child items'."""
+    node, reads = item
+    cls = node.__class__
+    if cls is Lit:
+        return {(node.value.__class__, node.value)}
+    if cls is Ref:
+        return reads.get(node.name)
+    op = "?" if cls is Cond else getattr(node, "op", None)
+    if op in _GIVES_BOOL:
+        return _BOOLS
+    if op is None or None in parts:
+        return None
+    if op in ("?", "&&", "||", "->"):  # an arm, or an operand and/or give
+        return (_BOOLS if op == "->" else parts[0]) | parts[1]
+    a, b = parts if len(parts) == 2 else ({(int, 0)}, *parts)  # -x is 0 - x
+    arith = _ARITH.get(op)
+    if arith is None or len(a) * len(b) > _VALUE_CAP \
+            or any(cls is not int for cls, _ in a | b):
+        return None
+    # a zero divisor raises before the value is stored
+    return {(int, arith(x, y)) for _, x in a for _, y in b
+            if y or op not in ("/", "mod")}

@@ -6,15 +6,14 @@ assignments first, then the controller assignments, both in source order with
 read-latest semantics.
 
 A state is a tuple holding one value per state variable, in the order of
-state_variables().  Expressions have two lowerings.  lower_expr gives
-Python source over a flat row: the model is lowered once, at first use, to
-compiled Python over rows (CompiledModel), one step function, which the
-concrete step runs to its end and the search resumes after each nondet
-value it chooses.  lower_set gives the sets where an expression takes
-each value or fails, over any algebra of sets: the BDDs of symbolic.py, or
-RowSets, where a set of rows is one integer bitmask, so a coverage goal or
-an LTL atom is decided over many rows at once without compiling anything.
-eval_expr lowers an expression over a dict's names for one-off use.
+state_variables().  Expressions have two lowerings.  compiled.lower_expr
+gives Python source: the model is lowered once, at first use, to one
+function (compiled.CompiledModel) that expands a state in one call.
+lower_set gives the sets where an expression takes each value or fails,
+over any algebra of sets: the BDDs of symbolic.py, or RowSets, where a set
+of rows is one integer bitmask, so a coverage goal or an LTL atom is
+decided over many rows at once without compiling anything.  eval_expr
+lowers an expression over a dict's names for one-off use.
 """
 
 from __future__ import annotations
@@ -328,9 +327,11 @@ def eval_expr(expr: Expr, env: Mapping[str, object]):
     is lowered over the environment's names in order, as the compiled model
     lowers it over a row.
     """
+    from .compiled import _HELPERS, lower_expr
     names = list(env)
     source = lower_expr(expr, {name: i for i, name in enumerate(names)})
-    return eval(source, _HELPERS, {"r": [env[name] for name in names]})
+    return eval(source.format(*[f"r[{i}]" for i in range(len(names))]),
+                _HELPERS, {"r": [env[name] for name in names]})
 
 
 def referenced_names(expr: Expr) -> set:
@@ -375,9 +376,10 @@ class ClosedLoopModel(namedtuple("ClosedLoopModel",
             v for v in self.variables if v.kind is not VarKind.NONDET)
         self._compiled = None
 
-    def compiled(self) -> CompiledModel:
-        """The model lowered to compiled Python, built on first use."""
+    def compiled(self):
+        """The model lowered to compiled.CompiledModel on first use."""
         if self._compiled is None:
+            from .compiled import CompiledModel
             self._compiled = CompiledModel(self)
         return self._compiled
 
@@ -583,70 +585,7 @@ def step(model: ClosedLoopModel, state: tuple,
 
 
 # --------------------------------------------------------------------------
-# Lowering: expressions as Python source over a flat row
-#
-# A row holds one value per declared variable, in declaration order.  An
-# expression lowers to Python source over the row ``r``, compiled once per
-# assignment.  Division and mod are floored and raise EvalError by zero,
-# and an error is raised only where a left-to-right, short-circuiting
-# evaluation reaches the failing node.
-
-
-def floor_div(a: int, b: int) -> int:
-    """Floored a / b; division by zero raises EvalError."""
-    if b == 0:
-        raise EvalError("division by zero")
-    return a // b
-
-
-def floor_mod(a: int, b: int) -> int:
-    """Floored a mod b; mod by zero raises EvalError."""
-    if b == 0:
-        raise EvalError("mod by zero")
-    return a % b
-
-
-def _raise(message: str, *_operands):
-    raise EvalError(message)
-
-
-#: Marks a row slot whose value a search has not chosen yet.
-UNSET = object()
-
-
-_HELPERS = {"floor_div": floor_div, "floor_mod": floor_mod, "_raise": _raise,
-            "_violation": DomainViolation, "UNSET": UNSET}
-
-# Python binding strength of each emitted form, larger binds tighter:
-# 1 conditional, 2 or, 3 and, 4 not, 5 comparison, 6 + -, 7 *, 8 unary
-# minus, 9 atoms and calls.  Binary entries map a model operator to its
-# Python one, its own strength and the strengths its operands need;
-# comparisons never chain.
-_BINARY = {
-    "||": ("or", 2, 2, 2),
-    "&&": ("and", 3, 3, 3),
-    "==": ("==", 5, 6, 6), "!=": ("!=", 5, 6, 6),
-    "<": ("<", 5, 6, 6), "<=": ("<=", 5, 6, 6),
-    ">": (">", 5, 6, 6), ">=": (">=", 5, 6, 6),
-    "+": ("+", 6, 6, 7), "-": ("-", 6, 6, 7),
-    "*": ("*", 7, 7, 8),
-}
-
-
-def lower_expr(expr: Expr, slot_of: Mapping[str, int],
-               yields: Mapping[int, int] = {}, memo: dict | None = None) -> str:
-    """Python source computing an expression over the row ``r``.
-
-    yields maps a slot to a code: reading that slot while it holds UNSET
-    yields the code, and once resumed reads the slot again, so the source
-    belongs in a generator.  Built bottom-up from an explicit stack, so
-    deeply nested expressions do not run into the interpreter's recursion
-    limit.  memo, if given, keeps the source of every subexpression lowered
-    over the same slot_of and yields.
-    """
-    source, _strength = _fold(
-        expr, lambda node, parts: _emit(node, parts, slot_of, yields), memo)
-    return source
+# Lowerings fold an expression bottom-up
 
 
 def _fold(expr, combine, memo: dict | None = None,
@@ -677,139 +616,8 @@ def _fold(expr, combine, memo: dict | None = None,
     return done[0]
 
 
-def _emit(node: Expr, parts: list, slot_of, yields) -> tuple:
-    """(source, binding strength) of a node, given those of its children."""
-
-    def arg(i: int, need: int) -> str:
-        text, level = parts[i]
-        return text if level >= need else f"({text})"
-
-    if isinstance(node, Lit):
-        text = repr(node.value)
-        return text, 8 if text.startswith("-") else 9
-    if isinstance(node, Ref):
-        slot = slot_of.get(node.name)
-        if slot is None:
-            message = f"undefined variable '{node.name}'"
-            return f"_raise({message!r})", 9
-        code = yields.get(slot)
-        if code is not None:
-            return (f"(_v if (_v := r[{slot}]) is not UNSET "
-                    f"else (yield {code}) or r[{slot}])"), 9
-        return f"r[{slot}]", 9
-    if isinstance(node, Unary):
-        if node.op == "!":
-            return f"not {arg(0, 4)}", 4
-        return f"-{arg(0, 8)}", 8
-    if isinstance(node, Binary):
-        op = node.op
-        if op == "->":
-            return f"not {arg(0, 4)} or {arg(1, 2)}", 2
-        if op in _BINARY:
-            py, level, left, right = _BINARY[op]
-            return f"{arg(0, left)} {py} {arg(1, right)}", level
-        # an unknown operator raises after evaluating both operands
-        message = f"unknown operator '{op}'"
-        call = {"/": "floor_div(", "mod": "floor_mod("}.get(
-            op, f"_raise({message!r}, ")
-        return f"{call}{arg(0, 1)}, {arg(1, 1)})", 9
-    if isinstance(node, Cond):
-        return f"{arg(1, 2)} if {arg(0, 2)} else {arg(2, 1)}", 1
-    message = f"cannot evaluate {node!r}"
-    return f"_raise({message!r})", 9
-
-
-class CompiledModel:
-    """A model lowered once to compiled Python over rows.
-
-    advance() is the model's step, the only compiled form of its
-    assignments, and resumes lists what each of its yields stands for;
-    step() runs it on tuples of state values; each assigned value is proven
-    at lowering or tested at run time to lie in its target's domain.  row()
-    builds the row of a position from its state values and nondet mapping.
-    Goals and atoms are not compiled: RowSets decides them over rows.
-    """
-
-    def __init__(self, model: ClosedLoopModel):
-        self.slot_of = {v.name: i for i, v in enumerate(model.variables)}
-        self._filename = f"<looptest model {model.name}>"
-        self.row = self._row_function(model, checked=False)
-        self._enter = self._row_function(model, checked=True)
-        self.resumes = []
-        self.advance = self._advance_function(model)
-
-    def step(self, values: tuple, nondet: Mapping[str, object]) -> tuple:
-        """State values after one step from the given ones."""
-        (state,) = self.advance(self._enter(values, nondet), 0)
-        return state
-
-    def _advance_function(self, model: ClosedLoopModel):
-        """advance(r, pos): a generator that runs assignment pos and the
-        later ones (plant then controller, from 0) in place on the row r,
-        then yields the successor's state values.  Where assignment k reads
-        a nondet slot holding UNSET it first yields a code, resumes[code] ==
-        (k, slot), then reads the slot again; a copy of the row taken there
-        can be run from pos=k with another value."""
-        nondet = {self.slot_of[v.name] for v in model.nondet_variables()}
-        read_sets = {v.name: _read_set(v) for v in model.variables}
-        lines = ["def advance(r, pos):"]
-        memo = {}  # the sources of assignments yielding nothing, alike in all
-        k = 0
-        for block_name, block in (("plant", model.plant),
-                                  ("controller", model.controller)):
-            for i, asn in enumerate(block.assignments):
-                reads = {self.slot_of.get(name)
-                         for name in referenced_names(asn.expr)} & nondet
-                if k == 0 or reads:
-                    lines.append(f"    if pos <= {k}:")
-                yields = {}
-                for read in sorted(reads):
-                    yields[read] = len(self.resumes)
-                    self.resumes.append((k, read))
-                slot = self.slot_of[asn.target]
-                domain = model.var(asn.target).domain
-                where = f"{block_name} assignment {i + 1}"
-                lines.append("        v = " + lower_expr(
-                    asn.expr, self.slot_of, yields, dict(memo) if yields else memo))
-                values = _fold((asn.expr, read_sets), _values_of, None, _narrowed)
-                if values is None or not all(domain.contains(x) for _, x in values):
-                    lines += [
-                        f"        if not ({domain.test_source('v')}):",
-                        f"            raise _violation({asn.target!r}, v, {where!r})"]
-                lines.append(f"        r[{slot}] = v")
-                k += 1
-        items = "".join(f"r[{self.slot_of[v.name]}], "
-                        for v in model.state_variables())
-        lines.append(f"    yield ({items})\n")
-        return self._define("\n".join(lines))
-
-    def _row_function(self, model: ClosedLoopModel, checked: bool):
-        """row(state values, nondet mapping) -> list, reading the nondet
-        values in declaration order and, when checked, testing each against
-        its domain."""
-        lines = ["def row(s, nd):"]
-        items = []
-        state_index = 0
-        for slot, v in enumerate(model.variables):
-            if v.kind is not VarKind.NONDET:
-                items.append(f"s[{state_index}]")
-                state_index += 1
-                continue
-            name = f"n{slot}"
-            lines.append(f"    {name} = nd[{v.name!r}]")
-            if checked:
-                lines.append(f"    if not ({v.domain.test_source(name)}):")
-                lines.append(f"        raise _violation({v.name!r}, {name}, "
-                             "'nondet value')")
-            items.append(name)
-        lines.append(f"    return [{', '.join(items)}]\n")
-        return self._define("\n".join(lines))
-
-    def _define(self, source: str):
-        space = {}
-        exec(compile(source, self._filename, "exec"), _HELPERS, space)
-        (fn,) = space.values()
-        return fn
+#: Marks a nondet value a search has not chosen yet.
+UNSET = object()
 
 
 # --------------------------------------------------------------------------
@@ -974,72 +782,3 @@ class RowSets:
 
 #: bools as bytes to binary digits
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-# --------------------------------------------------------------------------
-# Value sets: what an expression can evaluate to, worked out at lowering
-# by folding items (node, each variable's value set) (Cousot & Cousot 1977).
-# A value set holds (class, value) pairs, since True is not 1, or is None,
-# not worked out: past _VALUE_CAP values or operand pairs, for arithmetic on
-# other than ints, and for unknown operators and names, which raise.
-
-_VALUE_CAP = 4096
-_BOOLS = frozenset({(bool, False), (bool, True)})
-_GIVES_BOOL = {"!", *_COMPARE}  # the operators whose value is a bool
-
-
-def _read_set(v: Variable) -> set | None:
-    """v's domain, and a state variable's init, kept until it is assigned."""
-    if isinstance(v.domain, IntRange) and v.domain.hi - v.domain.lo >= _VALUE_CAP:
-        return None
-    return {(x.__class__, x) for x in (*v.domain.values(), v.init) if x is not None}
-
-
-def _narrowed(item: tuple) -> list:
-    """An item's child items: none below an operator giving bools, and not
-    a conditional's guard.  Where the guard compares a variable with a
-    literal, the then-arm reads the values passing it, the else-arm the
-    values failing it."""
-    node, reads = item
-    if not isinstance(node, Cond):
-        if getattr(node, "op", None) in _GIVES_BOOL:
-            return []
-        return [(kid, reads) for kid in node.kids]
-    arms = [reads, reads]
-    guard = node.cond
-    if isinstance(guard, Binary) and guard.op in _COMPARE:
-        flip = isinstance(guard.lhs, Lit)
-        ref, lit = (guard.rhs, guard.lhs) if flip else (guard.lhs, guard.rhs)
-        if isinstance(ref, Ref) and isinstance(lit, Lit) and reads.get(ref.name):
-            arms = [{**reads, ref.name: set()}, {**reads, ref.name: set()}]
-            for pair in reads[ref.name]:
-                args = (lit.value, pair[1]) if flip else (pair[1], lit.value)
-                try:
-                    arms[not _COMPARE[guard.op](*args)][ref.name].add(pair)
-                except TypeError:  # the guard raises, so neither arm runs
-                    pass
-    return [(node.then, arms[0]), (node.other, arms[1])]
-
-
-def _values_of(item: tuple, parts: list) -> set | None:
-    """An item's value set, given its child items'."""
-    node, reads = item
-    if isinstance(node, Lit):
-        return {(node.value.__class__, node.value)}
-    if isinstance(node, Ref):
-        return reads.get(node.name)
-    op = "?" if isinstance(node, Cond) else getattr(node, "op", None)
-    if op in _GIVES_BOOL:
-        return _BOOLS
-    if op is None or None in parts:
-        return None
-    if op in ("?", "&&", "||", "->"):  # an arm, or an operand and/or give
-        return (_BOOLS if op == "->" else parts[0]) | parts[1]
-    a, b = parts if len(parts) == 2 else ({(int, 0)}, *parts)  # -x is 0 - x
-    arith = _ARITH.get(op)
-    if arith is None or len(a) * len(b) > _VALUE_CAP \
-            or any(cls is not int for cls, _ in a | b):
-        return None
-    # a zero divisor raises before the value is stored
-    return {(int, arith(x, y)) for _, x in a for _, y in b
-            if y or op not in ("/", "mod")}

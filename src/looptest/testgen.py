@@ -55,12 +55,13 @@ DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_STEP_CAP = 10_000_000
 
 #: Explicit branch steps after which the bounded search turns symbolic.
-#: Elevator n=4 (bound 18) generates in 0.22 / 0.33 / 0.40 / 0.55 / 0.78 s
+#: Elevator n=4 (bound 18) generates in 0.21 / 0.22 / 0.24 / 0.30 / 0.39 s
 #: with the handoff at 0 / 25k / 50k / 100k steps or never (CPU seconds at
-#: the speed of bench/reference.py): about 3 us per explicit step, so the
-#: symbolic phase from the root is worth some 75k steps.  50k keeps
-#: searches of the size of elevator n=3 (21k steps to its full bound)
-#: explicit, where peak memory is lower (18 MB against 22 MB).
+#: the speed of bench/reference.py, median of 5): about 1 us per explicit
+#: step, so the symbolic phase from the root is worth some 200k steps.  50k
+#: keeps searches of the size of elevator n=3 (21k steps to its full bound)
+#: explicit, where generation takes 0.04 s and 19 MB at peak against 0.11 s
+#: and 33 MB from the root.
 SYMBOLIC_HANDOFF_STEPS = 50_000
 
 
@@ -189,10 +190,8 @@ class BoundedExplorer:
     lexicographically least (by domain value order) among the branches that
     reach the same successor, or the domain defaults at the root.
 
-    A node is expanded by running the model's advance() on a row whose
-    nondet slots are UNSET.  At each read of an unset slot it yields, and
-    the search stacks copies of the row for the other domain values and
-    goes on in place with the first: a depth-first walk in domain order.
+    A node is expanded by one call of the model's expand(), which branches
+    over a nondet variable's domain where it is read, depth first.
 
     nodes, parents, rows and columns hold the explicit layers only.  After
     the handoff to the symbolic phase, each further layer is a BDD of the
@@ -208,22 +207,11 @@ class BoundedExplorer:
         self.step_cap = step_cap
 
         compiled = model.compiled()
-        slot_of = compiled.slot_of
-        self._advance = compiled.advance
+        self._expand = compiled.expand
         self._row = compiled.row
         nondet = model.nondet_variables()
-        self._unset = {v.name: UNSET for v in nondet}
-        self._nondet_slots = [slot_of[v.name] for v in nondet]
-        # (slot, first value, rank of each value) in declaration order
-        self._ranks = [(slot_of[v.name], v.domain.first(),
-                        {value: i for i, value in enumerate(v.domain.values())})
-                       for v in nondet]
-        # what to do at each yield of advance(): resume at k, going on
-        # with the slot's first value and stacking the others in reverse
-        self._branches = []
-        for k, slot in compiled.resumes:
-            values = model.variables[slot].domain.values()
-            self._branches.append((k, slot, values[0], values[:0:-1]))
+        self._unset = dict.fromkeys((v.name for v in nondet), UNSET)
+        self._nondet_slots = [compiled.slot_of[v.name] for v in nondet]
 
         root_tuple = init_state(model)
         self.nodes = [root_tuple]
@@ -254,60 +242,12 @@ class BoundedExplorer:
 
     # -- stepping
 
-    def _step_branches(self, state: tuple) -> list:
-        """Each leaf of the state's branching as (successor, row), the row
-        UNSET where no value was read.  Every search-tree node is one branch
-        step, counted before its part of the step runs."""
-        stack = [(self._row(state, self._unset), 0)]
-        out = []
-        advance = self._advance
-        branches = self._branches
-        steps = self._steps
-        limit = self._limit
-        try:
-            while stack:
-                row, pos = stack.pop()
-                steps += 1
-                if steps > limit:
-                    self._over_limit(steps)
-                for item in advance(row, pos):
-                    if item.__class__ is tuple:
-                        out.append((item, row))
-                        continue
-                    k, slot, first, rest = branches[item]
-                    for value in rest:
-                        copy = row[:]
-                        copy[slot] = value
-                        stack.append((copy, k))
-                    row[slot] = first
-                    steps += 1
-                    if steps > limit:
-                        self._over_limit(steps)
-        finally:
-            self._steps = steps
-        return out
-
     def _over_limit(self, steps: int):
+        """Called by expand() as a branch step passes the limit."""
+        self._steps = steps
         if steps > self.step_cap:
             raise StepCapExceeded(f"step budget of {self.step_cap} exhausted")
         raise _Handoff
-
-    def _step(self, state: tuple, column: tuple) -> tuple:
-        """The successor under a full column, on a state known not to fail."""
-        (succ,) = self._advance(self._env(state, column), 0)
-        return succ
-
-    def _rank(self, row: list) -> tuple:
-        """The rank of the row's column, unread slots set to first values."""
-        rank = []
-        for slot, first, rank_of in self._ranks:
-            value = row[slot]
-            if value is UNSET:
-                row[slot] = first
-                rank.append(0)
-            else:
-                rank.append(rank_of[value])
-        return tuple(rank)
 
     def _extend_layer(self) -> bool:
         if self._depth_built >= self.max_len:
@@ -317,34 +257,33 @@ class BoundedExplorer:
         start, end = self._frontier
         if start == end:
             return False
-        new_start = len(self.nodes)
+        nodes = self.nodes
+        new_start = len(nodes)
         visited = self._visited
+        steps = self._steps
         try:
             for idx in range(start, end):
                 best = {}
-                for succ, row in self._step_branches(self.nodes[idx]):
-                    if succ in visited:
-                        continue
-                    rank = self._rank(row)
-                    held = best.get(succ)
-                    if held is None or rank < held[0]:
-                        best[succ] = (rank, row)
-                for succ, (rank, row) in sorted(best.items(),
-                                                key=lambda kv: kv[1][0]):
-                    visited[succ] = len(self.nodes)
-                    self.nodes.append(succ)
+                steps = self._expand(nodes[idx], visited, best, steps,
+                                     self._limit, self._over_limit,
+                                     *self._unset.values())
+                # ranks differ between leaves, so rows are never compared
+                for _rank, succ, row in sorted(best.values()):
+                    visited[succ] = len(nodes)
+                    nodes.append(succ)
                     self.parents.append(idx)
-                    self.rows.append(tuple(row))
-                    if len(self.nodes) > self.state_cap:
+                    self.rows.append(row)
+                    if len(nodes) > self.state_cap:
                         raise StateCapExceeded(
                             f"state budget of {self.state_cap} exhausted")
         except _Handoff:
-            for succ in self.nodes[new_start:]:
+            for succ in nodes[new_start:]:
                 del visited[succ]
-            del self.nodes[new_start:]
+            del nodes[new_start:]
             del self.parents[new_start:]
             del self.rows[new_start:]
         else:
+            self._steps = steps
             self._depth_built += 1
             self._frontier = (new_start, len(self.nodes))
             self._row_layers.append(
@@ -380,7 +319,8 @@ class BoundedExplorer:
             # what the explicit search would have raised.
             _columns, state = self._symbolic_path(len(self._layers) - 1,
                                                   failing)
-            self._step_branches(state)
+            self._expand(state, {}, {}, self._steps, self._limit,
+                         self._over_limit, *self._unset.values())
             raise RuntimeError("symbolic error set disagrees with the step")
         fresh = bdd.and_(relation.image(frontier), bdd.not_(self._reached))
         self._reached_count += relation.count(fresh)
@@ -417,14 +357,11 @@ class BoundedExplorer:
         state = self.nodes[idx]
         for states in wanted:
             column = relation.least_column(state, states)
-            state = self._step(state, column)
+            state = self._expand(state, None, None, 0, 1, None, *column)
             columns.append(column)
         return columns, state
 
     # -- queries
-
-    def _env(self, state: tuple, column: tuple) -> list:
-        return self._row(state, dict(zip(self._unset, column)))
 
     def _tree_path(self, idx: int) -> list:
         columns = []
@@ -480,7 +417,7 @@ class BoundedExplorer:
         left = relation.bdd.and_(self._layers[layer], candidates)
         while left:
             columns, state = self._symbolic_path(layer, left)
-            row = self._env(state, columns[-1])
+            row = self._row(state, dict(zip(self._unset, columns[-1])))
             if RowSets(self.model, [row]).first_hit(predicate) is not None:
                 return columns
             left = relation.without(left, state)

@@ -145,7 +145,7 @@ print(json.dumps(sorted(sys.modules)))
 
 # none of these is needed to import the package and load a model
 UNNEEDED = ("dataclasses", "typing", "inspect", "ast", "looptest.casegen",
-            "looptest.symbolic", "looptest.cli")
+            "looptest.compiled", "looptest.symbolic", "looptest.cli")
 
 
 def test_import_and_load_keep_a_small_footprint(tmp_path):

@@ -7,7 +7,7 @@ from itertools import islice, product
 
 import pytest
 
-from looptest import casegen, ltl, testgen
+from looptest import casegen, compiled, ltl, testgen
 from looptest.dsl import parse_model
 from looptest.model import (
     Assignment,
@@ -33,7 +33,7 @@ from looptest.model import (
     step,
     validate_model,
 )
-from looptest.sim import TestCase, simulate_lasso
+from looptest.sim import StepCapExceeded, TestCase, simulate_lasso
 from looptest.testgen import BoundedExplorer
 
 import oracles
@@ -113,6 +113,22 @@ def test_compiled_step_matches_reference_step():
             state = step(model, state, column)
     assert all(count > 0 for count in seen.values()), seen
 
+    # a literal divisor of either sign lowers to Python's // or %, which
+    # floor, and a literal 0 to the helper that raises
+    for op, helper in (("/", "floor_div"), ("mod", "floor_mod")):
+        for divisor in (-3, -1, 0, 1, 2):
+            model = ClosedLoopModel(
+                name="divide",
+                variables=(Variable("x", VarKind.INPUT, IntRange(-9, 9), 0),),
+                plant=UpdateBlock((Assignment("x", Binary(
+                    op, Binary("-", Ref("x"), Lit(2)), Lit(divisor))),)),
+                controller=UpdateBlock(()))
+            assert (helper in _names(model)) == (divisor == 0)
+            for x in range(-5, 6):
+                assert _outcome(step, model, (x,), {}) == \
+                    _outcome(oracles.reference_step, model, (x,), {}), \
+                    (op, divisor, x)
+
 
 def test_single_state_variable_steps_to_a_one_tuple():
     model = parse_model("""model one;
@@ -162,11 +178,27 @@ def _read_values(model, name) -> list:
     return values
 
 
+def _expand_code(model) -> list:
+    """The code of the compiled expand() and of the functions it goes on
+    in past its nesting limit, each the default of the one before."""
+    codes = []
+    fn = model.compiled().expand
+    while fn is not None:
+        codes.append(fn.__code__)
+        fn = fn.__defaults__[-1] if fn.__defaults__ else None
+    return codes
+
+
 def _tested(model) -> list:
     """The DomainViolation where of each assignment the compiled step
     tests at run time."""
-    return [c for c in model.compiled().advance.__code__.co_consts
+    return [c for code in _expand_code(model) for c in code.co_consts
             if isinstance(c, str) and " assignment " in c]
+
+
+def _names(model) -> set:
+    """The global names the compiled expand() reads."""
+    return {name for code in _expand_code(model) for name in code.co_names}
 
 
 def test_assignments_without_run_time_test_stay_in_their_domains():
@@ -221,7 +253,7 @@ def test_clamped_counter_is_not_tested_at_run_time(update):
     model = _counter(update)
     assert validate_model(model) == []
     assert _tested(model) == []
-    assert "_violation" not in model.compiled().advance.__code__.co_names
+    assert "_violation" not in _names(model)
     state = init_state(model)
     for want in (1, 2, 2):
         state = step(model, state, {"go": True})
@@ -254,8 +286,8 @@ def test_init_outside_its_domain_is_read_as_it_is():
                                          ("pnp", range(2, 6))])
 def test_case_studies_need_no_run_time_domain_test(kind, sizes):
     for n in sizes:
-        advance = casegen.build(kind, n).model.compiled().advance
-        assert "_violation" not in advance.__code__.co_names, (kind, n)
+        model = casegen.build(kind, n).model
+        assert "_violation" not in _names(model), (kind, n)
 
 
 def _value(fn, *args):
@@ -404,6 +436,135 @@ def test_explorer_layers_match_reference_bfs(monkeypatch):
         bound = study.suggested_max_len
         assert _explored_layers(study.model, bound) == \
             oracles.reference_layers(study.model, bound)
+
+
+# Corner cases of the expansion, each with the branch steps of its whole
+# search, or with its first error and the step budget that just lets the
+# search reach it: one step less and the budget runs out first.
+_CORNERS = {
+    # one nondet variable read by two assignments, by the second one only
+    # where the first did not read it
+    "twice": ("""model twice;
+nondet a : bool;
+input x : int 0..3 = 0;
+output y : bool = false;
+plant {
+  x = x == 2 && a ? 0 : x < 3 ? x + 1 : x;
+}
+controller {
+  y = y || a;
+}
+""", 6, 18, None),
+    # b is read only where a fails
+    "either": ("""model either;
+nondet a : bool;
+nondet b : bool;
+input n : int 0..4 = 0;
+plant {
+  n = a || b ? (n < 4 ? n + 1 : 0) : n;
+}
+controller {
+}
+""", 6, 25, None),
+    # the guard of the read divides by zero at x = 1, before any branch
+    "guarded": ("""model guarded;
+nondet a : bool;
+input x : int 0..3 = 3;
+plant {
+  x = 3 / (x - 1) >= 1 ? (a ? x - 1 : x) : 3;
+}
+controller {
+}
+""", 2, 6, (7, EvalError, "division by zero")),
+    # the left operand divides by zero at x = 1, before a is read
+    "strict": ("""model strict;
+nondet a : bool;
+input x : int 0..3 = 3;
+plant {
+  x = 0 * (3 / (x - 1)) + (a ? x - 1 : x);
+}
+controller {
+}
+""", 2, 6, (7, EvalError, "division by zero")),
+    # zed ranks first: domain order, not the order of the labels; g is
+    # read only where m is zed
+    "labels": ("""model labels;
+nondet m : enum { zed, alpha, mid };
+nondet g : bool;
+input h : bool = false;
+input k : int 0..2 = 0;
+plant {
+  k = m == mid ? 1 : m == alpha && h ? 2 : 0;
+  h = m == zed && g;
+}
+controller {
+}
+""", 3, 24, None),
+    # where c fails, b is read before a, and one leaf leaves x's domain
+    "order": ("""model order;
+nondet a : int 0..1;
+nondet b : int 0..2;
+input c : bool = false;
+input x : int 0..2 = 0;
+plant {
+  c = !c;
+  x = c ? (a + b) mod 3 : b + a;
+}
+controller {
+}
+""", 1, 9, (19, DomainViolation,
+            "plant assignment 2: value 3 outside domain of 'x'")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORNERS))
+def test_expansion_corner_cases(name):
+    text, bound, steps, failure = _CORNERS[name]
+    model = parse_model(text)
+    assert validate_model(model) == []
+    explorer = BoundedExplorer(model, bound)
+    assert explorer.find(Lit(False)) is None
+    assert explorer._steps == steps
+    assert _explored_layers(model, bound) == \
+        oracles.reference_layers(model, bound)
+    if failure is None:
+        return
+    cap, error, message = failure
+    with pytest.raises(error) as raised:
+        BoundedExplorer(model, bound + 3, step_cap=cap).find(Lit(False))
+    assert type(raised.value) is error and str(raised.value) == message
+    with pytest.raises(StepCapExceeded):
+        BoundedExplorer(model, bound + 3, step_cap=cap - 1).find(Lit(False))
+
+
+def test_expansion_split_over_functions_matches_reference(monkeypatch):
+    # past _NESTED_LOOPS nested loops expand() goes on in a further
+    # function; at 1, every loop opens one
+    monkeypatch.setattr(testgen, "SYMBOLIC_HANDOFF_STEPS", 10 ** 18)
+    rng = random.Random(99)
+    models = [randgen.random_model(rng, name=f"n{i}") for i in range(40)]
+    models += [parse_model(text) for text, *_ in _CORNERS.values()]
+    models.append(casegen.build("elevator", 2).model)
+
+    def search(model):
+        explorer = BoundedExplorer(model, 3)
+        try:
+            explorer.find(Lit(False))
+        except ModelError as err:
+            return type(err), str(err)
+        return (explorer._steps, explorer.nodes, explorer.parents,
+                explorer.rows)
+
+    for model in models:
+        nested = search(model)
+        model._compiled = None
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled, "_NESTED_LOOPS", 1)
+            assert search(model) == nested, model
+        state = oracles.reference_root(model)
+        for column in oracles.all_columns(model)[:4]:
+            assert _outcome(step, model, state, column) == \
+                _outcome(oracles.reference_step, model, state, column)
 
 
 def _deep_model():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from looptest import casegen, model as model_module, testgen
+from looptest import casegen, compiled, testgen
 from looptest.dsl import parse_model
 from looptest.ltl import Atom, Globally, Implies, Requirement
 from looptest.model import Binary, EvalError, Lit, Ref, Unary
@@ -385,17 +385,18 @@ def test_goal_outcomes_match_exhaustive_enumeration_fuzz():
 
 
 def test_goals_and_atoms_compile_nothing(monkeypatch):
-    # compile() runs once per model function (row, checked row, advance);
-    # goals and LTL atoms are decided over row bitmasks instead
+    # compile() runs twice per model, in looptest.compiled: once for
+    # expand() and once for row() and step(); goals and LTL atoms are
+    # decided over row bitmasks instead
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return builtins.compile(*args, **kwargs)
 
-    monkeypatch.setattr(model_module, "compile", counting, raising=False)
+    monkeypatch.setattr(compiled, "compile", counting, raising=False)
     study = casegen.pnp(3)
     suite, _ = generate_suite(study.model, study.reqs,
                               GeneratorConfig(max_len=11, goal_mode="all"))
     execute_suite(study.model, study.reqs, suite)
-    assert len(calls) <= 3, len(calls)
+    assert len(calls) == 2, len(calls)
