@@ -422,72 +422,84 @@ def enum_label_map(model: ClosedLoopModel) -> dict:
     return out
 
 
-def _type_of(expr: Expr, by_name: dict, labels: dict, diags: list, where: str):
-    """Infer an expression's type: 'bool', 'int', an EnumDomain, or None on error."""
+def _type_of(expr: Expr, by_name: dict, labels: dict, diags: list,
+             where: str, memo: dict | None = None):
+    """Infer an expression's type: 'bool', 'int', an EnumDomain, or None on
+    error, adding to diags a Diagnostic at where for each error found, in
+    source order.  memo, if given, keeps the typing of every operator node
+    typed over the same by_name and labels."""
+    t, messages = _fold(expr, lambda node, parts: _typed(
+        node, parts, by_name, labels), memo)
+    diags.extend(Diagnostic(message, where) for message in messages)
+    return t
 
-    def fail(msg):
-        diags.append(Diagnostic(msg, where))
-        return None
 
-    if isinstance(expr, Lit):
-        if isinstance(expr.value, bool):
-            return "bool"
-        if isinstance(expr.value, int):
-            return "int"
-        dom = labels.get(expr.value)
+def _typed(node: Expr, parts: list, by_name: dict, labels: dict) -> tuple:
+    """(type or None, messages of the errors in it) of node, given those of
+    its children."""
+    if isinstance(node, Lit):
+        if isinstance(node.value, bool):
+            return "bool", ()
+        if isinstance(node.value, int):
+            return "int", ()
+        dom = labels.get(node.value)
         if dom is None:
-            return fail(f"unknown enum label '{expr.value}'")
-        return dom
-    if isinstance(expr, Ref):
-        var = by_name.get(expr.name)
+            return None, (f"unknown enum label '{node.value}'",)
+        return dom, ()
+    if isinstance(node, Ref):
+        var = by_name.get(node.name)
         if var is None:
-            return fail(f"undeclared variable '{expr.name}'")
-        return _domain_type(var.domain)
-    if isinstance(expr, Unary):
-        t = _type_of(expr.operand, by_name, labels, diags, where)
-        want = "bool" if expr.op == "!" else "int"
+            return None, (f"undeclared variable '{node.name}'",)
+        return _domain_type(var.domain), ()
+    if isinstance(node, Unary):
+        (t, found), = parts
+        want = "bool" if node.op == "!" else "int"
         if t is not None and t != want:
-            return fail(f"operator '{expr.op}' needs {want}, got {_type_name(t)}")
-        return want if t is not None else None
-    if isinstance(expr, Binary):
-        lt = _type_of(expr.lhs, by_name, labels, diags, where)
-        rt = _type_of(expr.rhs, by_name, labels, diags, where)
+            return None, found + (
+                f"operator '{node.op}' needs {want}, got {_type_name(t)}",)
+        return want if t is not None else None, found
+    if isinstance(node, Binary):
+        (lt, found), (rt, more) = parts
+        found += more
         if lt is None or rt is None:
-            return None
-        op = expr.op
+            return None, found
+        op = node.op
         if op in ("+", "-", "*", "/", "mod"):
-            if lt != "int" or rt != "int":
-                return fail(f"type mismatch: '{op}' needs int operands, "
-                            f"got {_type_name(lt)} and {_type_name(rt)}")
-            return "int"
-        if op in ("<", "<=", ">", ">="):
-            if lt != "int" or rt != "int":
-                return fail(f"type mismatch: '{op}' compares ints, "
-                            f"got {_type_name(lt)} and {_type_name(rt)}")
-            return "bool"
-        if op in ("&&", "||", "->"):
-            if lt != "bool" or rt != "bool":
-                return fail(f"type mismatch: '{op}' needs bool operands, "
-                            f"got {_type_name(lt)} and {_type_name(rt)}")
-            return "bool"
-        if op in ("==", "!="):
-            if lt != rt:
-                return fail(f"type mismatch: '{op}' compares {_type_name(lt)} "
-                            f"with {_type_name(rt)}")
-            return "bool"
-        return fail(f"unknown operator '{op}'")
-    if isinstance(expr, Cond):
-        ct = _type_of(expr.cond, by_name, labels, diags, where)
+            if lt == rt == "int":
+                return "int", found
+            error = (f"type mismatch: '{op}' needs int operands, "
+                     f"got {_type_name(lt)} and {_type_name(rt)}")
+        elif op in ("<", "<=", ">", ">="):
+            if lt == rt == "int":
+                return "bool", found
+            error = (f"type mismatch: '{op}' compares ints, "
+                     f"got {_type_name(lt)} and {_type_name(rt)}")
+        elif op in ("&&", "||", "->"):
+            if lt == rt == "bool":
+                return "bool", found
+            error = (f"type mismatch: '{op}' needs bool operands, "
+                     f"got {_type_name(lt)} and {_type_name(rt)}")
+        elif op in ("==", "!="):
+            if lt == rt:
+                return "bool", found
+            error = (f"type mismatch: '{op}' compares {_type_name(lt)} "
+                     f"with {_type_name(rt)}")
+        else:
+            error = f"unknown operator '{op}'"
+        return None, found + (error,)
+    if isinstance(node, Cond):
+        (ct, found), (tt, then), (ot, other) = parts
         if ct is not None and ct != "bool":
-            fail(f"conditional guard must be bool, got {_type_name(ct)}")
-        tt = _type_of(expr.then, by_name, labels, diags, where)
-        ot = _type_of(expr.other, by_name, labels, diags, where)
+            found += (
+                f"conditional guard must be bool, got {_type_name(ct)}",)
+        found += then + other
         if tt is None or ot is None:
-            return None
+            return None, found
         if tt != ot:
-            return fail(f"conditional arms disagree: {_type_name(tt)} vs {_type_name(ot)}")
-        return tt
-    return fail(f"unknown expression node {type(expr).__name__}")
+            return None, found + (f"conditional arms disagree: "
+                                  f"{_type_name(tt)} vs {_type_name(ot)}",)
+        return tt, found
+    return None, (f"unknown expression node {type(node).__name__}",)
 
 
 def _type_name(t) -> str:
@@ -510,6 +522,7 @@ def validate_model(model: ClosedLoopModel) -> list:
     seen = set()
     labels = {}
     by_name = model._by_name
+    memo = {}  # the typing of each operator node, shared by assignments
     for v in model.variables:
         where = f"variable '{v.name}'"
         if v.name in seen:
@@ -549,7 +562,7 @@ def validate_model(model: ClosedLoopModel) -> list:
                 diags.append(Diagnostic(
                     f"{block_name} block may not assign a {target.kind.value} variable",
                     where))
-            t = _type_of(asn.expr, by_name, labels, diags, where)
+            t = _type_of(asn.expr, by_name, labels, diags, where, memo)
             want = _domain_type(target.domain)
             if t is not None and t != want:
                 diags.append(Diagnostic(

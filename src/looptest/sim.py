@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from types import MappingProxyType
 
+from .ltl import position_rows
 from .model import (
     BoolDomain,
     ClosedLoopModel,
@@ -174,18 +175,14 @@ def parse_value(domain, text: str):
 def dump_trace(trace: LassoTrace) -> str:
     """Render a lasso trace, one position per line, loop start marked.
 
-    Values appear for every declared variable in declaration order; the
-    nondeterministic columns show what the producing step applied (domain
-    defaults at position 0).
+    Values appear for every declared variable in declaration order, as
+    ltl.position_rows gives them: the nondeterministic columns show what
+    the producing step applied (domain defaults at position 0).
     """
-    model = trace.model
-    row = model.compiled().row
-    defaults = model.nondet_defaults()
-    names = [v.name for v in model.variables]
+    rows, _ = position_rows(trace)
+    names = [v.name for v in trace.model.variables]
     lines = []
-    for k, state in enumerate(trace.states):
-        nondet = trace.nondet[k]
-        values = row(state, defaults if nondet is None else nondet)
+    for k, values in enumerate(rows[:trace.positions]):
         marker = " loop-start" if k == trace.prefix_len else ""
         pairs = " ".join(f"{name}={value_text(value)}"
                          for name, value in zip(names, values))

@@ -1,6 +1,8 @@
 """Generated case studies: structure, texts, and behavioral invariants."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +213,28 @@ def test_too_small_sizes_are_rejected():
 def test_unknown_case_study_name():
     with pytest.raises(ValueError, match="elevator, pnp"):
         casegen.build("boiler", 2)
+
+
+# --------------------------------------------------------------------------
+# Pinned texts
+
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+
+
+def test_case_studies_match_the_bench_inputs():
+    for study in (casegen.elevator(3), casegen.pnp(3)):
+        stem = BENCH_INPUTS / study.name
+        assert study.model_text == stem.with_suffix(".clm").read_text()
+        assert study.reqs_text == stem.with_suffix(".ltl").read_text()
+
+
+def test_case_study_texts_are_pinned():
+    digest = hashlib.sha256()
+    for kind, sizes in (("elevator", range(2, 9)), ("pnp", range(2, 6))):
+        for n in sizes:
+            study = casegen.build(kind, n)
+            digest.update((study.model_text + study.reqs_text
+                           + str(study.suggested_max_len)).encode())
+    assert digest.hexdigest() == ("c3d4c6dd188bf332f52913a3e94a4f54"
+                                  "2153b7832cbb22e13b436bac9d96be2f")

@@ -291,6 +291,28 @@ def test_runtime_model_errors_exit_3(workdir, capsys):
     assert rc == 3
 
 
+def test_deep_model_loads_and_runs(tmp_path, capsys):
+    # the chain nests 3,000 deep, past the interpreter's recursion limit
+    chain = " || ".join(["u"] * 3000)
+    (tmp_path / "deep.clm").write_text(f"""model deep;
+nondet u : bool;
+output y : bool = false;
+plant {{
+}}
+controller {{
+  y = {chain};
+}}
+""")
+    (tmp_path / "deep.ltl").write_text("R_y expect-pass : G (y == u);\n")
+    load_model(str(tmp_path / "deep.clm"))
+    rc = main(["pipeline", "--model", str(tmp_path / "deep.clm"),
+               "--reqs", str(tmp_path / "deep.ltl"), "--max-len", "3",
+               "--out-dir", str(tmp_path / "out")])
+    assert capsys.readouterr().out == \
+        "generated=2/2 violated=0 passed=1\n"
+    assert rc == 0
+
+
 def test_module_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "looptest", "casegen", "pnp",

@@ -514,6 +514,49 @@ controller {
 }
 """, 1, 9, (19, DomainViolation,
             "plant assignment 2: value 3 outside domain of 'x'")),
+    # both arms read a, the then arm only where k > 0
+    "then_guarded": ("""model then_guarded;
+nondet a : bool;
+input c : bool = false;
+input k : int 0..2 = 0;
+output y : bool = false;
+plant {
+  c = !c;
+  k = k < 2 ? k + 1 : 0;
+}
+controller {
+  y = c ? (k > 0 && a) : a;
+}
+""", 4, 14, None),
+    # both arms read a, each under a guard of its own
+    "arms_guarded": ("""model arms_guarded;
+nondet a : bool;
+input c : bool = false;
+input k : int 0..2 = 0;
+output y : bool = false;
+plant {
+  c = !c;
+  k = k < 2 ? k + 1 : 0;
+}
+controller {
+  y = c ? (k > 0 && a) : (k < 2 && a);
+}
+""", 4, 9, None),
+    # as arms_guarded, and the else arm's x - 1 leaves x's domain
+    "arms_leaf": ("""model arms_leaf;
+nondet a : bool;
+input c : bool = false;
+input k : int 0..2 = 0;
+ctrlvar x : int 0..2 = 0;
+plant {
+  c = !c;
+  k = k < 2 ? k + 1 : 0;
+}
+controller {
+  x = c ? (k > 0 && a ? x + 1 : x) : (k < 2 && a ? x - 1 : x);
+}
+""", 2, 5, (10, DomainViolation,
+            "controller assignment 1: value -1 outside domain of 'x'")),
 }
 
 

@@ -11,6 +11,7 @@ from looptest.model import (
     Cond,
     Diagnostic,
     DomainViolation,
+    Expr,
     EnumDomain,
     EvalError,
     IntRange,
@@ -322,3 +323,77 @@ def test_step_checks_nondet_domain():
 def test_diagnostic_renders_location():
     d = Diagnostic("broken", "variable 'x'")
     assert str(d) == "variable 'x': broken"
+
+
+class _Strange(Expr):
+    """An expression node of no kind the validator knows."""
+
+    __slots__ = ()
+
+
+def test_validate_lists_every_type_error_in_order():
+    u, x, e = Ref("u"), Ref("x"), Ref("e")
+    one, yes = Lit(1), Lit(True)
+    m = ClosedLoopModel(
+        name="typing",
+        variables=[
+            Variable("u", VarKind.NONDET, BoolDomain(), None),
+            Variable("x", VarKind.INPUT, IntRange(0, 3), 0),
+            Variable("e", VarKind.INPUT, EnumDomain(("lo", "hi")), "lo"),
+            Variable("y", VarKind.OUTPUT, BoolDomain(), False),
+            Variable("z", VarKind.CTRL, IntRange(0, 3), 0),
+        ],
+        plant=UpdateBlock([
+            Assignment("x", Binary("+", Lit("zz"), Ref("ghost"))),
+            Assignment("x", Binary("*", Unary("-", u), Unary("!", x))),
+            Assignment("x", Binary("-", u, one)),
+            Assignment("e", Cond(Binary("<", e, one), e, Lit("hi"))),
+            # the guard's own messages, then its type, then the arms'
+            Assignment("x", Cond(Cond(one, x, x), Unary("!", one),
+                                 Binary("mod", x, yes))),
+            Assignment("x", Cond(x, Binary("&&", x, u), one)),
+            Assignment("e", Cond(u, e, x)),
+        ]),
+        controller=UpdateBlock([
+            Assignment("y", Binary("||", Binary("==", x, u),
+                                   Binary("!=", e, Lit("hi")))),
+            Assignment("y", Binary("^", u, u)),
+            Assignment("z", Binary("+", _Strange(), one)),
+            # a subexpression of an earlier assignment, listed again
+            Assignment("y", Cond(Binary("&&", u, x), Unary("-", u), u)),
+            Assignment("y", Binary("/", x, one)),
+            Assignment("y", Binary("->", Cond(u, x, x), u)),
+        ]),
+    )
+    got = [(d.message, d.where) for d in validate_model(m)]
+    plant = "plant assignment {} to '{}'".format
+    ctrl = "controller assignment {} to '{}'".format
+    guard = "conditional guard must be bool, got int"
+    assert got == [
+        ("unknown enum label 'zz'", plant(1, "x")),
+        ("undeclared variable 'ghost'", plant(1, "x")),
+        ("operator '-' needs int, got bool", plant(2, "x")),
+        ("operator '!' needs bool, got int", plant(2, "x")),
+        ("type mismatch: '-' needs int operands, got bool and int",
+         plant(3, "x")),
+        ("type mismatch: '<' compares ints, got enum{lo,hi} and int",
+         plant(4, "e")),
+        (guard, plant(5, "x")),
+        (guard, plant(5, "x")),
+        ("operator '!' needs bool, got int", plant(5, "x")),
+        ("type mismatch: 'mod' needs int operands, got int and bool",
+         plant(5, "x")),
+        (guard, plant(6, "x")),
+        ("type mismatch: '&&' needs bool operands, got int and bool",
+         plant(6, "x")),
+        ("conditional arms disagree: enum{lo,hi} vs int", plant(7, "e")),
+        ("type mismatch: '==' compares int with bool", ctrl(1, "y")),
+        ("unknown operator '^'", ctrl(2, "y")),
+        ("unknown expression node _Strange", ctrl(3, "z")),
+        ("type mismatch: '&&' needs bool operands, got bool and int",
+         ctrl(4, "y")),
+        ("operator '-' needs int, got bool", ctrl(4, "y")),
+        ("type mismatch: assigning int to bool variable", ctrl(5, "y")),
+        ("type mismatch: '->' needs bool operands, got int and bool",
+         ctrl(6, "y")),
+    ]
