@@ -12,10 +12,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import partial
 from itertools import count, groupby
+from operator import itemgetter
 
 from .model import (_ARITH, _COMPARE, UNSET, Binary, ClosedLoopModel, Cond,
                     DomainViolation, EvalError, Expr, IntRange, Lit, Ref,
-                    Unary, Variable, VarKind, _fold)
+                    Unary, Variable, _fold)
 
 
 def floor_div(a: int, b: int) -> int:
@@ -36,16 +37,8 @@ def _raise(message: str, *_operands):
     raise EvalError(message)
 
 
-def _nondet_violation(variables, nondet: Mapping[str, object]):
-    """Raise for the first nondet value outside its domain."""
-    for v in variables:
-        if not v.domain.contains(nondet[v.name]):
-            raise DomainViolation(v.name, nondet[v.name], "nondet value")
-
-
 _HELPERS = {"floor_div": floor_div, "floor_mod": floor_mod, "_raise": _raise,
-            "_violation": DomainViolation,
-            "_nondet_violation": _nondet_violation, "UNSET": UNSET}
+            "_violation": DomainViolation, "UNSET": UNSET}
 
 # Python binding strength of each emitted form, larger binds tighter:
 # 1 conditional, 2 or, 3 and, 4 not, 5 comparison, 6 + -, 7 * // %, 8
@@ -205,55 +198,66 @@ _NESTED_LOOPS = 16
 
 
 class CompiledModel:
-    """A model lowered once to compiled Python: row() builds a position's
-    row, step() tests a column's domains and passes it to expand().
+    """A model lowered once to compiled Python: expand() steps a state.
 
-    expand(s, visited, best, steps, limit, over, *column) keeps assigned
+    A position is a state and a nondet column, the tuple of the nondet
+    values in the order of model.nondet_variables(); index maps each nondet
+    variable, then each state variable, to its index in the one or the
+    other.  column(nondet) gives the column of a mapping from names to
+    values, row((*column, *state)) the position's row: one value per
+    declared variable, in declaration order.  step() tests a column's
+    domains and passes it to expand().
+
+    expand(s, visited, best, steps, limit, over, column) keeps assigned
     values in fresh locals and loops over a nondet variable's domain where
     it is read while UNSET.  Under a full column it returns the successor.
     Else each leaf with an unvisited successor whose column (unread values
     first) ranks lowest so far sets best[successor] = (rank, successor,
-    row), and steps counts the state and each branching iteration, calling
-    over(steps) past limit; expand returns it.  Assigned values are proven
-    at lowering or tested at run time to lie in their targets' domains.
+    column), unread values taking their domain's first, and steps counts
+    the state and each branching iteration, calling over(steps) past
+    limit; expand returns it.  Assigned values are proven at lowering or
+    tested at run time to lie in their targets' domains.
     """
 
     def __init__(self, model: ClosedLoopModel):
         self.slot_of = {v.name: i for i, v in enumerate(model.variables)}
-        space = dict(_HELPERS, NONDET=model.nondet_variables())
+        self._nondet = model.nondet_variables()
+        self.index = {v.name: i for group in (self._nondet,
+                                              model.state_variables())
+                      for i, v in enumerate(group)}
+        at = {name: i for i, name in enumerate(self.index)}  # in (*c, *s)
+        self.column = _getter([v.name for v in self._nondet])
+        self.row = _getter([at[v.name] for v in model.variables])
+        space = dict(_HELPERS)
         # the functions are kept out of their globals, which would make a
         # cycle that only the collector frees; each finds the function it
-        # calls in a default argument, defined before it.  Two compile()
-        # calls peak lower in memory than one over all the source.
+        # calls in a default argument, defined before it
         functions = {}
-        for lines in self._source(model, space):
-            exec(compile("\n".join(lines), f"<looptest model {model.name}>",
-                         "exec"), space, functions)
-        self.row, self.step, self.expand = (functions[name] for name in
-                                            ("row", "step", "expand"))
+        exec(compile("\n".join(self._source(model, space)),
+                     f"<looptest model {model.name}>", "exec"),
+             space, functions)
+        self.expand = functions["expand"]
+
+    def step(self, state: tuple, nondet: Mapping[str, object]) -> tuple:
+        """The successor of state under the nondet values named in nondet,
+        each tested against its domain first."""
+        column = self.column(nondet)
+        for v, value in zip(self._nondet, column):
+            if not v.domain.contains(value):
+                raise DomainViolation(v.name, value, "nondet value")
+        return self.expand(state, None, None, 0, 1, None, column)
 
     def _source(self, model: ClosedLoopModel, space: dict) -> list:
-        """The lines defining expand() and the functions it goes on in,
-        then those defining row() and step()."""
+        """The lines defining expand() and the functions it goes on in."""
         slot_of = self.slot_of
         nondet = {v.name: slot_of[v.name] for v in model.nondet_variables()}
         state = [slot_of[v.name] for v in model.state_variables()]
         names = [f"x{slot}" for slot in slot_of.values()]
-        at = iter(range(len(state)))
-        row = [f"x{i}" if v.kind is VarKind.NONDET else f"s[{next(at)}]"
-               for i, v in enumerate(model.variables)]
-        fetch = [f"    x{slot} = nd[{name!r}]" for name, slot in nondet.items()]
-        column = "".join(f", x{slot}" for slot in nondet.values())
-        tests = " and ".join(model.var(name).domain.test_source(f"x{slot}")
-                             for name, slot in nondet.items())
-        head = ["def row(s, nd):", *fetch, f"    return [{', '.join(row)}]"]
-        tail = ["def step(s, nd, expand=expand):", *fetch,
-                f"    if not ({tests or True}):",
-                "        _nondet_violation(NONDET, nd)",
-                f"    return expand(s, None, None, 0, 1, None{column})\n"]
-        lines = [f"def expand(s, visited, best, steps, limit, over{column}",
+        lines = ["def expand(s, visited, best, steps, limit, over, column",
                  "    if (steps := steps + 1) > limit: over(steps)",
-                 f"    [{', '.join(names[slot] for slot in state)}] = s"]
+                 f"    [{', '.join(names[slot] for slot in state)}] = s",
+                 f"    [{', '.join(names[slot] for slot in nondet.values())}]"
+                 " = column"]
         functions = [lines]  # expand() and those it goes on in
         read_sets = {v.name: _read_set(v) for v in model.variables}
         fields = [(slot, f"{{{slot}}}") for slot in nondet.values()]
@@ -303,14 +307,13 @@ class CompiledModel:
                     lines += [f"{pad}if not ({domain.test_source(new)}):",
                               f"{pad}    raise _violation({asn.target!r}, "
                               f"{new}, {where!r})"]
-        rank = ""
-        row = names[:]
+        rank = chosen = ""
         for i, (name, slot) in enumerate(nondet.items()):
             values = space[f"D{slot}"] = model.var(name).domain.values()
             space[f"K{slot}"] = {UNSET: 0, **{x: r for r, x in
                                              enumerate(values)}}
             rank += f"K{slot}[{names[slot]}], "
-            row[slot] = f"D{slot}[k[{i}]]"
+            chosen += f"D{slot}[k[{i}]], "
         pad = "    " * (loops + 1)
         lines += [
             f"{pad}t = ({''.join(names[slot] + ', ' for slot in state)})",
@@ -319,10 +322,17 @@ class CompiledModel:
             f"{pad}    k = ({rank})",
             f"{pad}    held = best.get(t)",
             f"{pad}    if held is None or k < held[0]:",
-            f"{pad}        best[t] = k, t, ({', '.join(row)},)",
+            f"{pad}        best[t] = k, t, ({chosen})",
             "    return steps"]
         return [line for lines in reversed(functions)
-                for line in (lines[0] + "):", *lines[1:])], head + tail
+                for line in (lines[0] + "):", *lines[1:])]
+
+
+def _getter(keys: list):
+    """A function giving the tuple of its argument's items at keys."""
+    if len(keys) == 1:  # itemgetter would give the bare item
+        return lambda items, key=keys[0]: (items[key],)
+    return itemgetter(*keys) if keys else lambda items: ()
 
 
 # --------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .model import (
     validate_model,
 )
 from . import ltl
-from .sim import TestCase, TestSuite, parse_value, value_text
+from .sim import TestCase, TestSuite, _Table, parse_value, value_text
 
 
 class ParseError(ModelError):
@@ -557,7 +557,8 @@ def parse_suite(text: str, model: ClosedLoopModel) -> TestSuite:
     """Parse a .cts suite file.  Values are checked against the model."""
     nondet = model.nondet_variables()
     decl_names = tuple(v.name for v in nondet)
-    domains = {v.name: v.domain for v in nondet}
+    values = [_Table(lambda text, domain=v.domain: parse_value(domain, text))
+              for v in nondet]  # each variable's values by text
 
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -603,15 +604,13 @@ def parse_suite(text: str, model: ClosedLoopModel) -> TestSuite:
             cells = [c.strip() for c in lines[lineno - 1].split(",")]
             if len(cells) != len(file_names):
                 fail(lineno, f"expected {len(file_names)} values, got {len(cells)}")
-            row = []
-            for name, pos in zip(decl_names, order):
-                value = parse_value(domains[name], cells[pos])
-                if value is None and cells[pos] != "":
-                    fail(lineno, f"bad value {cells[pos]!r} for '{name}'")
-                if value is None:
-                    fail(lineno, f"missing value for '{name}'")
-                row.append(value)
-            rows.append(tuple(row))
+            texts = [cells[pos] for pos in order]
+            row = tuple(map(_Table.__getitem__, values, texts))
+            if None in row:  # the first cell bad or missing fails
+                j = row.index(None)
+                fail(lineno, f"bad value {texts[j]!r} for '{decl_names[j]}'"
+                     if texts[j] else f"missing value for '{decl_names[j]}'")
+            rows.append(row)
         cases.append(TestCase(tid=tid, variables=decl_names, rows=tuple(rows)))
         i += 1 + length
     return TestSuite(variables=decl_names, cases=tuple(cases))

@@ -8,9 +8,9 @@ Every operator node is a _Prefix (! X F G) or an _Infix (&& U || ->) node.
 Each carries its symbol, and an infix node its binding level and whether
 it associates right, so printing here and parsing in dsl read one table.
 
-A trace is evaluated over its position rows (position_rows): one row per
-position, one slot per declared variable.  Atoms are not compiled: each
-is lowered by model.lower_set over the rows' bitmasks (model.RowSets), all
+A trace is evaluated over its positions (unroll): each a state and the
+nondet column applied into it.  Atoms are not compiled: each is lowered
+by model.lower_set over the positions' bitmasks (model.RowSets), all
 positions at once.  A subformula's table is one integer bitmask over the
 positions: position i of m is bit m-1-i, so the loop is the low bits and
 the connectives and temporal operators are a few whole-word integer
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Binary, Expr, Node, RowSets, Unary, _intern
+from .model import Binary, Expr, Node, RowSets, Unary, _fold, _intern
 
 
 class Formula(Node):
@@ -36,6 +36,7 @@ class Formula(Node):
 
     __slots__ = ()
     level = 5
+    __str__ = Expr.__str__  # from each class's _text, as expressions print
 
 
 class Atom(Formula):
@@ -46,7 +47,7 @@ class Atom(Formula):
     def __new__(cls, expr: Expr):
         return _intern((cls, id(expr)), expr)
 
-    def __str__(self):
+    def _text(self, parts):
         text = str(self.expr)
         if isinstance(self.expr, Binary) and self.expr.op in ("&&", "||", "->"):
             return f"({text})"
@@ -63,10 +64,10 @@ class _Prefix(Formula):
     def __new__(cls, operand: Formula):
         return _intern((cls, id(operand)), operand, (operand,))
 
-    def __str__(self):
+    def _text(self, parts):
         # a letter needs a space to stay apart from the name after it
         gap = " " if self.symbol.isalpha() else ""
-        return self.symbol + gap + _sub(self.operand, self.level)
+        return self.symbol + gap + _sub(self.operand, parts[0], self.level)
 
 
 class Not(_Prefix):
@@ -102,9 +103,9 @@ class _Infix(Formula):
     def __new__(cls, lhs: Formula, rhs: Formula):
         return _intern((cls, id(lhs), id(rhs)), lhs, rhs, (lhs, rhs))
 
-    def __str__(self):
-        lhs = _sub(self.lhs, self.level, tighten=self.right)
-        rhs = _sub(self.rhs, self.level, tighten=not self.right)
+    def _text(self, parts):
+        lhs = _sub(self.lhs, parts[0], self.level, tighten=self.right)
+        rhs = _sub(self.rhs, parts[1], self.level, tighten=not self.right)
         return f"{lhs} {self.symbol} {rhs}"
 
 
@@ -136,8 +137,7 @@ class Implies(_Infix):
     right = True
 
 
-def _sub(node: Formula, parent_level: int, tighten: bool = False) -> str:
-    text = str(node)
+def _sub(node: Formula, text: str, parent_level: int, tighten=False) -> str:
     if node.level < parent_level or (tighten and node.level == parent_level):
         return f"({text})"
     return text
@@ -159,32 +159,25 @@ class Requirement(namedtuple("Requirement", "rid formula expectation",
 
 def is_temporal_free(f: Formula) -> bool:
     """True when no X, F, G or U occurs in the formula."""
-    return _lowered(f, {}) is not None
+    return _fold(f, _lowered, {}) is not None
 
 
 def to_expr(f: Formula) -> Expr:
     """Lower a temporal-free formula to a plain model expression."""
-    expr = _lowered(f, {})
+    expr = _fold(f, _lowered, {})
     if expr is None:
         raise ValueError(f"not temporal free: {f}")
     return expr
 
 
-def _lowered(f: Formula, memo: dict):
-    """f as a model expression, None where X, F, G or U occurs in it; memo
-    keeps the result of every subformula lowered."""
-    if f in memo:
-        return memo[f]
-    if isinstance(f, Atom):
-        expr = f.expr
-    elif f.symbol.isalpha():  # X, F, G or U
-        expr = None
-    else:
-        parts = [_lowered(kid, memo) for kid in f.kids]
-        make = Unary if isinstance(f, _Prefix) else Binary
-        expr = None if None in parts else make(f.symbol, *parts)
-    memo[f] = expr
-    return expr
+def _lowered(f: Formula, parts: list):
+    """f as a model expression, given its kids', None where X, F, G or U
+    occurs in it."""
+    if f.__class__ is Atom:
+        return f.expr
+    if None in parts or f.symbol.isalpha():  # X, F, G or U in it
+        return None
+    return (Unary if len(parts) == 1 else Binary)(f.symbol, *parts)
 
 
 def boolean_subformulas(f: Formula, mode: str = "maximal",
@@ -202,18 +195,16 @@ def boolean_subformulas(f: Formula, mode: str = "maximal",
         raise ValueError(f"unknown subformula mode {mode!r}")
     out = {}  # the expressions found, in order
     lowered = {} if memo is None else memo
-
-    def walk(node: Formula, inside_free: bool):
-        expr = _lowered(node, lowered)
-        free = expr is not None
-        if free and (mode == "all" or not inside_free):
+    _fold(f, _lowered, lowered)  # each operator node's, atoms being leaves
+    todo = [f]  # in pre-order
+    while todo:
+        node = todo.pop()
+        expr = lowered[node] if node.kids else node.expr
+        if expr is not None:
             out[expr] = None
-            if mode == "maximal":
-                return
-        for kid in node.kids:
-            walk(kid, free or inside_free)
-
-    walk(f, False)
+            if mode == "maximal":  # and not below it
+                continue
+        todo += node.kids[::-1]
     return list(out)
 
 
@@ -221,9 +212,8 @@ def boolean_subformulas(f: Formula, mode: str = "maximal",
 # Evaluation on lassos
 
 
-# The last trace evaluated on: (trace, RowSets of its position rows in
-# reverse, prefix, memo).  Replaced as a whole, so at most one trace's
-# tables are alive at a time.
+# The last trace evaluated on: (trace, RowSets of its positions in reverse,
+# prefix, memo), replaced as a whole: one trace's tables are alive at most.
 _last = (None, None, 0, None)
 
 
@@ -233,46 +223,51 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
     The trace is a sim.LassoTrace.  Position indexes the stored part of the
     trace (0 <= position < prefix_len + loop_len).
 
-    Calls on the same trace object share its position rows and one memo of
-    subformula tables, so checking many requirements on one trace, as
+    Calls on the same trace object share its positions (unroll) and one memo
+    of subformula tables, so checking many requirements on one trace, as
     runner.execute_suite does, evaluates each distinct subformula once.
     The trace must not be changed in between.
     """
     global _last
     held = _last
     if held[0] is not trace:
-        rows, prefix = position_rows(trace)
-        held = (trace, RowSets(trace.model, rows[::-1]), prefix, {})
-        _last = held
+        states, columns, prefix = unroll(trace)
+        held = _last = (trace, RowSets(trace.model, states[::-1],
+                                       columns[::-1]), prefix, {})
     _, rows, prefix, memo = held
     if not 0 <= position < trace.prefix_len + trace.loop_len:
         raise ValueError(f"position {position} outside lasso")
     table = _eval_table(f, rows, prefix, memo)
-    return bool(table >> (len(rows.rows) - 1 - position) & 1)
+    return bool(table >> (rows.true.bit_length() - 1 - position) & 1)
+
+
+def unroll(trace) -> tuple:
+    """(states, columns, prefix) of the positions a trace is evaluated on.
+    Position k is states[k] under columns[k], the nondet column (see
+    compiled.CompiledModel) the step into it applied, or the domain defaults
+    at position 0.  So when the loop starts at 0 the stored word is not
+    purely periodic in its nondet extension; then one loop copy is
+    unrolled, its first position under the wrap column, and the second copy
+    becomes the loop.  prefix is the effective prefix length."""
+    model = trace.model
+    column = model.compiled().column
+    defaults = model.nondet_defaults()
+    columns = [column(defaults if nd is None else nd) for nd in trace.nondet]
+    states, prefix = trace.states, trace.prefix_len
+    if prefix == 0:
+        prefix = q = trace.loop_len
+        states = states + states[:q]
+        columns = columns + [column({**defaults, **trace.wrap_nondet})] \
+            + columns[1:q]
+    return states, columns, prefix
 
 
 def position_rows(trace) -> tuple:
-    """One row per evaluated position, plus the effective prefix length.
-
-    A row holds every declared variable in declaration order: the state,
-    and the nondet values applied by the step into the position (domain
-    defaults at position 0).  Position 0 has no applied nondeterministic
-    values, so when the loop starts at 0 the stored word is not purely
-    periodic in its nondet extension.  In that case one loop copy is
-    unrolled and the second copy becomes the loop.
-    """
-    model = trace.model
-    row = model.compiled().row
-    defaults = model.nondet_defaults()
-    rows = [row(s, defaults if nd is None else nd)
-            for s, nd in zip(trace.states, trace.nondet)]
-    prefix = trace.prefix_len
-    if prefix == 0:
-        q = trace.loop_len
-        wrap = row(trace.states[0], {**defaults, **trace.wrap_nondet})
-        rows = rows + [wrap] + rows[1:q]
-        prefix = q
-    return rows, prefix
+    """unroll with each position as a row, every declared variable's value
+    in declaration order, and the effective prefix length."""
+    states, columns, prefix = unroll(trace)
+    row = trace.model.compiled().row
+    return [row((*c, *s)) for s, c in zip(states, columns)], prefix
 
 
 def position_envs(trace) -> tuple:
@@ -283,9 +278,9 @@ def position_envs(trace) -> tuple:
 
 
 def _eval_table(f: Formula, rows: RowSets, prefix: int, memo: dict):
-    """Satisfaction of f at every position row, as one integer bitmask.
+    """Satisfaction of f at every position, as one integer bitmask.
 
-    rows holds the position rows in reverse, so position i of the m rows
+    rows holds the positions in reverse, so position i of the m rows
     is bit m-1-i: later positions sit in lower bits and the loop
     (positions prefix..m-1) is the low q = m-prefix bits.
     Information flows backward along the word, from low bits to high, the
@@ -300,9 +295,8 @@ def _eval_table(f: Formula, rows: RowSets, prefix: int, memo: dict):
     hit = memo.get(f)
     if hit is not None:
         return hit
-    m = len(rows.rows)
-    full = (1 << m) - 1
-    q = m - prefix
+    full = rows.true
+    q = full.bit_length() - prefix
     loop = (1 << q) - 1
     if isinstance(f, Atom):
         table, err = rows.lower(f.expr)

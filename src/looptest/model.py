@@ -196,9 +196,13 @@ class Variable(namedtuple("Variable", "name kind domain init",
 
 
 class Expr(Node):
-    """Base class for expression nodes."""
+    """Base class for expression nodes, each printed by its _text(kids')."""
 
     __slots__ = ()
+
+    def __str__(self):
+        # folded, so deep nodes print; the memo prints shared subtrees once
+        return _fold(self, _show, {}) if self.kids else self._text(())
 
 
 class Lit(Expr):
@@ -215,7 +219,7 @@ class Lit(Expr):
     def __repr__(self):
         return f"Lit({self.value!r})"
 
-    def __str__(self):
+    def _text(self, parts):
         if isinstance(self.value, bool):
             return "true" if self.value else "false"
         return str(self.value)
@@ -229,7 +233,7 @@ class Ref(Expr):
     def __new__(cls, name: str):
         return _intern((cls, name), name)
 
-    def __str__(self):
+    def _text(self, parts):
         return ref_text(self.name)
 
 
@@ -241,8 +245,8 @@ class Unary(Expr):
     def __new__(cls, op: str, operand: Expr):
         return _intern((cls, op, id(operand)), op, operand, (operand,))
 
-    def __str__(self):
-        inner = str(self.operand)
+    def _text(self, parts):
+        inner, = parts
         if not isinstance(self.operand, (Lit, Ref, Unary)):
             inner = f"({inner})"
         return self.op + inner
@@ -261,8 +265,11 @@ _PREC = {
 }
 
 
-def _sub_text(parent_prec: int, node: Expr, tighten: bool = False) -> str:
-    text = str(node)
+def _show(node: Node, parts: list) -> str:
+    return node._text(parts)
+
+
+def _sub_text(parent_prec: int, node: Expr, text: str, tighten=False) -> str:
     if isinstance(node, Binary):
         prec = _PREC[node.op]
     elif isinstance(node, Cond):
@@ -282,14 +289,11 @@ class Binary(Expr):
     def __new__(cls, op: str, lhs: Expr, rhs: Expr):
         return _intern((cls, op, id(lhs), id(rhs)), op, lhs, rhs, (lhs, rhs))
 
-    def __str__(self):
+    def _text(self, parts):
         prec = _PREC[self.op]
-        if self.op == "->":
-            # right associative
-            return f"{_sub_text(prec, self.lhs, tighten=True)} -> {_sub_text(prec, self.rhs)}"
-        left = _sub_text(prec, self.lhs)
-        right = _sub_text(prec, self.rhs, tighten=True)
-        return f"{left} {self.op} {right}"
+        right = self.op == "->"  # associates right, the others left
+        return f"{_sub_text(prec, self.lhs, parts[0], right)} {self.op} " \
+               f"{_sub_text(prec, self.rhs, parts[1], not right)}"
 
 
 class Cond(Expr):
@@ -301,14 +305,13 @@ class Cond(Expr):
         return _intern((cls, id(cond), id(then), id(other)),
                        cond, then, other, (cond, then, other))
 
-    def __str__(self):
-        parts = (
-            _sub_text(_PREC["?"], self.cond, tighten=True),
-            _sub_text(_PREC["?"], self.then, tighten=True),
-            # nested conditionals chain in the else arm without parens
-            _sub_text(_PREC["?"], self.other),
-        )
-        return f"{parts[0]} ? {parts[1]} : {parts[2]}"
+    def _text(self, parts):
+        cond, then, other = parts
+        prec = _PREC["?"]
+        # nested conditionals chain in the else arm without parens
+        return (f"{_sub_text(prec, self.cond, cond, True)} ? "
+                f"{_sub_text(prec, self.then, then, True)} : "
+                f"{_sub_text(prec, self.other, other)}")
 
 
 def ref_text(name: str) -> str:
@@ -605,8 +608,8 @@ def _fold(expr, combine, memo: dict | None = None,
           children=operator.attrgetter("kids")):
     """combine(node, the results of children(node)) applied bottom-up from
     an explicit stack, so deeply nested expressions do not run into the
-    interpreter's recursion limit.  memo, if given, holds the results of
-    finished operator nodes and gains those of this expression's."""
+    interpreter's recursion limit.  memo, if given, holds the results, None
+    too, of finished operator nodes and gains those of this expression's."""
     done = []  # results of finished subexpressions
     todo = [expr]  # nodes to expand, and [node, child count] to combine
     while todo:
@@ -621,7 +624,7 @@ def _fold(expr, combine, memo: dict | None = None,
             kids = children(node)
             if not kids:
                 result = combine(node, ())
-            elif memo is None or (result := memo.get(node)) is None:
+            elif memo is None or (result := memo.get(node, done)) is done:
                 todo.append([node, len(kids)])
                 todo.extend(reversed(kids))
                 continue
@@ -732,19 +735,22 @@ def _set_of(node: Expr, parts: list, env, alg) -> tuple:
 
 class RowSets:
     """The algebra of sets of rows, each set an integer bitmask with bit i
-    for rows[i], and the env of those rows for lower_set.
+    for row i, and the env of those rows for lower_set.  Row i is the state
+    states[i] under the nondet column columns[i] (see compiled.CompiledModel).
 
-    A variable's value over the rows is built on its first read: one mask
-    for a bool, else one mask per value it takes.
+    A variable's value over the rows is built on its first read, from the
+    states or the columns taken apart once: one mask for a bool, else one
+    mask per value it takes.
     """
 
-    def __init__(self, model: ClosedLoopModel, rows: list):
+    def __init__(self, model: ClosedLoopModel, states: list, columns: list):
         self.model = model
-        self.rows = rows
-        self.true = (1 << len(rows)) - 1
-        self._columns = None
+        self.states = states
+        self.columns = columns
+        self.true = (1 << len(states)) - 1
         self._values = {}
         self._memo = {}
+        self._split = {}  # nondet or not -> each variable's values
 
     and_ = operator.and_
     or_ = operator.or_
@@ -758,11 +764,13 @@ class RowSets:
     def get(self, name: str):
         value = self._values.get(name)
         if value is None and self.model.has_var(name):
-            if self._columns is None:
+            nondet = self.model.var(name).kind is VarKind.NONDET
+            if nondet not in self._split:
                 # row 0 is the last digit, so it lands in bit 0
-                self._columns = list(zip(*reversed(self.rows))) \
+                self._split[nondet] = list(zip(*reversed(
+                    self.columns if nondet else self.states))) \
                     or [()] * len(self.model.variables)
-            column = self._columns[self.model.compiled().slot_of[name]]
+            column = self._split[nondet][self.model.compiled().index[name]]
             if isinstance(self.model.var(name).domain, BoolDomain):
                 value = int(b"0" + bytes(column).translate(_DIGITS), 2)
             else:
@@ -788,8 +796,9 @@ class RowSets:
     def fail(self, expr: Expr, bit: int):
         """Raise what evaluating the expression raises on the row of a
         one-bit mask."""
-        names = self.model.compiled().slot_of
-        eval_expr(expr, dict(zip(names, self.rows[bit.bit_length() - 1])))
+        i = bit.bit_length() - 1
+        eval_expr(expr, dict(zip(self.model.compiled().index,
+                                 (*self.columns[i], *self.states[i]))))
         raise RuntimeError(f"set lowering of {expr} disagrees with eval_expr")
 
 

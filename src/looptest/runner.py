@@ -7,7 +7,7 @@ test (in suite order) is reported as the violation witness.  Passing on a
 suite is weaker than a proof: it says nothing about inputs the suite never
 plays.
 
-Checking is trace-major: each trace's position rows and subformula tables
+Checking is trace-major: each trace's positions and subformula tables
 are built once and shared by every requirement still undecided on it (see
 ltl.eval_on_lasso).
 """

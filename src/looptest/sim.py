@@ -115,32 +115,31 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
     """Run a test case until the (step index mod L, state) pair repeats.
 
     The pair key, not the state alone, decides the loop: the same state met
-    at a different point of the test matrix continues differently.
+    at a different point of the test matrix continues differently.  Only a
+    row's first step (step()), which comes before any repeat, tests it.
     """
     length = case.length
-    columns = [case.column(j) for j in range(length)]
-    seen = {}
+    compiled = model.compiled()
+    nds = [dict(zip(case.variables, row)) for row in case.rows]  # shared
+    columns = []
     states = []
-    nds = [None]
+    seen = {}
     s = init_state(model)
     k = 0
-    nd = None
-    while True:
-        key = (k % length, s)
-        hit = seen.get(key)
-        if hit is not None:
-            return LassoTrace(
-                model=model, case=case, states=states, nondet=nds[:len(states)],
-                prefix_len=hit, loop_len=k - hit, wrap_nondet=nd or {})
-        seen[key] = k
+    while (hit := seen.setdefault((k % length, s), k)) == k:
         states.append(s)
         if k >= step_cap:
             raise StepCapExceeded(
                 f"no lasso within {step_cap} steps for test '{case.tid}'")
-        nd = columns[k % length]
-        s = step(model, s, nd)
-        nds.append(nd)
+        if k < length:
+            s = step(model, s, nds[k])
+            columns.append(compiled.column(nds[k]))
+        else:
+            s = compiled.expand(s, None, None, 0, 1, None, columns[k % length])
         k += 1
+    return LassoTrace(model=model, case=case, states=states, nondet=(
+        [None] + nds * (k // length + 1))[:k], prefix_len=hit,
+        loop_len=k - hit, wrap_nondet=nds[(k - 1) % length])
 
 
 # --------------------------------------------------------------------------
@@ -180,11 +179,22 @@ def dump_trace(trace: LassoTrace) -> str:
     the producing step applied (domain defaults at position 0).
     """
     rows, _ = position_rows(trace)
-    names = [v.name for v in trace.model.variables]
+    texts = [_Table(lambda value, name=v.name: f"{name}={value_text(value)}")
+             for v in trace.model.variables]
     lines = []
     for k, values in enumerate(rows[:trace.positions]):
         marker = " loop-start" if k == trace.prefix_len else ""
-        pairs = " ".join(f"{name}={value_text(value)}"
-                         for name, value in zip(names, values))
+        pairs = " ".join(map(_Table.__getitem__, texts, values))
         lines.append(f"#{k}{marker} {pairs}")
     return "\n".join(lines)
+
+
+class _Table(dict):
+    """A dict that fills in a missing key's value from fill(key)."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value

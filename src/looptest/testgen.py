@@ -12,9 +12,9 @@ would: layers are built in depth order, and inside a layer nodes are added
 parent-first with each parent's successors sorted by nondet column, so the
 first hit is a shortest witness with the lexicographically least column
 sequence.  Only nondet values the compiled step reads are branched on.
-Each node keeps its position row, and a goal is decided over a whole
-explicit layer at once: lowered by model.lower_set to row bitmasks, its
-first hit is the lowest set bit of the first layer that has one.
+Each node keeps its nondet column, and a goal is decided over a whole
+explicit layer's states and columns at once: lowered by model.lower_set to
+bitmasks, its first hit is the lowest set bit of the first layer with one.
 
 Explicit branching multiplies with every nondet value read, so once a search
 has spent SYMBOLIC_HANDOFF_STEPS branch steps it continues symbolically (see
@@ -43,6 +43,8 @@ from .model import (
     RowSets,
     Unary,
     VarKind,
+    _fold,
+    _show,
     eval_expr,
     init_state,
     referenced_names,
@@ -129,12 +131,6 @@ class GenerationReport(namedtuple(
 # Goal enumeration
 
 
-def _value_goal(name: str, value, domain) -> Expr:
-    if isinstance(domain, BoolDomain):
-        return Ref(name) if value else Unary("!", Ref(name))
-    return Binary("==", Ref(name), Lit(value))
-
-
 def enumerate_goals(model: ClosedLoopModel, reqs: list,
                     mode: str = "maximal") -> list:
     """Build the goal list: variable values first, then formula pieces.
@@ -155,13 +151,17 @@ def enumerate_goals(model: ClosedLoopModel, reqs: list,
     for v in model.variables:
         if v.kind is VarKind.NONDET and mode != "all-kinds":
             continue
+        ref, shown = Ref(v.name), ref_text(v.name)
         for value in v.domain.values():
-            origins.setdefault(_value_goal(v.name, value, v.domain),
-                               f"var {ref_text(v.name)}={Lit(value)}")
+            lit = Lit(value)
+            goal = Binary("==", ref, lit) if not isinstance(
+                v.domain, BoolDomain) else ref if value else Unary("!", ref)
+            origins.setdefault(goal, f"var {shown}={lit._text(())}")
 
     sub_mode = "maximal" if mode == "maximal" else "all"
     produced = set()
     lowered = {}  # every subformula lowered once, across the requirements
+    texts = {}  # and printed once
     for req in reqs:
         for expr in ltl.boolean_subformulas(req.formula, sub_mode, lowered):
             # an earlier requirement gave it and its negation already
@@ -170,9 +170,10 @@ def enumerate_goals(model: ClosedLoopModel, reqs: list,
             produced.add(expr)
             if referenced_names(expr) & nondet_names:
                 continue
-            origins.setdefault(expr, f"sub {req.rid} {expr}")
+            text = _fold(expr, _show, texts)
+            origins.setdefault(expr, f"sub {req.rid} {text}")
             negated = Unary("!", expr)
-            origins.setdefault(negated, f"sub {req.rid} {negated}")
+            origins.setdefault(negated, f"sub {req.rid} {negated._text([text])}")
     return [CoverageGoal(predicate=predicate, origin=origin)
             for predicate, origin in origins.items()]
 
@@ -186,14 +187,14 @@ class BoundedExplorer:
 
     States are tuples over the non-nondet variables in declaration order.
     Each discovered node remembers the parent it was first reached from and
-    its position row: the state plus the full nondet column used, chosen
-    lexicographically least (by domain value order) among the branches that
-    reach the same successor, or the domain defaults at the root.
+    the full nondet column used, chosen lexicographically least (by domain
+    value order) among the branches that reach the same successor, or the
+    domain defaults at the root.
 
     A node is expanded by one call of the model's expand(), which branches
     over a nondet variable's domain where it is read, depth first.
 
-    nodes, parents, rows and columns hold the explicit layers only.  After
+    nodes, parents and columns hold the explicit layers only.  After
     the handoff to the symbolic phase, each further layer is a BDD of the
     states it adds, and witnesses into it are rebuilt on demand.
     """
@@ -208,17 +209,14 @@ class BoundedExplorer:
 
         compiled = model.compiled()
         self._expand = compiled.expand
-        self._row = compiled.row
-        nondet = model.nondet_variables()
-        self._unset = dict.fromkeys((v.name for v in nondet), UNSET)
-        self._nondet_slots = [compiled.slot_of[v.name] for v in nondet]
+        self._unset = (UNSET,) * len(model.nondet_variables())
 
         root_tuple = init_state(model)
         self.nodes = [root_tuple]
         self.parents = [-1]
-        self.rows = [tuple(self._row(root_tuple, model.nondet_defaults()))]
-        # (first node, RowSets of its rows) of each explicit layer
-        self._row_layers = [(0, RowSets(model, self.rows[:]))]
+        self._columns = [compiled.column(model.nondet_defaults())]
+        # (first node, RowSets of its nodes) of each explicit layer
+        self._row_layers = [(0, RowSets(model, [root_tuple], self._columns[:]))]
         self._visited = {root_tuple: 0}
         self._depth_built = 0
         self._frontier = (0, 1)  # node range of the deepest explicit layer
@@ -234,11 +232,7 @@ class BoundedExplorer:
     @property
     def columns(self) -> list:
         """The nondet column producing each node, None at the root."""
-        return [None] + [self._column(idx) for idx in range(1, len(self.rows))]
-
-    def _column(self, idx: int) -> tuple:
-        row = self.rows[idx]
-        return tuple(row[slot] for slot in self._nondet_slots)
+        return [None] + self._columns[1:]
 
     # -- stepping
 
@@ -266,13 +260,13 @@ class BoundedExplorer:
                 best = {}
                 steps = self._expand(nodes[idx], visited, best, steps,
                                      self._limit, self._over_limit,
-                                     *self._unset.values())
-                # ranks differ between leaves, so rows are never compared
-                for _rank, succ, row in sorted(best.values()):
+                                     self._unset)
+                # ranks differ between leaves, so columns are never compared
+                for _rank, succ, column in sorted(best.values()):
                     visited[succ] = len(nodes)
                     nodes.append(succ)
                     self.parents.append(idx)
-                    self.rows.append(row)
+                    self._columns.append(column)
                     if len(nodes) > self.state_cap:
                         raise StateCapExceeded(
                             f"state budget of {self.state_cap} exhausted")
@@ -281,13 +275,13 @@ class BoundedExplorer:
                 del visited[succ]
             del nodes[new_start:]
             del self.parents[new_start:]
-            del self.rows[new_start:]
+            del self._columns[new_start:]
         else:
             self._steps = steps
             self._depth_built += 1
             self._frontier = (new_start, len(self.nodes))
-            self._row_layers.append(
-                (new_start, RowSets(self.model, self.rows[new_start:])))
+            self._row_layers.append((new_start, RowSets(
+                self.model, nodes[new_start:], self._columns[new_start:])))
             return True
         self._hand_off()
         return self._extend_symbolic()
@@ -320,7 +314,7 @@ class BoundedExplorer:
             _columns, state = self._symbolic_path(len(self._layers) - 1,
                                                   failing)
             self._expand(state, {}, {}, self._steps, self._limit,
-                         self._over_limit, *self._unset.values())
+                         self._over_limit, self._unset)
             raise RuntimeError("symbolic error set disagrees with the step")
         fresh = bdd.and_(relation.image(frontier), bdd.not_(self._reached))
         self._reached_count += relation.count(fresh)
@@ -357,7 +351,7 @@ class BoundedExplorer:
         state = self.nodes[idx]
         for states in wanted:
             column = relation.least_column(state, states)
-            state = self._expand(state, None, None, 0, 1, None, *column)
+            state = self._expand(state, None, None, 0, 1, None, column)
             columns.append(column)
         return columns, state
 
@@ -366,7 +360,7 @@ class BoundedExplorer:
     def _tree_path(self, idx: int) -> list:
         columns = []
         while self.parents[idx] >= 0:
-            columns.append(self._column(idx))
+            columns.append(self._columns[idx])
             idx = self.parents[idx]
         columns.reverse()
         return columns
@@ -417,8 +411,8 @@ class BoundedExplorer:
         left = relation.bdd.and_(self._layers[layer], candidates)
         while left:
             columns, state = self._symbolic_path(layer, left)
-            row = self._row(state, dict(zip(self._unset, columns[-1])))
-            if RowSets(self.model, [row]).first_hit(predicate) is not None:
+            if RowSets(self.model, [state], columns[-1:]).first_hit(
+                    predicate) is not None:
                 return columns
             left = relation.without(left, state)
         return None
@@ -426,12 +420,6 @@ class BoundedExplorer:
 
 # --------------------------------------------------------------------------
 # Suite generation
-
-
-def _case_from_columns(tid: str, names: tuple, columns: list,
-                       default_column: tuple) -> TestCase:
-    rows = tuple(columns) if columns else (default_column,)
-    return TestCase(tid=tid, variables=names, rows=rows)
 
 
 def _direct_nondet_witness(model: ClosedLoopModel, predicate: Expr):
@@ -468,8 +456,7 @@ def generate_suite(model: ClosedLoopModel, reqs: list,
                                state_cap=config.state_cap,
                                step_cap=config.step_cap)
     names = tuple(v.name for v in model.nondet_variables())
-    default_column = tuple(v.domain.first()
-                           for v in model.nondet_variables())
+    default_column = model.compiled().column(model.nondet_defaults())
 
     nondet_names = {v.name for v in model.nondet_variables()}
     outcomes: list = [None] * len(goals)
@@ -489,13 +476,14 @@ def generate_suite(model: ClosedLoopModel, reqs: list,
                 continue
             columns, position = found
             tid = f"t{len(cases)}"
-            case = _case_from_columns(tid, names, columns, default_column)
+            case = TestCase(tid=tid, variables=names,
+                            rows=tuple(columns) or (default_column,))
             cases.append(case)
             outcomes[i] = GoalOutcome(index=i + 1, origin=goal.origin,
                                       status="COVERED", test_id=tid,
                                       position=position)
             trace = simulate_lasso(model, case, step_cap=config.step_cap)
-            rows = RowSets(model, ltl.position_rows(trace)[0])
+            rows = RowSets(model, *ltl.unroll(trace)[:2])
             for j in range(i + 1, len(goals)):
                 if outcomes[j] is not None:
                     continue

@@ -49,8 +49,9 @@ from looptest.model import (
     Variable,
     VarKind,
 )
+from looptest.runner import execute_suite
 from looptest.sim import TestCase, TestSuite
-from looptest.testgen import enumerate_goals
+from looptest.testgen import GeneratorConfig, enumerate_goals, generate_suite
 
 import oracles
 import randgen
@@ -707,3 +708,46 @@ def test_suite_value_texts_cover_every_domain_kind():
     suite = parse_suite(suite_text, m)
     assert suite.cases[0].rows == ((False, -2, "slow"), (True, 1, "fast"))
     assert serialize_suite(suite) == suite_text
+
+
+def _deep(terms: int):
+    """A model assigning a chain of terms ||-terms and a requirement G of
+    another, both nesting past the interpreter's recursion limit."""
+    chain = " || ".join(["u"] * terms)
+    model = parse_model(f"""model deep;
+nondet u : bool;
+output y : bool = false;
+plant {{
+}}
+controller {{
+  y = {chain};
+}}
+""")
+    reqs = parse_reqs(f"R expect-pass : G ({chain.replace('u', 'y')});\n",
+                      model)
+    return model, reqs, chain
+
+
+def test_deep_expressions_and_formulas_print_and_reparse():
+    model, reqs, chain = _deep(900)
+    expr = model.controller.assignments[0].expr
+    assert str(expr) == chain
+    assert parse_model(serialize_model(model)).controller.assignments[0] \
+        .expr is expr
+    text = serialize_reqs(reqs)
+    assert text == f"R expect-pass : G ({chain.replace('u', 'y')});\n"
+    assert parse_reqs(text, model)[0].formula is reqs[0].formula
+
+
+def test_deep_requirements_generate_and_execute():
+    model, reqs, chain = _deep(900)
+    suite, report = generate_suite(model, reqs, GeneratorConfig(max_len=3))
+    origins = [out.origin for out in report.outcomes]
+    assert origins[-2:] == [f"sub R {chain.replace('u', 'y')}",
+                            f"sub R !({chain.replace('u', 'y')})"]
+    assert [(out.status, out.test_id) for out in report.outcomes] == [
+        ("COVERED", "t0"), ("COVERED", "t1"), ("SUBSUMED", "t1"),
+        ("SUBSUMED", "t0")]
+    assert execute_suite(model, reqs, suite).text() == (
+        "REQ R VIOLATED test=t0\n#0 loop-start u=0 y=0\n"
+        "violated=1 passed=0 errored=0\n")

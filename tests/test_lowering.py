@@ -2,13 +2,16 @@
 that drives the compiled step against the tree-walking references in
 oracles.py: same values, same exception class and message."""
 
+import importlib.util
 import random
+import sys
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
 from looptest import casegen, compiled, ltl, testgen
-from looptest.dsl import parse_model
+from looptest.dsl import parse_model, parse_reqs, parse_suite
 from looptest.model import (
     Assignment,
     Binary,
@@ -345,8 +348,10 @@ def test_row_sets_match_reference_eval():
         more = random.Random(i)
         envs = [env] + [{v.name: more.choice(list(v.domain.values()))
                          for v in model.variables} for _ in range(5)]
-        rows = RowSets(model, [[e[v.name] for v in model.variables]
-                               for e in envs])
+        rows = RowSets(model, [tuple(e[v.name] for v in
+                                     model.state_variables()) for e in envs],
+                       [tuple(e[v.name] for v in model.nondet_variables())
+                        for e in envs])
         for _ in range(10):
             kind = rng.choice(("int", "bool"))
             expr = randgen.random_expr(rng, ints, bools, kind, 4,
@@ -372,7 +377,7 @@ def test_row_sets_match_reference_eval():
 
 def test_short_circuit_hides_undefined_variables():
     model = randgen._SYN_MODEL
-    rows = RowSets(model, [model.compiled().row((True, False, 0), {})])
+    rows = RowSets(model, [(True, False, 0)], [()])
     missing = Ref("missing")
     cases = [
         (Binary("&&", Ref("q"), missing), False),
@@ -596,7 +601,7 @@ def test_expansion_split_over_functions_matches_reference(monkeypatch):
         except ModelError as err:
             return type(err), str(err)
         return (explorer._steps, explorer.nodes, explorer.parents,
-                explorer.rows)
+                explorer.columns)
 
     for model in models:
         nested = search(model)
@@ -667,3 +672,85 @@ def test_deep_chains_decide_goals_and_atoms():
     for position in range(trace.prefix_len + trace.loop_len):
         assert ltl.eval_on_lasso(atom, trace, position) is \
             oracles.reference_eval(chain, envs[position])
+
+
+def _row_masks(model, rows: list) -> dict:
+    """Each variable's value over rows, read from the rows themselves: a
+    mask for a bool, else a map from each value to its mask."""
+    masks = {}
+    for slot, v in enumerate(model.variables):
+        column = [row[slot] for row in rows]
+        bits = {x: sum(1 << i for i, y in enumerate(column) if y == x)
+                for x in set(column)}
+        masks[v.name] = bits.get(True, 0) \
+            if isinstance(v.domain, BoolDomain) else bits
+    return masks
+
+
+def _replay_cases(monkeypatch):
+    """(model, expressions, traces) for the pnp3 benchmark input under the
+    first eight pinned replay suites: every trace with no expression, and
+    the shortest and longest trace of each suite with every coverage goal
+    and subformula of the requirements."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it loads
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    model_text = (bench / "inputs" / "pnp3.clm").read_text()
+    model = parse_model(model_text)
+    reqs = parse_reqs((bench / "inputs" / "pnp3.ltl").read_text(), model)
+    exprs = [goal.predicate for goal in
+             testgen.enumerate_goals(model, reqs, "all-kinds")]
+    for req in reqs:
+        exprs += ltl.boolean_subformulas(req.formula, "all")
+    traces = [simulate_lasso(model, case) for seed in range(8)
+              for case in parse_suite(workloads.replay_suite_text(
+                  model_text, seed), model).cases]
+    ends = [trace for trace in traces if trace.case.tid in ("t0", "t9")]
+    return [(model, (), traces), (model, list(dict.fromkeys(exprs)), ends)]
+
+
+def test_row_sets_from_states_and_columns_match_position_rows(monkeypatch):
+    rng = random.Random(20)
+    cases = []
+    for i in range(120):
+        model = randgen.random_model(rng, name=f"d{i}")
+        ints = [v.name for v in model.variables
+                if isinstance(v.domain, IntRange)]
+        bools = [v.name for v in model.variables
+                 if isinstance(v.domain, BoolDomain)]
+        exprs = []
+        for kind in (rng.choice(("int", "bool")) for _ in range(6)):
+            expr = randgen.random_expr(rng, ints, bools, kind, 4,
+                                       missing=0.05)
+            exprs.append(expr if kind == "bool"
+                         else Binary("!=", expr, Lit(0)))
+        names = tuple(v.name for v in model.nondet_variables())
+        rows = tuple(tuple(rng.choice(v.domain.values())
+                           for v in model.nondet_variables())
+                     for _ in range(rng.randint(1, 4)))
+        try:
+            trace = simulate_lasso(model, TestCase("t0", names, rows))
+        except ModelError:
+            continue
+        cases.append((model, exprs, [trace]))
+    cases += _replay_cases(monkeypatch)
+    raised = set()
+    for model, exprs, traces in cases:
+        for trace in traces:
+            rows, prefix = ltl.position_rows(trace)
+            states, columns, unrolled = ltl.unroll(trace)
+            assert unrolled == prefix
+            sets = RowSets(model, states, columns)
+            assert {v.name: sets.get(v.name) for v in model.variables} == \
+                _row_masks(model, rows)
+            envs = ltl.position_envs(trace)[0]
+            for goal in exprs:
+                want = _first_hit(goal, envs)
+                if _raises(want):
+                    raised.add(want[1].split(" '")[0])
+                assert _value(sets.first_hit, goal) == want, (str(goal), envs)
+    assert raised == {"division by zero", "mod by zero", "undefined variable"}

@@ -3,6 +3,7 @@
 import pytest
 
 from looptest.dsl import parse_model
+from looptest.model import DomainViolation, EvalError
 from looptest.sim import (
     StepCapExceeded,
     TestCase,
@@ -154,3 +155,45 @@ def test_validate_test_rejects_bad_rows():
     assert any("outside domain" in d.message for d in validate_test(m, case))
     case = TestCase(tid="t0", variables=("u",), rows=())
     assert any("at least one row" in d.message for d in validate_test(m, case))
+
+
+ORDER = """
+model order;
+nondet u : int 0..2;
+input x : int -9..9 = 0;
+plant { x = 6 / (u - 1); }
+controller { }
+"""
+
+
+def test_a_bad_value_in_the_first_row_fails_the_first_step():
+    m = parse_model(ORDER)
+    case = TestCase(tid="t0", variables=("u",), rows=((3,), (0,)))
+    with pytest.raises(DomainViolation) as caught:
+        simulate_lasso(m, case)
+    assert str(caught.value) == "nondet value: value 3 outside domain of 'u'"
+
+
+def test_a_bad_value_in_a_later_row_fails_the_step_applying_it():
+    m = parse_model(ORDER)
+    case = TestCase(tid="t0", variables=("u",), rows=((0,), (2,), (3,)))
+    with pytest.raises(DomainViolation) as caught:
+        simulate_lasso(m, case)
+    assert (caught.value.name, caught.value.value) == ("u", 3)
+    # two steps run before row 2 is applied
+    with pytest.raises(StepCapExceeded):
+        simulate_lasso(m, case, step_cap=2)
+
+
+def test_an_earlier_steps_error_wins_over_a_later_bad_value():
+    m = parse_model(ORDER)
+    case = TestCase(tid="t0", variables=("u",), rows=((0,), (1,), (3,)))
+    with pytest.raises(EvalError, match="division by zero"):
+        simulate_lasso(m, case)
+
+
+def test_a_missing_nondet_name_raises_key_error():
+    m = parse_model(ORDER)
+    case = TestCase(tid="t0", variables=("v",), rows=((0,),))
+    with pytest.raises(KeyError):
+        simulate_lasso(m, case)

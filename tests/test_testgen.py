@@ -385,9 +385,8 @@ def test_goal_outcomes_match_exhaustive_enumeration_fuzz():
 
 
 def test_goals_and_atoms_compile_nothing(monkeypatch):
-    # compile() runs twice per model, in looptest.compiled: once for
-    # expand() and once for row() and step(); goals and LTL atoms are
-    # decided over row bitmasks instead
+    # compile() runs once per model, in looptest.compiled, for expand();
+    # goals and LTL atoms are decided over row bitmasks instead
     calls = []
 
     def counting(*args, **kwargs):
@@ -399,4 +398,4 @@ def test_goals_and_atoms_compile_nothing(monkeypatch):
     suite, _ = generate_suite(study.model, study.reqs,
                               GeneratorConfig(max_len=11, goal_mode="all"))
     execute_suite(study.model, study.reqs, suite)
-    assert len(calls) == 2, len(calls)
+    assert len(calls) == 1, len(calls)
