@@ -220,7 +220,6 @@ class CompiledModel:
     """
 
     def __init__(self, model: ClosedLoopModel):
-        self.slot_of = {v.name: i for i, v in enumerate(model.variables)}
         self._nondet = model.nondet_variables()
         self.index = {v.name: i for group in (self._nondet,
                                               model.state_variables())
@@ -249,7 +248,7 @@ class CompiledModel:
 
     def _source(self, model: ClosedLoopModel, space: dict) -> list:
         """The lines defining expand() and the functions it goes on in."""
-        slot_of = self.slot_of
+        slot_of = {v.name: i for i, v in enumerate(model.variables)}
         nondet = {v.name: slot_of[v.name] for v in model.nondet_variables()}
         state = [slot_of[v.name] for v in model.state_variables()]
         names = [f"x{slot}" for slot in slot_of.values()]
