@@ -267,7 +267,7 @@ def position_rows(trace) -> tuple:
     in declaration order, and the effective prefix length."""
     states, columns, prefix = unroll(trace)
     row = trace.model.compiled().row
-    return [row((*c, *s)) for s, c in zip(states, columns)], prefix
+    return list(map(row, map(tuple.__add__, columns, states))), prefix
 
 
 def position_envs(trace) -> tuple:

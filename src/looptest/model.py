@@ -604,12 +604,12 @@ def step(model: ClosedLoopModel, state: tuple,
 # Lowerings fold an expression bottom-up
 
 
-def _fold(expr, combine, memo: dict | None = None,
-          children=operator.attrgetter("kids")):
-    """combine(node, the results of children(node)) applied bottom-up from
-    an explicit stack, so deeply nested expressions do not run into the
-    interpreter's recursion limit.  memo, if given, holds the results, None
-    too, of finished operator nodes and gains those of this expression's."""
+def _fold(expr, combine, memo: dict | None = None, children=None):
+    """combine(node, the results of children(node), by default node.kids)
+    applied bottom-up from an explicit stack, so deeply nested expressions
+    do not run into the interpreter's recursion limit.  memo, if given,
+    holds the results, None too, of finished operator nodes and gains those
+    of this expression's."""
     done = []  # results of finished subexpressions
     todo = [expr]  # nodes to expand, and [node, child count] to combine
     while todo:
@@ -621,12 +621,12 @@ def _fold(expr, combine, memo: dict | None = None,
             if memo is not None:
                 memo[node] = result
         else:
-            kids = children(node)
+            kids = node.kids if children is None else children(node)
             if not kids:
                 result = combine(node, ())
             elif memo is None or (result := memo.get(node, done)) is done:
                 todo.append([node, len(kids)])
-                todo.extend(reversed(kids))
+                todo += kids[::-1]
                 continue
         done.append(result)
     return done[0]
