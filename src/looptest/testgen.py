@@ -154,9 +154,9 @@ def enumerate_goals(model: ClosedLoopModel, reqs: list,
         ref, shown = Ref(v.name), ref_text(v.name)
         for value in v.domain.values():
             lit = Lit(value)
-            goal = Binary("==", ref, lit) if not isinstance(
-                v.domain, BoolDomain) else ref if value else Unary("!", ref)
-            origins.setdefault(goal, f"var {shown}={lit._text(())}")
+            goal = (ref if value else Unary("!", ref)) \
+                if isinstance(v.domain, BoolDomain) else Binary("==", ref, lit)
+            origins.setdefault(goal, f"var {shown}={lit}")
 
     sub_mode = "maximal" if mode == "maximal" else "all"
     produced = set()
