@@ -198,7 +198,7 @@ _NESTED_LOOPS = 16
 
 
 class CompiledModel:
-    """A model lowered once to compiled Python: expand() steps a state.
+    """A model lowered to compiled Python: run() steps a state.
 
     A position is a state and a nondet column, the tuple of the nondet
     values in the order of model.nondet_variables(); index maps each nondet
@@ -206,36 +206,48 @@ class CompiledModel:
     other.  column(nondet) gives the column of a mapping from names to
     values, row((*column, *state)) the position's row: one value per
     declared variable, in declaration order.  step() tests a column's
-    domains and passes it to expand().
+    domains and passes it to run().
 
-    expand(s, visited, best, steps, limit, over, column) keeps assigned
+    Nothing is compiled up front.  run(s, column) gives the successor of s
+    under a full column.  Asked for before any search, as a replay asks for
+    it, it compiles on its own as straight-line code: the assignments and
+    their domain tests in order, with no branching.  expand() is compiled
+    when a search (testgen.BoundedExplorer) first asks for it, and from
+    then on run is expand itself, whose defaults make expand(s, column) the
+    same step.
+
+    expand(s, column, visited, best, steps, limit, over) keeps assigned
     values in fresh locals and loops over a nondet variable's domain where
     it is read while UNSET.  Under a full column it returns the successor.
     Else each leaf with an unvisited successor whose column (unread values
     first) ranks lowest so far sets best[successor] = (rank, successor,
     column), unread values taking their domain's first, and steps counts
     the state and each branching iteration, calling over(steps) past
-    limit; expand returns it.  Assigned values are proven at lowering or
-    tested at run time to lie in their targets' domains.
+    limit; expand returns it.  Both forms make the same assignments, domain
+    tests and raises in the same order, and assigned values are proven at
+    lowering or tested at run time to lie in their targets' domains.
     """
 
     def __init__(self, model: ClosedLoopModel):
         self._nondet = model.nondet_variables()
+        # the model's fields, not the model, which holds this
+        self._model_fields = tuple(model)
         self.index = {v.name: i for group in (self._nondet,
                                               model.state_variables())
                       for i, v in enumerate(group)}
         at = {name: i for i, name in enumerate(self.index)}  # in (*c, *s)
         self.column = _getter([v.name for v in self._nondet])
         self.row = _getter([at[v.name] for v in model.variables])
-        space = dict(_HELPERS)
-        # the functions are kept out of their globals, which would make a
-        # cycle that only the collector frees; each finds the function it
-        # calls in a default argument, defined before it
-        functions = {}
-        exec(compile("\n".join(self._source(model, space)),
-                     f"<looptest model {model.name}>", "exec"),
-             space, functions)
-        self.expand = functions["expand"]
+
+    def __getattr__(self, name: str):
+        """Compile run() or expand() on first use; run is expand from then
+        on."""
+        if name not in ("run", "expand"):
+            raise AttributeError(name)
+        self.run = function = self._compile(name)
+        if name == "expand":
+            self.expand = function
+        return function
 
     def step(self, state: tuple, nondet: Mapping[str, object]) -> tuple:
         """The successor of state under the nondet values named in nondet,
@@ -244,26 +256,43 @@ class CompiledModel:
         for v, value in zip(self._nondet, column):
             if not v.domain.contains(value):
                 raise DomainViolation(v.name, value, "nondet value")
-        return self.expand(state, None, None, 0, 1, None, column)
+        return self.run(state, column)
 
-    def _source(self, model: ClosedLoopModel, space: dict) -> list:
-        """The lines defining expand() and the functions it goes on in."""
-        slot_of = {v.name: i for i, v in enumerate(model.variables)}
-        nondet = {v.name: slot_of[v.name] for v in model.nondet_variables()}
-        state = [slot_of[v.name] for v in model.state_variables()]
+    def _compile(self, name: str):
+        """The compiled function run or expand."""
+        space = dict(_HELPERS)
+        # the functions are kept out of their globals, which would make a
+        # cycle that only the collector frees; each finds the function it
+        # calls in a default argument, defined before it
+        functions = {}
+        exec(compile("\n".join(self._source(space, name == "expand")),
+                     f"<looptest model {self._model_fields[0]}>", "exec"),
+             space, functions)
+        return functions[name]
+
+    def _source(self, space: dict, search: bool) -> list:
+        """The lines defining expand() and the functions it goes on in, or
+        without search the lines defining run()."""
+        _, variables, plant, controller = self._model_fields
+        slot_of = {v.name: i for i, v in enumerate(variables)}
+        nondet = {v.name: slot_of[v.name] for v in self._nondet}
+        state = [slot for name, slot in slot_of.items() if name not in nondet]
         names = [f"x{slot}" for slot in slot_of.values()]
-        lines = ["def expand(s, visited, best, steps, limit, over, column",
-                 "    if (steps := steps + 1) > limit: over(steps)",
-                 f"    [{', '.join(names[slot] for slot in state)}] = s",
-                 f"    [{', '.join(names[slot] for slot in nondet.values())}]"
-                 " = column"]
+        lines = ["def expand(s, column, visited=None, best=None, steps=0, "
+                 "limit=1, over=None",
+                 "    if (steps := steps + 1) > limit: over(steps)"] \
+            if search else ["def run(s, column"]
+        lines += [f"    [{', '.join(names[slot] for slot in state)}] = s",
+                  f"    [{', '.join(names[slot] for slot in nondet.values())}]"
+                  " = column"]
         functions = [lines]  # expand() and those it goes on in
-        read_sets = {v.name: _read_set(v) for v in model.variables}
-        fields = [(slot, f"{{{slot}}}") for slot in nondet.values()]
+        read_sets = {v.name: _read_set(v) for v in variables}
+        fields = [(slot, f"{{{slot}}}") for slot in nondet.values()] \
+            if search else []
         memo = {}  # the template of every operator node, alike everywhere
         loops = fresh = 0  # loops open in the function being written
-        for block_name, block in (("plant", model.plant),
-                                  ("controller", model.controller)):
+        for block_name, block in (("plant", plant),
+                                  ("controller", controller)):
             for i, asn in enumerate(block.assignments):
                 template = lower_expr(asn.expr, slot_of, memo)
                 present = [slot for slot, field in fields if field in template]
@@ -297,7 +326,7 @@ class CompiledModel:
                 new = f"x{target}_{fresh}"
                 lines.append(f"{pad}{new} = {template.format(*names)}")
                 names[target] = new
-                domain = model.var(asn.target).domain
+                domain = variables[target].domain
                 values = _fold((asn.expr, read_sets), _values_of, None,
                                _narrowed)
                 if values is None or not all(domain.contains(x)
@@ -306,16 +335,19 @@ class CompiledModel:
                     lines += [f"{pad}if not ({domain.test_source(new)}):",
                               f"{pad}    raise _violation({asn.target!r}, "
                               f"{new}, {where!r})"]
+        successor = f"({''.join(names[slot] + ', ' for slot in state)})"
+        if not search:
+            return [lines[0] + "):", *lines[1:], f"    return {successor}"]
         rank = chosen = ""
         for i, (name, slot) in enumerate(nondet.items()):
-            values = space[f"D{slot}"] = model.var(name).domain.values()
+            values = space[f"D{slot}"] = variables[slot].domain.values()
             space[f"K{slot}"] = {UNSET: 0, **{x: r for r, x in
                                              enumerate(values)}}
             rank += f"K{slot}[{names[slot]}], "
             chosen += f"D{slot}[k[{i}]], "
         pad = "    " * (loops + 1)
         lines += [
-            f"{pad}t = ({''.join(names[slot] + ', ' for slot in state)})",
+            f"{pad}t = {successor}",
             f"{pad}if visited is None: return t",
             f"{pad}if t not in visited:",
             f"{pad}    k = ({rank})",

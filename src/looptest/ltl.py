@@ -242,18 +242,20 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
 
 
 def unroll(trace) -> tuple:
-    """(states, columns, prefix) of the positions a trace is evaluated on.
-    Position k is states[k] under columns[k], the nondet column (see
-    compiled.CompiledModel) the step into it applied, or the domain defaults
-    at position 0.  So when the loop starts at 0 the stored word is not
-    purely periodic in its nondet extension; then one loop copy is
-    unrolled, its first position under the wrap column, and the second copy
-    becomes the loop.  prefix is the effective prefix length."""
-    model = trace.model
-    column = model.compiled().column
-    defaults = model.nondet_defaults()
-    columns = [column(defaults if nd is None else nd) for nd in trace.nondet]
-    states, prefix = trace.states, trace.prefix_len
+    """(states, columns, prefix) of the positions a trace is evaluated on,
+    compiling nothing.  Position k is states[k] under columns[k], the nondet
+    column the step into it applied (row k-1 mod L of a test case of L rows,
+    each row's built once), or the domain defaults at position 0.  A loop
+    starting at 0 is not purely periodic in its nondet extension, so one
+    copy is unrolled, its first position under the wrap column, and the
+    second copy becomes the loop.  prefix is the effective prefix length."""
+    column = trace.model.compiled().column
+    defaults = trace.model.nondet_defaults()
+    states, prefix, k = trace.states, trace.prefix_len, trace.positions
+    length = trace.case.length if trace.case else k
+    columns = [column(defaults if nd is None else nd)
+               for nd in trace.nondet[:length + 1]]
+    columns = (columns + columns[1:] * ((k - 1) // length))[:k]
     if prefix == 0:
         prefix = q = trace.loop_len
         states = states + states[:q]

@@ -7,8 +7,8 @@ read-latest semantics.
 
 A state is a tuple holding one value per state variable, in the order of
 state_variables().  Expressions have two lowerings.  compiled.lower_expr
-gives Python source: the model is lowered once, at first use, to one
-function (compiled.CompiledModel) that expands a state in one call.
+gives Python source: the model is lowered at first use to one function
+(compiled.CompiledModel) that steps a state, or expands it for a search.
 lower_set gives the sets where an expression takes each value or fails,
 over any algebra of sets: the BDDs of symbolic.py, or RowSets, where a set
 of rows is one integer bitmask, so a coverage goal or an LTL atom is
@@ -594,10 +594,7 @@ def step(model: ClosedLoopModel, state: tuple,
     the proof assumes the given state's values lie in their domains (or are
     their init values), as init_state and step produce them.
     """
-    # the cache is read inline: this runs once per simulated step, and a
-    # method call on a tuple subclass with a __dict__ takes the interpreter's
-    # slow attribute path
-    return (model._compiled or model.compiled()).step(state, nondet)
+    return model.compiled().step(state, nondet)
 
 
 # --------------------------------------------------------------------------

@@ -117,9 +117,11 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
     The pair key, not the state alone, decides the loop: the same state met
     at a different point of the test matrix continues differently.  Only a
     row's first step (step()), which comes before any repeat, tests it.
+    Every step runs the compiled run(), which a replay compiles alone.
     """
     length = case.length
     compiled = model.compiled()
+    run = compiled.run
     nds = [dict(zip(case.variables, row)) for row in case.rows]  # shared
     columns = []
     states = []
@@ -135,7 +137,7 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
             s = step(model, s, nds[k])
             columns.append(compiled.column(nds[k]))
         else:
-            s = compiled.expand(s, None, None, 0, 1, None, columns[k % length])
+            s = run(s, columns[k % length])
         k += 1
     return LassoTrace(model=model, case=case, states=states, nondet=(
         [None] + nds * (k // length + 1))[:k], prefix_len=hit,

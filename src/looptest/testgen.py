@@ -258,9 +258,8 @@ class BoundedExplorer:
         try:
             for idx in range(start, end):
                 best = {}
-                steps = self._expand(nodes[idx], visited, best, steps,
-                                     self._limit, self._over_limit,
-                                     self._unset)
+                steps = self._expand(nodes[idx], self._unset, visited, best,
+                                     steps, self._limit, self._over_limit)
                 # ranks differ between leaves, so columns are never compared
                 for _rank, succ, column in sorted(best.values()):
                     visited[succ] = len(nodes)
@@ -313,8 +312,8 @@ class BoundedExplorer:
             # what the explicit search would have raised.
             _columns, state = self._symbolic_path(len(self._layers) - 1,
                                                   failing)
-            self._expand(state, {}, {}, self._steps, self._limit,
-                         self._over_limit, self._unset)
+            self._expand(state, self._unset, {}, {}, self._steps,
+                         self._limit, self._over_limit)
             raise RuntimeError("symbolic error set disagrees with the step")
         fresh = bdd.and_(relation.image(frontier), bdd.not_(self._reached))
         self._reached_count += relation.count(fresh)
@@ -351,7 +350,7 @@ class BoundedExplorer:
         state = self.nodes[idx]
         for states in wanted:
             column = relation.least_column(state, states)
-            state = self._expand(state, None, None, 0, 1, None, column)
+            state = self._expand(state, column)
             columns.append(column)
         return columns, state
 

@@ -181,27 +181,34 @@ def _read_values(model, name) -> list:
     return values
 
 
-def _expand_code(model) -> list:
-    """The code of the compiled expand() and of the functions it goes on
-    in past its nesting limit, each the default of the one before."""
+def _step_code(model) -> tuple:
+    """The code of run() as a replay compiles it, before any search, and
+    the codes of expand() and of the functions it goes on in past its
+    nesting limit, each the default of the one before."""
+    lowered = compiled.CompiledModel(model)
+    run = lowered.run.__code__
     codes = []
-    fn = model.compiled().expand
+    fn = lowered.expand
     while fn is not None:
         codes.append(fn.__code__)
         fn = fn.__defaults__[-1] if fn.__defaults__ else None
-    return codes
+    return [run], codes
 
 
 def _tested(model) -> list:
     """The DomainViolation where of each assignment the compiled step
-    tests at run time."""
-    return [c for code in _expand_code(model) for c in code.co_consts
-            if isinstance(c, str) and " assignment " in c]
+    tests at run time, the same in run() and in expand()."""
+    run, expand = ([c for code in codes for c in code.co_consts
+                    if isinstance(c, str) and " assignment " in c]
+                   for codes in _step_code(model))
+    assert run == expand, (run, expand)
+    return expand
 
 
 def _names(model) -> set:
-    """The global names the compiled expand() reads."""
-    return {name for code in _expand_code(model) for name in code.co_names}
+    """The global names the compiled run() and expand() read."""
+    return {name for codes in _step_code(model) for code in codes
+            for name in code.co_names}
 
 
 def test_assignments_without_run_time_test_stay_in_their_domains():
@@ -754,3 +761,60 @@ def test_row_sets_from_states_and_columns_match_position_rows(monkeypatch):
                     raised.add(want[1].split(" '")[0])
                 assert _value(sets.first_hit, goal) == want, (str(goal), envs)
     assert raised == {"division by zero", "mod by zero", "undefined variable"}
+
+
+def _step_forms(model) -> tuple:
+    """run() as a replay compiles it, and expand() under a full column,
+    each lowered afresh."""
+    run = compiled.CompiledModel(model).run
+    expand = compiled.CompiledModel(model).expand
+    assert run.__name__ == "run" and expand.__name__ == "expand"
+    return run, expand
+
+
+def _any_outcome(fn, *args):
+    """Typed state values fn returns, or the class and message of whatever
+    it raises."""
+    try:
+        return _typed(fn(*args))
+    except Exception as err:  # noqa: BLE001 - both forms must agree on it
+        return type(err), str(err)
+
+
+def test_run_matches_full_column_expand(monkeypatch):
+    # the straight-line step and the search's expand() under a full column
+    # give the same successor or raise the same error, from reached states
+    # and from states drawn from the values a read can see
+    rng = random.Random(2121)
+    models = []
+    for i in range(150):
+        model = randgen.random_model(rng, name=f"r{i}")
+        if i % 2:
+            model = _faulty(rng, model)
+        if i % 3 == 2:
+            model = _outside_init(rng, model)
+        models.append(model)
+    models += [parse_model(text) for text, *_ in _CORNERS.values()]
+    models += [casegen.build(kind, 2).model for kind in ("elevator", "pnp")]
+    seen = {"successor": 0, "raised": 0}
+    for nested in (compiled._NESTED_LOOPS, 1):
+        monkeypatch.setattr(compiled, "_NESTED_LOOPS", nested)
+        for model in models:
+            run, expand = _step_forms(model)
+            state = init_state(model)
+            for k in range(12):
+                if k % 4 == 3:
+                    state = tuple(rng.choice(_read_values(model, v.name))
+                                  for v in model.state_variables())
+                column = tuple(rng.choice(list(v.domain.values()))
+                               for v in model.nondet_variables())
+                want = _any_outcome(expand, state, column)
+                assert _any_outcome(run, state, column) == want, \
+                    (model, state, column)
+                if isinstance(want[0], type):
+                    seen["raised"] += 1
+                    state = init_state(model)
+                else:
+                    seen["successor"] += 1
+                    state = expand(state, column)
+    assert seen["raised"] > 300 and seen["successor"] > 2000, seen

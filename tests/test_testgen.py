@@ -6,7 +6,7 @@ import random
 import pytest
 
 from looptest import casegen, compiled, testgen
-from looptest.dsl import parse_model
+from looptest.dsl import parse_model, parse_reqs
 from looptest.ltl import Atom, Globally, Implies, Requirement
 from looptest.model import Binary, EvalError, Lit, Ref, Unary
 from looptest.runner import execute_suite
@@ -399,3 +399,27 @@ def test_goals_and_atoms_compile_nothing(monkeypatch):
                               GeneratorConfig(max_len=11, goal_mode="all"))
     execute_suite(study.model, study.reqs, suite)
     assert len(calls) == 1, len(calls)
+
+
+def test_replay_compiles_the_straight_line_step_only(monkeypatch):
+    # a replay compiles run() alone, without the search's branching; a
+    # search compiles expand(), which run() is from then on
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(compiled, "compile", counting, raising=False)
+    study = casegen.pnp(3)
+    suite, _ = generate_suite(study.model, study.reqs,
+                              GeneratorConfig(max_len=11, goal_mode="all"))
+    searched = study.model.compiled()
+    assert searched.run is searched.expand and len(calls) == 1
+    fresh = parse_model(study.model_text)
+    report = execute_suite(fresh, parse_reqs(study.reqs_text, fresh), suite)
+    replayed = fresh.compiled()
+    assert len(calls) == 2 and replayed.run.__name__ == "run"
+    assert "expand" not in vars(replayed)
+    assert report == execute_suite(study.model, study.reqs, suite)
+    assert len(calls) == 2
