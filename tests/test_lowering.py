@@ -777,7 +777,7 @@ def _any_outcome(fn, *args):
     it raises."""
     try:
         return _typed(fn(*args))
-    except Exception as err:  # noqa: BLE001 - both forms must agree on it
+    except Exception as err:  # both forms must raise alike, whatever it is
         return type(err), str(err)
 
 
