@@ -15,16 +15,18 @@ positions at once.  A subformula's table is one integer bitmask over the
 positions: position i of m is bit m-1-i, so the loop is the low bits and
 the connectives and temporal operators are a few whole-word integer
 operations (Until uses one addition whose carries run backward along the
-word).  Each table is memoized per trace, and the tables of the trace
-evaluated last are kept, so requirements checked one after another on the
-same trace share them.
+word).  Nothing recurses: a formula is evaluated, or lowered to a model
+expression, by one loop over its _postorder.  _last keeps the trace
+evaluated last, its tables, and each formula's order while the model stays
+the same, so requirements checked on one trace share tables and the traces
+of one model share orders.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Binary, Expr, Node, RowSets, Unary, _fold, _intern
+from .model import Binary, Expr, Node, RowSets, Unary, _intern
 
 
 class Formula(Node):
@@ -157,27 +159,49 @@ class Requirement(namedtuple("Requirement", "rid formula expectation",
 # Structure walks
 
 
+def _postorder(f: Formula, done=()) -> list:
+    """f's distinct subformulas not in done, each after its kids, left to
+    right, from an explicit stack: nothing below a node in done is listed."""
+    order, todo = {}, [f]  # listed in order; to list, [node] after its kids
+    while todo:
+        node = todo.pop()
+        if node.__class__ is list:
+            order[node[0]] = None
+        elif node not in order and node not in done:
+            if node.kids:
+                todo.append([node])
+                todo += node.kids[::-1]
+            else:
+                order[node] = None
+    return list(order)
+
+
 def is_temporal_free(f: Formula) -> bool:
     """True when no X, F, G or U occurs in the formula."""
-    return _fold(f, _lowered, {}) is not None
+    return _lowered(f, {}) is not None
 
 
 def to_expr(f: Formula) -> Expr:
     """Lower a temporal-free formula to a plain model expression."""
-    expr = _fold(f, _lowered, {})
+    expr = _lowered(f, {})
     if expr is None:
         raise ValueError(f"not temporal free: {f}")
     return expr
 
 
-def _lowered(f: Formula, parts: list):
-    """f as a model expression, given its kids', None where X, F, G or U
-    occurs in it."""
-    if f.__class__ is Atom:
-        return f.expr
-    if None in parts or f.symbol.isalpha():  # X, F, G or U in it
-        return None
-    return (Unary if len(parts) == 1 else Binary)(f.symbol, *parts)
+def _lowered(f: Formula, memo: dict):
+    """f as a model expression, None where X, F, G or U occurs in it.  memo
+    maps the subformulas lowered before to theirs, and gains f's others."""
+    for node in _postorder(f, memo):
+        if node.__class__ is Atom:
+            memo[node] = node.expr
+        elif node.symbol.isalpha():  # X, F, G or U
+            memo[node] = None
+        else:
+            parts = [memo[kid] for kid in node.kids]
+            memo[node] = None if None in parts else \
+                (Unary if len(parts) == 1 else Binary)(node.symbol, *parts)
+    return memo[f]
 
 
 def boolean_subformulas(f: Formula, mode: str = "maximal",
@@ -195,11 +219,11 @@ def boolean_subformulas(f: Formula, mode: str = "maximal",
         raise ValueError(f"unknown subformula mode {mode!r}")
     out = {}  # the expressions found, in order
     lowered = {} if memo is None else memo
-    _fold(f, _lowered, lowered)  # each operator node's, atoms being leaves
+    _lowered(f, lowered)
     todo = [f]  # in pre-order
     while todo:
         node = todo.pop()
-        expr = lowered[node] if node.kids else node.expr
+        expr = lowered[node]
         if expr is not None:
             out[expr] = None
             if mode == "maximal":  # and not below it
@@ -213,8 +237,8 @@ def boolean_subformulas(f: Formula, mode: str = "maximal",
 
 
 # The last trace evaluated on: (trace, RowSets of its positions in reverse,
-# prefix, memo), replaced as a whole: one trace's tables are alive at most.
-_last = (None, None, 0, None)
+# prefix, memo, orders); orders carries over to traces of the same model.
+_last = (None, None, 0, None, None)
 
 
 def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
@@ -232,12 +256,15 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
     held = _last
     if held[0] is not trace:
         states, columns, prefix = unroll(trace)
-        held = _last = (trace, RowSets(trace.model, states[::-1],
-                                       columns[::-1]), prefix, {})
-    _, rows, prefix, memo = held
+        rows = RowSets(trace.model, states[::-1], columns[::-1])
+        same = held[0] is not None and held[0].model is trace.model
+        held = _last = (trace, rows, prefix, {}, held[4] if same else {})
+    _, rows, prefix, memo, orders = held
     if not 0 <= position < trace.prefix_len + trace.loop_len:
         raise ValueError(f"position {position} outside lasso")
-    table = _eval_table(f, rows, prefix, memo)
+    if f not in orders:
+        orders[f] = _postorder(f)
+    table = _eval_table(orders[f], rows, prefix, memo)
     return bool(table >> (rows.true.bit_length() - 1 - position) & 1)
 
 
@@ -279,8 +306,8 @@ def position_envs(trace) -> tuple:
     return [dict(zip(names, row)) for row in rows], prefix
 
 
-def _eval_table(f: Formula, rows: RowSets, prefix: int, memo: dict):
-    """Satisfaction of f at every position, as one integer bitmask.
+def _eval_table(order: list, rows: RowSets, prefix: int, memo: dict):
+    """Satisfaction of order[-1] at every position, as one integer bitmask.
 
     rows holds the positions in reverse, so position i of the m rows
     is bit m-1-i: later positions sit in lower bits and the loop
@@ -290,59 +317,49 @@ def _eval_table(f: Formula, rows: RowSets, prefix: int, memo: dict):
     every position's witness lies within the finite word, then clears with
     one addition the a-only positions after the last b of each run of a|b.
 
-    memo maps subformulas to their finished masks.  An atom is its
-    expression lowered to a mask; where it fails, the earliest failing
-    position raises.
+    order is a _postorder, and memo maps subformulas to their finished
+    masks.  An atom is its expression lowered to a mask; where it fails,
+    the earliest failing position raises, the first failing atom in order.
     """
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
     full = rows.true
     q = full.bit_length() - prefix
     loop = (1 << q) - 1
-    if isinstance(f, Atom):
-        table, err = rows.lower(f.expr)
-        if err:
-            rows.fail(f.expr, 1 << (err.bit_length() - 1))
-    elif isinstance(f, Not):
-        table = full ^ _eval_table(f.operand, rows, prefix, memo)
-    elif isinstance(f, (And, Or, Implies)):
-        a = _eval_table(f.lhs, rows, prefix, memo)
-        b = _eval_table(f.rhs, rows, prefix, memo)
-        if isinstance(f, And):
-            table = a & b
-        elif isinstance(f, Or):
-            table = a | b
+    for f in order:
+        if f in memo:
+            continue
+        cls = f.__class__
+        if cls is Atom:
+            table, err = rows.lower(f.expr)
+            if err:
+                rows.fail(f.expr, 1 << (err.bit_length() - 1))
+        elif cls is Not:
+            table = full ^ memo[f.operand]
+        elif cls is And:
+            table = memo[f.lhs] & memo[f.rhs]
+        elif cls is Or:
+            table = memo[f.lhs] | memo[f.rhs]
+        elif cls is Implies:
+            table = (full ^ memo[f.lhs]) | memo[f.rhs]
+        elif cls is Next:
+            sub = memo[f.operand]
+            # the last position's successor is the loop start, bit q-1
+            table = ((sub << 1) & full) | ((sub >> (q - 1)) & 1)
+        elif cls is Finally or cls is Globally:  # G g is !F !g
+            # F g holds everywhere if g holds in the loop, else up to g's last
+            flip = 0 if cls is Finally else full
+            sub = memo[f.operand] ^ flip
+            table = flip ^ (full if sub & loop else full & -(sub & -sub))
+        elif cls is Until:
+            a, b = memo[f.lhs], memo[f.rhs]
+            # with the loop written out twice, a U b holds on each run of
+            # a|b up to its last b; adding the run's lowest bit carries
+            # through the a-only bits after that b
+            a |= b
+            a = (a << q) | (a & loop)
+            r = a & ~((b << q) | (b & loop))
+            bottom = a & ~(a << 1)
+            table = (a & ~(((r + bottom) ^ r) & r)) >> q
         else:
-            table = (full ^ a) | b
-    elif isinstance(f, Next):
-        sub = _eval_table(f.operand, rows, prefix, memo)
-        # the last position's successor is the loop start, bit q-1
-        table = ((sub << 1) & full) | ((sub >> (q - 1)) & 1)
-    elif isinstance(f, Finally):
-        sub = _eval_table(f.operand, rows, prefix, memo)
-        table = _finally(sub, full, loop)
-    elif isinstance(f, Globally):
-        sub = _eval_table(f.operand, rows, prefix, memo)
-        table = full ^ _finally(full ^ sub, full, loop)
-    elif isinstance(f, Until):
-        a = _eval_table(f.lhs, rows, prefix, memo)
-        b = _eval_table(f.rhs, rows, prefix, memo)
-        # with the loop written out twice, a U b holds on each run of a|b
-        # up to its last b; adding the run's lowest bit carries through the
-        # a-only bits after that b
-        a |= b
-        a = (a << q) | (a & loop)
-        r = a & ~((b << q) | (b & loop))
-        bottom = a & ~(a << 1)
-        table = (a & ~(((r + bottom) ^ r) & r)) >> q
-    else:
-        raise ValueError(f"cannot evaluate {f!r}")
-    memo[f] = table
-    return table
-
-
-def _finally(mask: int, full: int, loop: int) -> int:
-    """F of a mask: every position if a loop position is set, else every
-    position at or before the last one set."""
-    return full if mask & loop else full & -(mask & -mask)
+            raise ValueError(f"cannot evaluate {f!r}")
+        memo[f] = table
+    return memo[order[-1]]

@@ -217,7 +217,7 @@ class BoundedExplorer:
         self._columns = [compiled.column(model.nondet_defaults())]
         # (first node, RowSets of its nodes) of each explicit layer
         self._row_layers = [(0, RowSets(model, [root_tuple], self._columns[:]))]
-        self._visited = {root_tuple: 0}
+        self._visited = {root_tuple}
         self._depth_built = 0
         self._frontier = (0, 1)  # node range of the deepest explicit layer
         self._steps = 0
@@ -262,7 +262,7 @@ class BoundedExplorer:
                                      steps, self._limit, self._over_limit)
                 # ranks differ between leaves, so columns are never compared
                 for _rank, succ, column in sorted(best.values()):
-                    visited[succ] = len(nodes)
+                    visited.add(succ)
                     nodes.append(succ)
                     self.parents.append(idx)
                     self._columns.append(column)
@@ -271,7 +271,7 @@ class BoundedExplorer:
                             f"state budget of {self.state_cap} exhausted")
         except _Handoff:
             for succ in nodes[new_start:]:
-                del visited[succ]
+                visited.discard(succ)
             del nodes[new_start:]
             del self.parents[new_start:]
             del self._columns[new_start:]
@@ -312,7 +312,7 @@ class BoundedExplorer:
             # what the explicit search would have raised.
             _columns, state = self._symbolic_path(len(self._layers) - 1,
                                                   failing)
-            self._expand(state, self._unset, {}, {}, self._steps,
+            self._expand(state, self._unset, set(), {}, self._steps,
                          self._limit, self._over_limit)
             raise RuntimeError("symbolic error set disagrees with the step")
         fresh = bdd.and_(relation.image(frontier), bdd.not_(self._reached))

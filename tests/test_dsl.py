@@ -712,7 +712,8 @@ def test_suite_value_texts_cover_every_domain_kind():
 
 def _deep(terms: int):
     """A model assigning a chain of terms ||-terms and a requirement G of
-    another, both nesting past the interpreter's recursion limit."""
+    another.  900 terms nest 899 deep, within the interpreter's default
+    recursion limit of 1,000; 3,000 and 30,000 nest past it."""
     chain = " || ".join(["u"] * terms)
     model = parse_model(f"""model deep;
 nondet u : bool;
@@ -739,8 +740,9 @@ def test_deep_expressions_and_formulas_print_and_reparse():
     assert parse_reqs(text, model)[0].formula is reqs[0].formula
 
 
-def test_deep_requirements_generate_and_execute():
-    model, reqs, chain = _deep(900)
+@pytest.mark.parametrize("terms", [900, 3000, 30000])
+def test_deep_requirements_generate_and_execute(terms):
+    model, reqs, chain = _deep(terms)
     suite, report = generate_suite(model, reqs, GeneratorConfig(max_len=3))
     origins = [out.origin for out in report.outcomes]
     assert origins[-2:] == [f"sub R {chain.replace('u', 'y')}",

@@ -1,6 +1,10 @@
 """Formula structure and lasso evaluation."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,27 @@ def test_atom_raises_at_its_earliest_failing_position():
         states = [(False, False, k) for k in (0,) + order + (3,)]
         with pytest.raises(EvalError, match=message):
             eval_on_lasso(atom, make_lasso(states, prefix=1), 3)
+
+
+def test_left_operand_raises_before_the_right():
+    # n is 0, 1, 2, 3.  early fails at position 1 (mod by zero); late
+    # fails first at position 2 (division by zero), then at 3 (mod by zero).
+    # Whichever operand is on the left raises, at its earliest failure,
+    # though the other fails at an earlier position.
+    n = Ref("n")
+    early = Atom(Binary("==", Binary("mod", Lit(1), Binary("-", n, Lit(1))),
+                        Lit(0)))
+    late = Atom(Binary("==", Binary(
+        "+", Binary("/", Lit(1), Binary("-", n, Lit(2))),
+        Binary("mod", Lit(1), Binary("-", n, Lit(3)))), Lit(0)))
+    states = [(False, False, k) for k in range(4)]
+    for op in (Or, And, Until, Implies):
+        for lhs, rhs, message in ((late, early, "division by zero"),
+                                  (early, late, "mod by zero"),
+                                  (Next(Not(late)), Globally(early),
+                                   "division by zero")):
+            with pytest.raises(EvalError, match=message):
+                eval_on_lasso(op(lhs, rhs), make_lasso(states, prefix=1))
 
 
 def test_prefix_zero_lasso_distinguishes_first_visit_from_reentry():
@@ -223,3 +248,49 @@ def test_long_lassos_match_path_oracle_at_every_position():
                 got = eval_on_lasso(formula, trace, position)
                 assert got == want(formula, position), (
                     str(formula), trace.prefix_len, trace.loop_len, position)
+
+
+# Run in a fresh interpreter, so that no object another test keeps alive
+# holds a formula of these parses.
+_DRAIN = """
+import gc, json, sys, weakref
+sys.path[:0] = sys.argv[1:3]
+from looptest import casegen, model
+from looptest.dsl import parse_model, parse_reqs
+from looptest.ltl import Formula
+from looptest.runner import execute_suite
+from looptest.testgen import GeneratorConfig, generate_suite
+from test_dsl import _subtrees
+
+def run(texts):
+    m = parse_model(texts[0])
+    reqs = parse_reqs(texts[1], m)
+    suite, _ = generate_suite(m, reqs, GeneratorConfig(max_len=4))
+    execute_suite(m, reqs, suite)
+    return _subtrees([r.formula for r in reqs], Formula)
+
+a, b = ((s.model_text, s.reqs_text)
+        for s in (casegen.elevator(2), casegen.pnp(2)))
+gc.collect()
+before = {id(node) for node in (e() for e in model._nodes.values())}
+refs = [weakref.ref(f) for f in run(a) if id(f) not in before]
+gc.collect()
+out = {"theirs": len(refs), "held": sum(r() is not None for r in refs)}
+ours = run(b)
+gc.collect()
+out["alive"] = sum(r() is not None and r() not in ours for r in refs)
+print(json.dumps(out))
+"""
+
+
+def test_evaluating_another_model_drains_the_formulas_of_the_last():
+    root = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRAIN, str(root.parent / "src"), str(root)],
+        capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    # what the last trace's evaluation keeps holds formulas of model A ...
+    assert out["theirs"] > 50 and out["held"] > 0
+    # ... until a trace of model B is evaluated: then none built only by A's
+    # parse is alive, so nothing carried from trace to trace outlives it
+    assert out["alive"] == 0
