@@ -190,16 +190,28 @@ def _climb(cur: _Cursor, operand, infix: dict, level: int):
 
     infix maps an operator's text to (its level, the level its right
     operand binds at, class, leading arguments), larger levels binding
-    tighter; the node is class(*leading arguments, lhs, rhs).
+    tighter; the node is class(*leading arguments, lhs, rhs).  A right
+    operand binding tighter is parsed by a call, which nests at most once
+    per level; a right-associative operator waits on a stack for its right
+    operand instead, so a chain of them does not recurse.
     """
     lhs = operand()
+    waiting = None  # a linked stack (lhs, operator, level, rest) of those
     while True:
         op = infix.get(cur.tokens[cur.pos])
-        if op is None or op[0] < level:
+        if op is not None and op[0] >= level:
+            cur.pos += 1
+            if op[1] > op[0]:
+                lhs = op[2](*op[3], lhs, _climb(cur, operand, infix, op[1]))
+            else:
+                waiting = lhs, op, level, waiting
+                level = op[1]
+                lhs = operand()
+        elif waiting is not None:
+            left, op, level, waiting = waiting
+            lhs = op[2](*op[3], left, lhs)
+        else:
             return lhs
-        cur.pos += 1
-        rhs = _climb(cur, operand, infix, op[1])
-        lhs = op[2](*op[3], lhs, rhs)
 
 
 # the binary operators at their printing levels, -> associating right and
@@ -256,12 +268,22 @@ class _ExprParser:
             return inner
         if tok != "!" and tok != "-":
             cur.error(f"expected an expression, got {tok or 'end of input'!r}")
-        cur.pos += 1
+        start = cur.pos  # a stack of signs is read in a loop
+        while tok == "!" or tok == "-":
+            cur.pos += 1
+            tok = cur.tokens[cur.pos]
+        end = cur.pos
         operand = self.operand()
-        # fold a negated literal so -5 parses as the literal it prints as
-        if tok == "-" and isinstance(operand, Lit) and type(operand.value) is int:
-            return Lit(-operand.value)
-        return Unary(tok, operand)
+        while end > start:
+            end -= 1
+            tok = cur.tokens[end]
+            # fold a negated literal so -5 parses as the literal it prints as
+            if tok == "-" and isinstance(operand, Lit) \
+                    and type(operand.value) is int:
+                operand = Lit(-operand.value)
+            else:
+                operand = Unary(tok, operand)
+        return operand
 
 
 # --------------------------------------------------------------------------
@@ -509,22 +531,25 @@ class _LtlParser:
 
     def unary(self) -> ltl.Formula:
         cur = self.cur
-        tok = cur.peek()
-        if tok in _PREFIX:
-            cur.next()
-            operand = self.unary()
-            return _PREFIX[tok](operand)
-        if tok == "(":
-            cur.next()
-            inner = self.parse()
+        tokens = cur.tokens
+        start = cur.pos  # a stack of prefix operators is read in a loop
+        while tokens[cur.pos] in _PREFIX:
+            cur.pos += 1
+        end = cur.pos
+        if tokens[end] == "(":
+            cur.pos += 1
+            formula = self.parse()
             cur.expect(")")
-            return inner
-        at = cur.pos
-        expr = _climb(cur, self.atoms.operand, _BINARY, _PREC["=="])
-        if expr not in self.checked:
-            self._check_bool(expr, at)
-            self.checked.add(expr)
-        return ltl.Atom(expr)
+        else:
+            expr = _climb(cur, self.atoms.operand, _BINARY, _PREC["=="])
+            if expr not in self.checked:
+                self._check_bool(expr, end)
+                self.checked.add(expr)
+            formula = ltl.Atom(expr)
+        while end > start:
+            end -= 1
+            formula = _PREFIX[tokens[end]](formula)
+        return formula
 
     def _check_bool(self, expr: Expr, at: int):
         diags = []

@@ -12,6 +12,8 @@ import pytest
 from looptest import casegen
 from looptest.dsl import (
     ParseError,
+    _Cursor,
+    _ExprParser,
     _is_id,
     _positions,
     parse_ltl,
@@ -44,6 +46,7 @@ from looptest.model import (
     Lit,
     ModelError,
     Node,
+    Ref,
     Unary,
     UpdateBlock,
     Variable,
@@ -753,3 +756,74 @@ def test_deep_requirements_generate_and_execute(terms):
     assert execute_suite(model, reqs, suite).text() == (
         "REQ R VIOLATED test=t0\n#0 loop-start u=0 y=0\n"
         "violated=1 passed=0 errored=0\n")
+
+
+def _spine(node, step) -> list:
+    """The nodes down a chain, each the step of the one before, and the
+    node it ends in."""
+    nodes = [node]
+    while step(nodes[-1]) is not None:
+        nodes.append(step(nodes[-1]))
+    return nodes
+
+
+@pytest.mark.parametrize("op, cls", [("U", Until), ("->", Implies)])
+def test_deep_right_associative_formula_chains_parse(op, cls):
+    # one parse per chain link would recurse 3,000 deep
+    m = reqs_model()
+    reqs = parse_reqs(f"R : {f' {op} '.join(['motor'] * 3000)};\n", m)
+    spine = _spine(reqs[0].formula,
+                   lambda f: f.rhs if isinstance(f, cls) else None)
+    assert len(spine) == 3000
+    assert all(f.lhs is spine[-1] for f in spine[:-1])
+    assert parse_reqs(serialize_reqs(reqs), m)[0].formula is reqs[0].formula
+
+
+def test_deep_prefix_formula_stacks_parse():
+    m = reqs_model()
+    ops = ("X", "F", "G", "!") * 750
+    formula = parse_reqs(f"R : {' '.join(ops)} motor;\n", m)[0].formula
+    spine = _spine(formula, lambda f: getattr(f, "operand", None))
+    assert [type(f) for f in spine[:4]] == [Next, Finally, Globally, Not]
+    assert [type(f) for f in spine[:-1]] == [Next, Finally, Globally,
+                                             Not] * 750
+    assert str(spine[-1]) == "motor"
+
+
+def test_deep_model_chains_and_prefix_stacks_parse():
+    m = parse_model(f"""model stacks;
+input b : bool = false;
+input x : int -9..9 = 0;
+output c : bool = false;
+output y : int -9..9 = 0;
+plant {{
+  b = {' -> '.join(['b'] * 3000)};
+  x = {'- ' * 3001}x;
+}}
+controller {{
+  c = {'! ' * 3000}b;
+  y = {'- ' * 3000}5 + {'- ' * 2999}5;
+}}
+""")
+    implies, minus = (a.expr for a in m.plant.assignments)
+    spine = _spine(implies, lambda e: e.rhs if isinstance(e, Binary) else None)
+    assert len(spine) == 3000 and {e.op for e in spine[:-1]} == {"->"}
+    spine = _spine(minus, lambda e: e.operand if isinstance(e, Unary) else None)
+    assert len(spine) == 3002 and {e.op for e in spine[:-1]} == {"-"}
+    nots, folded = (a.expr for a in m.controller.assignments)
+    spine = _spine(nots, lambda e: e.operand if isinstance(e, Unary) else None)
+    assert len(spine) == 3001 and {e.op for e in spine[:-1]} == {"!"}
+    # a minus folds into the literal below it, one at a time
+    assert folded is Binary("+", Lit(5), Lit(-5))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-5", Lit(-5)), ("--5", Lit(5)), ("- - -5", Lit(-5)),
+    ("-(-5)", Lit(5)), ("!-5", Unary("!", Lit(-5))),
+    ("-!5", Unary("-", Unary("!", Lit(5)))),
+    ("-x", Unary("-", Ref("x"))), ("--x", Unary("-", Unary("-", Ref("x")))),
+    ("-true", Unary("-", Lit(True))),
+    ("- -5 - -5", Binary("-", Lit(5), Lit(-5))),
+])
+def test_negated_literals_fold_as_before(text, want):
+    assert _ExprParser(_Cursor(text), {"x"}, {}).parse() is want
