@@ -9,14 +9,15 @@ evaluation reaches the failing node.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from functools import partial
 from itertools import count, groupby
 from operator import itemgetter
 
 from .model import (_ARITH, _COMPARE, UNSET, Binary, ClosedLoopModel, Cond,
-                    DomainViolation, EvalError, Expr, IntRange, Lit, Ref,
-                    Unary, Variable, _fold)
+                    DomainViolation, EnumDomain, EvalError, Expr, IntRange,
+                    Lit, Ref, Unary, Variable, _fold)
 
 
 def floor_div(a: int, b: int) -> int:
@@ -271,8 +272,8 @@ class CompiledModel:
         return functions[name]
 
     def _source(self, space: dict, search: bool) -> list:
-        """The lines defining expand() and the functions it goes on in, or
-        without search the lines defining run()."""
+        """The lines defining expand() and the functions it goes on in,
+        setting key, or without search the lines defining run()."""
         _, variables, plant, controller = self._model_fields
         slot_of = {v.name: i for i, v in enumerate(variables)}
         nondet = {v.name: slot_of[v.name] for v in self._nondet}
@@ -291,11 +292,23 @@ class CompiledModel:
             if search else []
         memo = {}  # the template of every operator node, alike everywhere
         loops = fresh = 0  # loops open in the function being written
+        # where each assigned slot takes its final value
+        final = {slot_of[asn.target]: (block_name, i)
+                 for block_name, block in (("plant", plant),
+                                           ("controller", controller))
+                 for i, asn in enumerate(block.assignments)}
+        # the fields of the slots whose final values are not known yet
+        pending = {f"{{{slot}}}" for slot in (*final, *nondet.values())}
+        derived = set()  # the slots whose final assignments read known ones
+        tail = []  # (slot, template, lines, tested) since the last loop
         for block_name, block in (("plant", plant),
                                   ("controller", controller)):
             for i, asn in enumerate(block.assignments):
                 template = lower_expr(asn.expr, slot_of, memo)
                 present = [slot for slot, field in fields if field in template]
+                if present:
+                    lines += _placed(tail, "    " * (loops + 1))
+                    tail = []
                 for slot, condition in _read_points(
                         asn.expr, present, memo, slot_of) if present else ():
                     old = names[slot]
@@ -324,7 +337,7 @@ class CompiledModel:
                 target = slot_of[asn.target]
                 fresh += 1
                 new = f"x{target}_{fresh}"
-                lines.append(f"{pad}{new} = {template.format(*names)}")
+                body = [f"{new} = {template.format(*names)}"]
                 names[target] = new
                 domain = variables[target].domain
                 values = _fold((asn.expr, read_sets), _values_of, None,
@@ -332,12 +345,24 @@ class CompiledModel:
                 if values is None or not all(domain.contains(x)
                                              for _, x in values):
                     where = f"{block_name} assignment {i + 1}"
-                    lines += [f"{pad}if not ({domain.test_source(new)}):",
-                              f"{pad}    raise _violation({asn.target!r}, "
-                              f"{new}, {where!r})"]
+                    body += [f"if not ({domain.test_source(new)}):",
+                             f"    raise _violation({asn.target!r}, "
+                             f"{new}, {where!r})"]
+                if not search:
+                    lines += [pad + line for line in body]
+                    continue
+                if final[target] == (block_name, i) \
+                        and asn.target not in nondet:
+                    if pending.isdisjoint(_FIELD.findall(template)):
+                        derived.add(target)
+                    pending.discard(f"{{{target}}}")
+                tail.append((target, template, body, len(body) > 1))
         successor = f"({''.join(names[slot] + ', ' for slot in state)})"
         if not search:
             return [lines[0] + "):", *lines[1:], f"    return {successor}"]
+        pad = "    " * (loops + 1)
+        tail, finish = self._deferred(tail, derived, final)
+        lines += _placed(tail, pad)
         rank = chosen = ""
         for i, (name, slot) in enumerate(nondet.items()):
             values = space[f"D{slot}"] = variables[slot].domain.values()
@@ -345,18 +370,61 @@ class CompiledModel:
                                              enumerate(values)}}
             rank += f"K{slot}[{names[slot]}], "
             chosen += f"D{slot}[k[{i}]], "
-        pad = "    " * (loops + 1)
+        free = [i for i, slot in enumerate(state) if slot not in derived]
+        self.key = _getter(free)
+        key = f"({''.join(names[state[i]] + ', ' for i in free)})"
         lines += [
-            f"{pad}t = {successor}",
-            f"{pad}if visited is None: return t",
-            f"{pad}if t not in visited:",
+            f"{pad}if visited is None or (key := {key}) not in visited:",
+            *_placed(finish, pad + "    "),
+            f"{pad}    if visited is None: return {successor}",
             f"{pad}    k = ({rank})",
-            f"{pad}    held = best.get(t)",
+            f"{pad}    held = best.get(key)",
             f"{pad}    if held is None or k < held[0]:",
-            f"{pad}        best[t] = k, t, ({chosen})",
+            f"{pad}        best[key] = k, "
+            f"{'key' if key == successor else successor}, ({chosen})",
             "    return steps"]
         return [line for lines in reversed(functions)
                 for line in (lines[0] + "):", *lines[1:])]
+
+    def _deferred(self, tail: list, derived: set, final: dict) -> tuple:
+        """The entries of tail, the assignments after the last loop, that
+        run where they are, and those that run only for a new key: the
+        assignments to derived variables that cannot raise, read by none
+        of the others."""
+        _, variables, _, _ = self._model_fields
+        # an operation fails only on values other than ints and bools: an
+        # enum's labels, and the init of a variable the step never assigns,
+        # which an unchecked model may hold outside its domain
+        loose = [f"{{{slot}}}" for slot, v in enumerate(variables)
+                 if isinstance(v.domain, EnumDomain) or slot not in final
+                 and not v.domain.contains(v.init)]
+        kept, finish = [], []
+        for entry in reversed(tail):
+            target, template, _, tested = entry
+            if target in derived and not tested \
+                    and not any(call in template for call in _CALLS) \
+                    and not (_FAILS.search(template) and any(
+                        text in template for text in (*loose, "'", '"'))) \
+                    and not any(f"{{{target}}}" in other
+                                for _, other, *_ in kept):
+                finish.append(entry)
+            else:
+                kept.append(entry)
+        return kept[::-1], finish[::-1]
+
+
+def _placed(entries: list, pad: str) -> list:
+    """The lines of assignment entries, at pad."""
+    return [pad + line for *_, body, _ in entries for line in body]
+
+
+#: a slot's field in a template
+_FIELD = re.compile(r"\{\d+\}")
+#: the operators that fail on operands of another type: comparisons of
+#: order and arithmetic (a minus sign may be a literal's)
+_FAILS = re.compile(r"[<>+*%-]|//")
+#: the helpers whose calls can raise
+_CALLS = ("floor_div(", "floor_mod(", "_raise(")
 
 
 def _getter(keys: list):

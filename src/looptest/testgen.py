@@ -217,7 +217,10 @@ class BoundedExplorer:
         self._columns = [compiled.column(model.nondet_defaults())]
         # (first node, RowSets of its nodes) of each explicit layer
         self._row_layers = [(0, RowSets(model, [root_tuple], self._columns[:]))]
-        self._visited = {root_tuple}
+        self._visited = set()  # the key of every node but the root's
+        # the root's key until a successor has it; its derived components
+        # need not be what their assignments give on its free ones
+        self._root_key = compiled.key(root_tuple)
         self._depth_built = 0
         self._frontier = (0, 1)  # node range of the deepest explicit layer
         self._steps = 0
@@ -254,15 +257,21 @@ class BoundedExplorer:
         nodes = self.nodes
         new_start = len(nodes)
         visited = self._visited
+        root_key = self._root_key
         steps = self._steps
         try:
             for idx in range(start, end):
                 best = {}
                 steps = self._expand(nodes[idx], self._unset, visited, best,
                                      steps, self._limit, self._over_limit)
-                # ranks differ between leaves, so columns are never compared
+                if root_key in best:
+                    if best[root_key][1] == nodes[0]:  # the root again
+                        del best[root_key]
+                        visited.add(root_key)
+                    root_key = self._root_key = None
+                visited.update(best)
+                # ranks differ between leaves, so states are never compared
                 for _rank, succ, column in sorted(best.values()):
-                    visited.add(succ)
                     nodes.append(succ)
                     self.parents.append(idx)
                     self._columns.append(column)
@@ -270,8 +279,6 @@ class BoundedExplorer:
                         raise StateCapExceeded(
                             f"state budget of {self.state_cap} exhausted")
         except _Handoff:
-            for succ in nodes[new_start:]:
-                visited.discard(succ)
             del nodes[new_start:]
             del self.parents[new_start:]
             del self._columns[new_start:]
@@ -298,6 +305,7 @@ class BoundedExplorer:
             self._layers[0], relation.state_set(self.nodes[:start]))
         self._reached_count = len(self.nodes)
         self._relation = relation
+        self._visited = None  # the explicit search does not resume
         self._limit = self.step_cap
 
     def _extend_symbolic(self) -> bool:

@@ -818,3 +818,174 @@ def test_run_matches_full_column_expand(monkeypatch):
                     seen["successor"] += 1
                     state = expand(state, column)
     assert seen["raised"] > 300 and seen["successor"] > 2000, seen
+
+
+# Models where, at the same leaf, an assignment to a derived variable (one
+# whose value follows from the successor's other values) and a later one to
+# a free variable both raise, each with the error the search raises.
+_ERROR_ORDER = {
+    # d divides by the successor's y, which is 0 where f leaves its domain
+    "divide": ("""model divide;
+nondet go : bool;
+input y : int 0..1 = 1;
+output d : int -9..9 = 0;
+output f : int 0..3 = 0;
+plant {
+  y = go || f == 3 ? 0 : 1;
+}
+controller {
+  d = 6 / y;
+  f = f + 1;
+}
+""", EvalError, "division by zero"),
+    # d needs a run-time domain test, which fails where f divides by zero
+    "tested": ("""model tested;
+nondet go : bool;
+input y : int 0..2 = 0;
+output d : int 0..9 = 8;
+output f : int -9..9 = 1;
+plant {
+  y = go && y < 2 ? y + 1 : y;
+}
+controller {
+  d = y + 8;
+  f = 3 / (y - 2);
+}
+""", DomainViolation, "controller assignment 1: value 10 outside domain of 'd'"),
+    # d cannot raise; the free f after it does, at the leaf d is finished on
+    "finished": ("""model finished;
+nondet go : bool;
+input y : int 0..2 = 0;
+output d : bool = false;
+output e : bool = false;
+output f : int -9..9 = 1;
+plant {
+  y = go && y < 2 ? y + 1 : y;
+}
+controller {
+  d = y == 2;
+  e = d && y > 0;
+  f = 3 / (y - 2);
+}
+""", EvalError, "division by zero"),
+    # the derived d reads the free g, whose domain test fails first
+    "free_first": ("""model free_first;
+nondet go : bool;
+input y : int 0..2 = 0;
+output g : int 0..2 = 0;
+output d : int -9..9 = 0;
+plant {
+  y = go && y < 2 ? y + 1 : y;
+}
+controller {
+  g = g + y;
+  d = 6 / (g - 3);
+}
+""", DomainViolation, "controller assignment 1: value 3 outside domain of 'g'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_ORDER))
+def test_search_raises_the_first_error_of_the_step(name, monkeypatch):
+    text, error, message = _ERROR_ORDER[name]
+    model = parse_model(text)
+    assert validate_model(model) == []
+    for nested in (compiled._NESTED_LOOPS, 1):
+        monkeypatch.setattr(compiled, "_NESTED_LOOPS", nested)
+        model._compiled = None
+        with pytest.raises(error) as raised:
+            BoundedExplorer(model, 8).find(Lit(False))
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+def _all_free(model):
+    """The model with v = v appended for each state variable it assigns:
+    the same step, under which no variable is derived, so the search
+    dedupes on whole states."""
+    assigned = {asn.target for block in (model.plant, model.controller)
+                for asn in block.assignments}
+    again = tuple(Assignment(v.name, Ref(v.name))
+                  for v in model.state_variables() if v.name in assigned)
+    return ClosedLoopModel(
+        name=model.name, variables=model.variables, plant=model.plant,
+        controller=UpdateBlock(model.controller.assignments + again))
+
+
+# a successor has the root's free components, but the root's derived d is
+# not what d's assignment gives, as the elevator's on_floor[0] is not
+_ROOT_UNDERIVED = """model root_underived;
+nondet go : bool;
+input x : int 0..2 = 0;
+output d : bool = false;
+plant {
+  x = go ? (x < 2 ? x + 1 : 0) : x;
+}
+controller {
+  d = x == 0;
+}
+"""
+
+# the same, with the root's d what its assignment gives: the root again
+_ROOT_DERIVED = _ROOT_UNDERIVED.replace("d : bool = false", "d : bool = true")
+
+
+def test_keyed_search_matches_whole_state_search(monkeypatch):
+    # The search dedupes successors on their free components; on the same
+    # step with every variable free it dedupes on whole states, as the
+    # reference does.  Both find the same nodes, parents, columns and
+    # branch steps, or raise the same error.
+    monkeypatch.setattr(testgen, "SYMBOLIC_HANDOFF_STEPS", 10 ** 18)
+    rng = random.Random(2323)
+    models = []
+    for i in range(120):
+        model = randgen.random_model(rng, name=f"k{i}")
+        if i % 3 == 1:
+            model = _faulty(rng, model)
+        if i % 4 == 3:
+            model = _outside_init(rng, model)
+        models.append((model, rng.randint(2, 5)))
+    models += [(parse_model(text), bound + 2)
+               for text, bound, *_ in _CORNERS.values()]
+    models += [(parse_model(text), 6) for text, *_ in _ERROR_ORDER.values()]
+    models += [(parse_model(text), 4)
+               for text in (_ROOT_UNDERIVED, _ROOT_DERIVED)]
+    models += [(casegen.build(kind, 2).model, 8) for kind in ("elevator",
+                                                            "pnp")]
+    seen = dict.fromkeys(("derived", "deferred", "raised", "root again",
+                          "root's key"), 0)
+
+    def search(model, bound):
+        model._compiled = None
+        explorer = BoundedExplorer(model, bound)
+        try:
+            explorer.find(Lit(False))
+        except ModelError as err:
+            return type(err), str(err)
+        if explorer._root_key is None:  # a successor had the root's key
+            key = model.compiled().key
+            shared = key(explorer.nodes[0]) in map(key, explorer.nodes[1:])
+            seen["root's key" if shared else "root again"] += 1
+        return (explorer._steps, explorer.nodes, explorer.parents,
+                explorer.columns)
+
+    for nested in (compiled._NESTED_LOOPS, 1):
+        monkeypatch.setattr(compiled, "_NESTED_LOOPS", nested)
+        for model, bound in models:
+            got = search(model, bound)
+            root = init_state(model)
+            seen["derived"] += len(model.compiled().key(root)) < len(root)
+            # an assignment runs between the key's test and the successor
+            source = model.compiled()._source({}, True)
+            at = next(i for i, line in enumerate(source) if "(key := " in line)
+            seen["deferred"] += "return" not in source[at + 1]
+            assert search(_all_free(model), bound) == got, model
+            if isinstance(got[0], type):
+                seen["raised"] += 1
+                assert isinstance(_layers_or_error(
+                    oracles.reference_layers, model, bound), type), model
+            else:
+                assert _explored_layers(model, bound) == \
+                    oracles.reference_layers(model, bound), model
+    assert seen["derived"] > 60 and seen["deferred"] > 20 \
+        and seen["raised"] > 20 and seen["root again"] > 2 \
+        and seen["root's key"] > 2, seen
