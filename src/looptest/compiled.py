@@ -220,13 +220,22 @@ class CompiledModel:
     expand(s, column, visited, best, steps, limit, over) keeps assigned
     values in fresh locals and loops over a nondet variable's domain where
     it is read while UNSET.  Under a full column it returns the successor.
-    Else each leaf with an unvisited successor whose column (unread values
-    first) ranks lowest so far sets best[successor] = (rank, successor,
-    column), unread values taking their domain's first, and steps counts
-    the state and each branching iteration, calling over(steps) past
-    limit; expand returns it.  Both forms make the same assignments, domain
-    tests and raises in the same order, and assigned values are proven at
-    lowering or tested at run time to lie in their targets' domains.
+    Else each leaf whose successor's key is not in visited and whose
+    column (unread values first) ranks lowest so far for that key sets
+    best[key] = (rank, successor, column), unread values taking their
+    domain's first, and steps counts the state and each branching
+    iteration, calling over(steps) past limit; expand returns it.
+
+    A successor's key, key(successor), is the tuple of its free
+    components.  A state variable is derived when its final assignment
+    reads only final values, those of variables assigned before it for the
+    last time or never assigned, so successors with equal keys are equal;
+    the key holds every other state variable, in state order.  Assignments
+    to derived variables after the last nondet loop that cannot raise and
+    that no other assignment reads run only once a leaf's key is new.  So
+    both forms make the same assignments that can raise, domain tests and
+    raises in the same order, and assigned values are proven at lowering
+    or tested at run time to lie in their targets' domains.
     """
 
     def __init__(self, model: ClosedLoopModel):

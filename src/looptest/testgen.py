@@ -192,7 +192,10 @@ class BoundedExplorer:
     domain defaults at the root.
 
     A node is expanded by one call of the model's expand(), which branches
-    over a nondet variable's domain where it is read, depth first.
+    over a nondet variable's domain where it is read, depth first, and
+    dedupes successors on their keys (compiled.CompiledModel); the root's
+    key is visited once a successor with it turns out to be the root, whose
+    derived components need not follow from its free ones.
 
     nodes, parents and columns hold the explicit layers only.  After
     the handoff to the symbolic phase, each further layer is a BDD of the
@@ -217,9 +220,7 @@ class BoundedExplorer:
         self._columns = [compiled.column(model.nondet_defaults())]
         # (first node, RowSets of its nodes) of each explicit layer
         self._row_layers = [(0, RowSets(model, [root_tuple], self._columns[:]))]
-        self._visited = set()  # the key of every node but the root's
-        # the root's key until a successor has it; its derived components
-        # need not be what their assignments give on its free ones
+        self._visited = set()  # the keys of the nodes
         self._root_key = compiled.key(root_tuple)
         self._depth_built = 0
         self._frontier = (0, 1)  # node range of the deepest explicit layer
@@ -257,18 +258,16 @@ class BoundedExplorer:
         nodes = self.nodes
         new_start = len(nodes)
         visited = self._visited
-        root_key = self._root_key
         steps = self._steps
         try:
             for idx in range(start, end):
                 best = {}
                 steps = self._expand(nodes[idx], self._unset, visited, best,
                                      steps, self._limit, self._over_limit)
-                if root_key in best:
-                    if best[root_key][1] == nodes[0]:  # the root again
-                        del best[root_key]
-                        visited.add(root_key)
-                    root_key = self._root_key = None
+                if self._root_key in best \
+                        and best[self._root_key][1] == nodes[0]:
+                    del best[self._root_key]  # the root again
+                    visited.add(self._root_key)
                 visited.update(best)
                 # ranks differ between leaves, so states are never compared
                 for _rank, succ, column in sorted(best.values()):
@@ -279,9 +278,8 @@ class BoundedExplorer:
                         raise StateCapExceeded(
                             f"state budget of {self.state_cap} exhausted")
         except _Handoff:
-            del nodes[new_start:]
-            del self.parents[new_start:]
-            del self._columns[new_start:]
+            for held in (nodes, self.parents, self._columns):
+                del held[new_start:]
         else:
             self._steps = steps
             self._depth_built += 1
