@@ -57,13 +57,13 @@ DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_STEP_CAP = 10_000_000
 
 #: Explicit branch steps after which the bounded search turns symbolic.
-#: Elevator n=4 (bound 18) generates in 0.21 / 0.22 / 0.24 / 0.30 / 0.39 s
+#: Elevator n=4 (bound 18) generates in 0.21 / 0.21 / 0.21 / 0.25 / 0.24 s
 #: with the handoff at 0 / 25k / 50k / 100k steps or never (CPU seconds at
-#: the speed of bench/reference.py, median of 5): about 1 us per explicit
-#: step, so the symbolic phase from the root is worth some 200k steps.  50k
-#: keeps searches of the size of elevator n=3 (21k steps to its full bound)
-#: explicit, where generation takes 0.04 s and 19 MB at peak against 0.11 s
-#: and 33 MB from the root.
+#: the speed of bench/reference.py, median of 5): at most 0.8 us per
+#: explicit step, so its whole explicit search, 287k steps, costs about
+#: what the symbolic phase from the root costs.  50k keeps searches of the
+#: size of elevator n=3 (21k steps to its full bound) explicit, where
+#: generation takes 0.03 s against 0.11 s from the root.
 SYMBOLIC_HANDOFF_STEPS = 50_000
 
 
