@@ -305,7 +305,7 @@ class CompiledModel:
         final = {slot_of[asn.target]: (block_name, i)
                  for block_name, block in (("plant", plant),
                                            ("controller", controller))
-                 for i, asn in enumerate(block.assignments)}
+                 for i, asn in enumerate(block.assignments)} if search else {}
         # the fields of the slots whose final values are not known yet
         pending = {f"{{{slot}}}" for slot in (*final, *nondet.values())}
         derived = set()  # the slots whose final assignments read known ones
@@ -316,7 +316,7 @@ class CompiledModel:
                 template = lower_expr(asn.expr, slot_of, memo)
                 present = [slot for slot, field in fields if field in template]
                 if present:
-                    lines += _placed(tail, "    " * (loops + 1))
+                    lines += _placed(tail)
                     tail = []
                 for slot, condition in _read_points(
                         asn.expr, present, memo, slot_of) if present else ():
@@ -346,7 +346,7 @@ class CompiledModel:
                 target = slot_of[asn.target]
                 fresh += 1
                 new = f"x{target}_{fresh}"
-                body = [f"{new} = {template.format(*names)}"]
+                body = [f"{pad}{new} = {template.format(*names)}"]
                 names[target] = new
                 domain = variables[target].domain
                 values = _fold((asn.expr, read_sets), _values_of, None,
@@ -354,11 +354,11 @@ class CompiledModel:
                 if values is None or not all(domain.contains(x)
                                              for _, x in values):
                     where = f"{block_name} assignment {i + 1}"
-                    body += [f"if not ({domain.test_source(new)}):",
-                             f"    raise _violation({asn.target!r}, "
+                    body += [f"{pad}if not ({domain.test_source(new)}):",
+                             f"{pad}    raise _violation({asn.target!r}, "
                              f"{new}, {where!r})"]
                 if not search:
-                    lines += [pad + line for line in body]
+                    lines += body
                     continue
                 if final[target] == (block_name, i) \
                         and asn.target not in nondet:
@@ -371,7 +371,7 @@ class CompiledModel:
             return [lines[0] + "):", *lines[1:], f"    return {successor}"]
         pad = "    " * (loops + 1)
         tail, finish = self._deferred(tail, derived, final)
-        lines += _placed(tail, pad)
+        lines += _placed(tail)
         rank = chosen = ""
         for i, (name, slot) in enumerate(nondet.items()):
             values = space[f"D{slot}"] = variables[slot].domain.values()
@@ -384,7 +384,7 @@ class CompiledModel:
         key = f"({''.join(names[state[i]] + ', ' for i in free)})"
         lines += [
             f"{pad}if visited is None or (key := {key}) not in visited:",
-            *_placed(finish, pad + "    "),
+            *_placed(finish, "    "),
             f"{pad}    if visited is None: return {successor}",
             f"{pad}    k = ({rank})",
             f"{pad}    held = best.get(key)",
@@ -422,9 +422,9 @@ class CompiledModel:
         return kept[::-1], finish[::-1]
 
 
-def _placed(entries: list, pad: str) -> list:
-    """The lines of assignment entries, at pad."""
-    return [pad + line for *_, body, _ in entries for line in body]
+def _placed(entries: list, indent: str = "") -> list:
+    """The lines of assignment entries, indented further by indent."""
+    return [indent + line for *_, body, _ in entries for line in body]
 
 
 #: a slot's field in a template
