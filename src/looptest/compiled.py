@@ -231,8 +231,8 @@ class CompiledModel:
     reads only final values, those of variables assigned before it for the
     last time or never assigned, so successors with equal keys are equal;
     the key holds every other state variable, in state order.  Assignments
-    to derived variables after the last nondet loop that cannot raise and
-    that no other assignment reads run only once a leaf's key is new.  So
+    to derived variables after the last nondet loop that cannot raise, read
+    only by other such assignments, run only once a leaf's key is new.  So
     both forms make the same assignments that can raise, domain tests and
     raises in the same order, and assigned values are proven at lowering
     or tested at run time to lie in their targets' domains.
