@@ -1,7 +1,10 @@
 """Closed-loop test generation and checking for plant/controller models.
 
-The case studies, looptest.casegen, are loaded on first use: nothing on the
-load, generate or execute paths needs them.
+Importing the package loads the model language only: model, ltl, sim and
+dsl, all that loading a model and its requirements runs.  The engines,
+testgen and runner, and the case studies, casegen, load on first use of
+one of their names; compiled, the lowerings, on a model's first step,
+search or evaluation.
 """
 
 from .model import (
@@ -66,25 +69,35 @@ from .dsl import (
     serialize_reqs,
     serialize_suite,
 )
-from .testgen import (
-    BoundedExplorer,
-    CoverageGoal,
-    GenerationReport,
-    GeneratorConfig,
-    StateCapExceeded,
-    enumerate_goals,
-    generate_suite,
-)
-from .runner import ExecutionReport, ReqVerdict, execute_suite
+# name -> the module defining it, imported on first use (PEP 562)
+_LAZY = {
+    "casegen": "casegen",
+    "testgen": "testgen",
+    "runner": "runner",
+    **dict.fromkeys(("BoundedExplorer", "CoverageGoal", "GenerationReport",
+                     "GeneratorConfig", "StateCapExceeded",
+                     "enumerate_goals", "generate_suite"), "testgen"),
+    **dict.fromkeys(("ExecutionReport", "ReqVerdict", "execute_suite"),
+                    "runner"),
+}
 
 
 def __getattr__(name: str):
-    # PEP 562; "from . import casegen" here would call this hook again
-    if name == "casegen":
-        import importlib
-        return importlib.import_module(".casegen", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # "from . import casegen" here would call this hook again
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = importlib.import_module("." + module, __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + ["casegen"])
+                 + list(_LAZY))

@@ -22,9 +22,9 @@ import tempfile
 from .dsl import ParseError, load_model, load_reqs, load_suite, \
     serialize_suite
 from .model import ModelError
-from .runner import execute_suite
-from .testgen import GeneratorConfig, generate_suite, \
-    DEFAULT_STATE_CAP, DEFAULT_STEP_CAP
+from .sim import DEFAULT_STATE_CAP, DEFAULT_STEP_CAP
+
+# Each subcommand imports the engines it runs, so a run loads no other.
 
 #: The keys of casegen.BUILDERS, sorted; casegen itself is loaded only by
 #: the casegen subcommand.
@@ -71,6 +71,7 @@ def _add_inputs(sub):
 
 def _load_inputs(args):
     """Load what _add_inputs and _add_caps name: model, reqs, config."""
+    from .testgen import GeneratorConfig
     model = load_model(args.model)
     reqs = load_reqs(args.reqs, model)
     config = GeneratorConfig(max_len=args.max_len, goal_mode=args.goals,
@@ -140,6 +141,7 @@ def _cmd_casegen(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .testgen import generate_suite
     model, reqs, config = _load_inputs(args)
     suite, report = generate_suite(model, reqs, config)
     _write_atomic(args.out, serialize_suite(suite))
@@ -157,6 +159,7 @@ def _exit_code(report, misses: list, check_expectations: bool) -> int:
 
 
 def _cmd_execute(args) -> int:
+    from .runner import execute_suite
     model = load_model(args.model)
     reqs = load_reqs(args.reqs, model)
     suite = load_suite(args.suite, model)
@@ -171,6 +174,8 @@ def _cmd_execute(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from .runner import execute_suite
+    from .testgen import generate_suite
     model, reqs, config = _load_inputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
     generation = os.path.join(args.out_dir, "generation.txt")

@@ -1,23 +1,30 @@
-"""A model lowered to compiled Python, loaded on first use.
+"""The lowerings of expressions and a model lowered to compiled Python,
+loaded on first use: loading a model needs none of it.
 
-An expression lowers to a template of Python source reading slot i as the
-field {i}, for str.format to name the local holding its value where the
-source runs.  Division and mod are floored and raise EvalError by zero,
-and an error is raised only where a left-to-right, short-circuiting
-evaluation reaches the failing node.
+lower_expr lowers an expression to a template of Python source reading
+slot i as the field {i}, for str.format to name the local holding its
+value where the source runs.  Division and mod are floored and raise
+EvalError by zero, and an error is raised only where a left-to-right,
+short-circuiting evaluation reaches the failing node.
+
+lower_set lowers it to the sets where it takes each value or fails, over
+any algebra of sets: the BDDs of symbolic.py, or RowSets, where a set of
+rows is one integer bitmask, so a coverage goal or an LTL atom is decided
+over many rows at once without compiling anything.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Mapping
 from functools import partial
 from itertools import count, groupby
 from operator import itemgetter
 
-from .model import (_ARITH, _COMPARE, UNSET, Binary, ClosedLoopModel, Cond,
+from .model import (UNSET, Binary, BoolDomain, ClosedLoopModel, Cond,
                     DomainViolation, EnumDomain, EvalError, Expr, IntRange,
-                    Lit, Ref, Unary, Variable, _fold)
+                    Lit, Ref, Unary, Variable, VarKind, _fold, eval_expr)
 
 
 def floor_div(a: int, b: int) -> int:
@@ -192,6 +199,180 @@ def _or(a: tuple | None, b: tuple | None) -> tuple | None:
     if a is None or b is None or a is _TRUE:
         return b if a is None else a
     return f"{_arg(a, 2)} or {_arg(b, 2)}", 2
+
+
+# --------------------------------------------------------------------------
+# Lowering to sets: where an expression takes each value, and where it fails
+#
+# An algebra of sets provides true (the set of everything), and_, or_,
+# not_ and iff; false is 0.  A boolean expression lowers to one set, any
+# other to a map from each value it can take to the set where it takes it,
+# in the style of Bryant 1986.  Next to the value goes the set where
+# evaluating it raises, under the same short-circuit rules as lower_expr.
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.floordiv, "mod": operator.mod}
+
+
+def lower_set(expr: Expr, env, algebra, memo: dict | None = None) -> tuple:
+    """(value, error) of an expression over sets of the algebra.
+
+    env.get(name) is a variable's value: a set for a bool, else a map from
+    each value to its set.  A name env does not hold fails everywhere.
+    memo keeps the (value, error) of every subexpression lowered over the
+    same env, so later expressions sharing them skip their lowering.
+    """
+    return _fold(expr, lambda node, parts: _set_of(node, parts, env, algebra),
+                 {} if memo is None else memo)
+
+
+def _as_map(value) -> dict:
+    # only an undefined name, which fails everywhere, gives a set where a
+    # value map belongs; its value is never read
+    return value if isinstance(value, dict) else {}
+
+
+def _set_of(node: Expr, parts: list, env, alg) -> tuple:
+    """(value, error) of a node, given those of its children."""
+    if isinstance(node, Lit):
+        if isinstance(node.value, bool):
+            return (alg.true if node.value else 0), 0
+        return {node.value: alg.true}, 0
+    if isinstance(node, Ref):
+        value = env.get(node.name)
+        return (0, alg.true) if value is None else (value, 0)
+    if isinstance(node, Unary):
+        ((value, err),) = parts
+        if node.op == "!":
+            return alg.not_(value), err
+        return {-x: g for x, g in _as_map(value).items()}, err
+    and_, or_ = alg.and_, alg.or_
+    if isinstance(node, Binary):
+        (a, err_a), (b, err_b) = parts
+        op = node.op
+        if op == "&&":
+            return and_(a, b), or_(err_a, and_(a, err_b))
+        if op == "||":
+            return or_(a, b), or_(err_a, and_(alg.not_(a), err_b))
+        if op == "->":
+            return or_(alg.not_(a), b), or_(err_a, and_(a, err_b))
+        err = or_(err_a, err_b)
+        if op in ("==", "!=") and not isinstance(a, dict) \
+                and not isinstance(b, dict):
+            same = alg.iff(a, b)
+            return (same if op == "==" else alg.not_(same)), err
+        compare = _COMPARE.get(op)
+        arith = _ARITH.get(op)
+        if compare is None and arith is None:
+            return 0, alg.true
+        out = 0 if compare else {}
+        for x, gx in _as_map(a).items():
+            for y, gy in _as_map(b).items():
+                guard = and_(gx, gy)
+                if guard == 0:
+                    continue
+                if compare:
+                    if compare(x, y):
+                        out = or_(out, guard)
+                elif y == 0 and op in ("/", "mod"):
+                    err = or_(err, guard)
+                else:
+                    r = arith(x, y)
+                    out[r] = or_(out.get(r, 0), guard)
+        return out, err
+    if not isinstance(node, Cond):
+        return 0, alg.true
+    (c, err_c), (then, err_t), (other, err_o) = parts
+    not_c = alg.not_(c)
+    err = or_(err_c, or_(and_(c, err_t), and_(not_c, err_o)))
+    if not isinstance(then, dict) and not isinstance(other, dict):
+        return or_(and_(c, then), and_(not_c, other)), err
+    out = {}
+    for arm, guard_arm in ((then, c), (other, not_c)):
+        for x, g in _as_map(arm).items():
+            guard = and_(guard_arm, g)
+            if guard:
+                out[x] = or_(out.get(x, 0), guard)
+    return out, err
+
+
+class RowSets:
+    """The algebra of sets of rows, each set an integer bitmask with bit i
+    for row i, and the env of those rows for lower_set.  Row i is the state
+    states[i] under the nondet column columns[i] (see CompiledModel).
+
+    A variable's value over the rows is built on its first read, from the
+    states or the columns taken apart once: one mask for a bool, else one
+    mask per value it takes.
+    """
+
+    def __init__(self, model: ClosedLoopModel, states: list, columns: list):
+        self.model = model
+        self.states = states
+        self.columns = columns
+        self.true = (1 << len(states)) - 1
+        self._values = {}
+        self._memo = {}
+        self._split = {}  # nondet or not -> each variable's values
+
+    and_ = operator.and_
+    or_ = operator.or_
+
+    def not_(self, u: int) -> int:
+        return self.true ^ u
+
+    def iff(self, u: int, v: int) -> int:
+        return self.true ^ u ^ v
+
+    def get(self, name: str):
+        value = self._values.get(name)
+        if value is None and self.model.has_var(name):
+            nondet = self.model.var(name).kind is VarKind.NONDET
+            if nondet not in self._split:
+                # row 0 is the last digit, so it lands in bit 0
+                self._split[nondet] = list(zip(*reversed(
+                    self.columns if nondet else self.states))) \
+                    or [()] * len(self.model.variables)
+            column = self._split[nondet][self.model.compiled().index[name]]
+            if isinstance(self.model.var(name).domain, BoolDomain):
+                try:
+                    digits = bytes(column)
+                except (TypeError, ValueError):  # not all in range(256)
+                    digits = bytes(map(operator.truth, column))
+                value = int(b"0" + digits.translate(_DIGITS), 2)
+            else:
+                value = {x: int("0" + "".join(["1" if y == x else "0"
+                                               for y in column]), 2)
+                         for x in set(column)}
+            self._values[name] = value
+        return value
+
+    def lower(self, expr: Expr) -> tuple:
+        """lower_set over these rows, sharing subexpressions across calls."""
+        return lower_set(expr, self, self, self._memo)
+
+    def first_hit(self, expr: Expr):
+        """Index of the first row where the expression holds, or None.
+        Where a row fails before that, its error is raised."""
+        value, err = self.lower(expr)
+        hit = value & ~err
+        if err and not (hit and hit & -hit < err & -err):
+            self.fail(expr, err & -err)
+        return (hit & -hit).bit_length() - 1 if hit else None
+
+    def fail(self, expr: Expr, bit: int):
+        """Raise what evaluating the expression raises on the row of a
+        one-bit mask."""
+        i = bit.bit_length() - 1
+        eval_expr(expr, dict(zip(self.model.compiled().index,
+                                 (*self.columns[i], *self.states[i]))))
+        raise RuntimeError(f"set lowering of {expr} disagrees with eval_expr")
+
+
+#: bools as bytes to binary digits, by truth: every byte but 0 is true
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 
 
 #: Loops nested in one generated function, short of CPython's 20 blocks

@@ -232,14 +232,22 @@ class _ExprParser:
         self.labels = labels
 
     def parse(self) -> Expr:
-        """A whole expression: binary operators, then an optional ?: chain."""
-        guard = _climb(self.cur, self.operand, _BINARY, _PREC["->"])
-        if self.cur.accept("?"):
+        """A whole expression: binary operators, then an optional ?: chain.
+        The chain's else-arms are read in a loop and folded from the right;
+        a then-arm nests one call."""
+        cur = self.cur
+        arms = []  # (guard, then) of each arm read
+        while True:
+            expr = _climb(cur, self.operand, _BINARY, _PREC["->"])
+            if not cur.accept("?"):
+                break
             then = self.parse()
-            self.cur.expect(":")
-            other = self.parse()
-            return Cond(guard, then, other)
-        return guard
+            cur.expect(":")
+            arms.append((expr, then))
+        while arms:
+            guard, then = arms.pop()
+            expr = Cond(guard, then, expr)
+        return expr
 
     def operand(self) -> Expr:
         """A literal, a name, a parenthesized expression or ! or - before

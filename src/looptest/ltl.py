@@ -10,7 +10,7 @@ it associates right, so printing here and parsing in dsl read one table.
 
 A trace is evaluated over its positions (unroll): each a state and the
 nondet column applied into it.  Atoms are not compiled: each is lowered
-by model.lower_set over the positions' bitmasks (model.RowSets), all
+by compiled.lower_set over the positions' bitmasks (compiled.RowSets), all
 positions at once.  A subformula's table is one integer bitmask over the
 positions: position i of m is bit m-1-i, so the loop is the low bits and
 the connectives and temporal operators are a few whole-word integer
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Binary, Expr, Node, RowSets, Unary, _intern
+from .model import Binary, Expr, Node, Unary, _intern
 
 
 class Formula(Node):
@@ -240,6 +240,10 @@ def boolean_subformulas(f: Formula, mode: str = "maximal",
 # prefix, memo, orders); orders carries over to traces of the same model.
 _last = (None, None, 0, None, None)
 
+# compiled.RowSets, imported by the first evaluation (None until then), so
+# that loading a model does not load compiled.py
+RowSets = None
+
 
 def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
     """Decide the formula at a position of the infinite unwinding of a lasso.
@@ -252,9 +256,10 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
     runner.execute_suite does, evaluates each distinct subformula once.
     The trace must not be changed in between.
     """
-    global _last
+    global _last, RowSets
     held = _last
     if held[0] is not trace:
+        from .compiled import RowSets
         states, columns, prefix = unroll(trace)
         rows = RowSets(trace.model, states[::-1], columns[::-1])
         same = held[0] is not None and held[0].model is trace.model

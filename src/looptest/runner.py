@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .ltl import eval_on_lasso
 from .model import ClosedLoopModel, ModelError
-from .sim import TestSuite, dump_trace, simulate_lasso
+from .sim import DEFAULT_STEP_CAP, TestSuite, dump_trace, simulate_lasso
 
 
 class ReqVerdict(namedtuple("ReqVerdict", "rid status test_id trace message",
@@ -86,7 +86,7 @@ class ExecutionReport(namedtuple("ExecutionReport", "verdicts")):
 
 
 def execute_suite(model: ClosedLoopModel, reqs: list, suite: TestSuite,
-                  step_cap: int = 10_000_000):
+                  step_cap: int = DEFAULT_STEP_CAP):
     """Run every requirement against every test.  Returns ExecutionReport.
 
     Every test is unwound first; if one fails, its error becomes every

@@ -22,6 +22,12 @@ from .model import (
 )
 
 
+#: The default budgets: states a search reaches, and explicit search branch
+#: steps or steps of one lasso unwinding.
+DEFAULT_STATE_CAP = 10_000_000
+DEFAULT_STEP_CAP = 10_000_000
+
+
 class StepCapExceeded(ModelError):
     """Lasso search walked more steps than the configured cap."""
 
@@ -111,7 +117,7 @@ class LassoTrace(namedtuple(
 
 
 def simulate_lasso(model: ClosedLoopModel, case: TestCase,
-                   step_cap: int = 10 ** 7) -> LassoTrace:
+                   step_cap: int = DEFAULT_STEP_CAP) -> LassoTrace:
     """Run a test case until the (step index mod L, state) pair repeats.
 
     The pair key, not the state alone, decides the loop: the same state met

@@ -23,7 +23,8 @@ from __future__ import annotations
 import sys
 from itertools import chain
 
-from .model import BoolDomain, ClosedLoopModel, VarKind, lower_set
+from .compiled import lower_set
+from .model import BoolDomain, ClosedLoopModel, VarKind
 
 
 class BDD:

@@ -13,8 +13,9 @@ parent-first with each parent's successors sorted by nondet column, so the
 first hit is a shortest witness with the lexicographically least column
 sequence.  Only nondet values the compiled step reads are branched on.
 Each node keeps its nondet column, and a goal is decided over a whole
-explicit layer's states and columns at once: lowered by model.lower_set to
-bitmasks, its first hit is the lowest set bit of the first layer with one.
+explicit layer's states and columns at once: lowered by compiled.lower_set
+to bitmasks, its first hit is the lowest set bit of the first layer with
+one.
 
 Explicit branching multiplies with every nondet value read, so once a search
 has spent SYMBOLIC_HANDOFF_STEPS branch steps it continues symbolically (see
@@ -40,7 +41,6 @@ from .model import (
     Lit,
     ModelError,
     Ref,
-    RowSets,
     Unary,
     VarKind,
     _fold,
@@ -51,10 +51,9 @@ from .model import (
     ref_text,
 )
 from . import ltl
-from .sim import StepCapExceeded, TestCase, TestSuite, simulate_lasso
-
-DEFAULT_STATE_CAP = 10_000_000
-DEFAULT_STEP_CAP = 10_000_000
+from .compiled import RowSets
+from .sim import (DEFAULT_STATE_CAP, DEFAULT_STEP_CAP, StepCapExceeded,
+                  TestCase, TestSuite, simulate_lasso)
 
 #: Explicit branch steps after which the bounded search turns symbolic.
 #: Elevator n=4 (bound 18) generates in 0.21 / 0.21 / 0.21 / 0.25 / 0.24 s
@@ -255,30 +254,32 @@ class BoundedExplorer:
         start, end = self._frontier
         if start == end:
             return False
-        nodes = self.nodes
+        nodes, parents, columns = self.nodes, self.parents, self._columns
         new_start = len(nodes)
         visited = self._visited
         steps = self._steps
+        expand, unset, limit, over = (self._expand, self._unset,
+                                      self._limit, self._over_limit)
+        state_cap, root_key, root = self.state_cap, self._root_key, nodes[0]
         try:
             for idx in range(start, end):
                 best = {}
-                steps = self._expand(nodes[idx], self._unset, visited, best,
-                                     steps, self._limit, self._over_limit)
-                if self._root_key in best \
-                        and best[self._root_key][1] == nodes[0]:
-                    del best[self._root_key]  # the root again
-                    visited.add(self._root_key)
+                steps = expand(nodes[idx], unset, visited, best, steps,
+                               limit, over)
+                if root_key in best and best[root_key][1] == root:
+                    del best[root_key]  # the root again
+                    visited.add(root_key)
                 visited.update(best)
                 # ranks differ between leaves, so states are never compared
                 for _rank, succ, column in sorted(best.values()):
                     nodes.append(succ)
-                    self.parents.append(idx)
-                    self._columns.append(column)
-                    if len(nodes) > self.state_cap:
+                    parents.append(idx)
+                    columns.append(column)
+                    if len(nodes) > state_cap:
                         raise StateCapExceeded(
-                            f"state budget of {self.state_cap} exhausted")
+                            f"state budget of {state_cap} exhausted")
         except _Handoff:
-            for held in (nodes, self.parents, self._columns):
+            for held in (nodes, parents, columns):
                 del held[new_start:]
         else:
             self._steps = steps

@@ -51,6 +51,7 @@ from looptest.model import (
     UpdateBlock,
     Variable,
     VarKind,
+    validate_model,
 )
 from looptest.runner import execute_suite
 from looptest.sim import TestCase, TestSuite
@@ -815,6 +816,43 @@ controller {{
     assert len(spine) == 3001 and {e.op for e in spine[:-1]} == {"!"}
     # a minus folds into the literal below it, one at a time
     assert folded is Binary("+", Lit(5), Lit(-5))
+
+
+def test_deep_conditional_else_chains_parse():
+    # one parse per else-arm would recurse 3,000 deep
+    arms = " : ".join(f"b ? {i}" for i in range(3000))
+    m = parse_model(f"""model arms;
+input b : bool = false;
+output x : int 0..2999 = 0;
+plant {{
+}}
+controller {{
+  x = {arms} : x;
+}}
+""")
+    assert validate_model(m) == []
+    expr = m.controller.assignments[0].expr
+    spine = _spine(expr, lambda e: e.other if isinstance(e, Cond) else None)
+    assert len(spine) == 3001 and spine[-1] is Ref("x")
+    assert all(e.cond is Ref("b") for e in spine[:-1])
+    assert [e.then for e in spine[:-1]] == [Lit(i) for i in range(3000)]
+    assert parse_model(serialize_model(m)).controller.assignments[0] \
+        .expr is expr
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a ? 1 : 2", Cond(Ref("a"), Lit(1), Lit(2))),
+    ("a ? 1 : b ? 2 : 3",
+     Cond(Ref("a"), Lit(1), Cond(Ref("b"), Lit(2), Lit(3)))),
+    ("a ? b ? 1 : 2 : 3",
+     Cond(Ref("a"), Cond(Ref("b"), Lit(1), Lit(2)), Lit(3))),
+    ("a ? b ? 1 : 2 : b ? 3 : 4",
+     Cond(Ref("a"), Cond(Ref("b"), Lit(1), Lit(2)),
+          Cond(Ref("b"), Lit(3), Lit(4)))),
+    ("(a ? 1 : 2) + 3", Binary("+", Cond(Ref("a"), Lit(1), Lit(2)), Lit(3))),
+])
+def test_conditional_chains_nest_as_before(text, want):
+    assert _ExprParser(_Cursor(text), {"a", "b"}, {}).parse() is want
 
 
 @pytest.mark.parametrize("text, want", [

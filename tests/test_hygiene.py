@@ -145,7 +145,8 @@ print(json.dumps(sorted(sys.modules)))
 
 # none of these is needed to import the package and load a model
 UNNEEDED = ("dataclasses", "typing", "inspect", "ast", "looptest.casegen",
-            "looptest.compiled", "looptest.symbolic", "looptest.cli")
+            "looptest.compiled", "looptest.symbolic", "looptest.cli",
+            "looptest.testgen", "looptest.runner")
 
 
 def test_import_and_load_keep_a_small_footprint(tmp_path):
@@ -157,17 +158,85 @@ def test_import_and_load_keep_a_small_footprint(tmp_path):
          str(tmp_path / "pnp3.clm"), str(tmp_path / "pnp3.ltl")],
         capture_output=True, text=True, check=True)
     loaded = set(json.loads(proc.stdout))
-    assert "looptest.dsl" in loaded
     assert not loaded & set(UNNEEDED), sorted(loaded & set(UNNEEDED))
+    assert {name for name in loaded if name.startswith("looptest")} == {
+        "looptest", "looptest.dsl", "looptest.ltl", "looptest.model",
+        "looptest.sim"}
+
+
+def _loaded_by(code: str) -> list:
+    """The looptest modules a fresh interpreter has loaded after code."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); " + code
+         + "; print(*sorted(m for m in sys.modules if 'looptest' in m))",
+         str(ROOT / "src")],
+        capture_output=True, text=True, check=True)
+    return proc.stdout.split()
 
 
 def test_cli_leaves_casegen_to_its_subcommand():
+    assert "looptest.casegen" not in _loaded_by("import looptest.cli")
+
+
+def test_cli_leaves_the_engines_to_their_subcommands():
+    loaded = _loaded_by("import looptest.cli")
+    engines = {"looptest.testgen", "looptest.runner", "looptest.compiled",
+               "looptest.symbolic", "looptest.casegen"}
+    assert "looptest.cli" in loaded
+    assert not engines & set(loaded), sorted(engines & set(loaded))
+
+
+_EXPORTS = [
+    "And", "Assignment", "Atom", "Binary", "BoolDomain", "BoundedExplorer",
+    "ClosedLoopModel", "Cond", "CoverageGoal", "Diagnostic",
+    "DomainViolation", "EnumDomain", "EvalError", "ExecutionReport", "Expr",
+    "Finally", "Formula", "GenerationReport", "GeneratorConfig", "Globally",
+    "Implies", "IntRange", "LassoTrace", "Lit", "ModelError", "Next", "Not",
+    "Or", "ParseError", "Ref", "ReqVerdict", "Requirement",
+    "StateCapExceeded", "StepCapExceeded", "TestCase", "TestSuite", "Unary",
+    "Until", "UpdateBlock", "VarKind", "Variable", "boolean_subformulas",
+    "casegen", "dsl", "dump_trace", "enumerate_goals", "eval_expr",
+    "eval_on_lasso", "execute_suite", "generate_suite", "init_state",
+    "load_model", "load_reqs", "load_suite", "ltl", "model", "parse_model",
+    "parse_reqs", "parse_suite", "position_envs", "runner",
+    "serialize_model", "serialize_reqs", "serialize_suite", "sim",
+    "simulate_lasso", "step", "testgen", "to_expr", "validate_model",
+    "validate_test",
+]
+
+_EXPORT_PROBE = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import looptest
+listed = dir(looptest)
+star = {}
+exec("from looptest import *", star)
+def home(name):
+    # the object the module defining a name holds under it
+    value = getattr(looptest, name)
+    if value.__class__ is sys.__class__:
+        return importlib.import_module(value.__name__)
+    module = getattr(value, "__module__", None) or "looptest"
+    return getattr(importlib.import_module(module), name)
+print(json.dumps({
+    "all": looptest.__all__,
+    "listed": [name for name in looptest.__all__ if name in listed],
+    "star": [name for name in looptest.__all__
+             if star.get(name) is getattr(looptest, name)],
+    "home": [name for name in looptest.__all__
+             if home(name) is getattr(looptest, name)],
+}))
+"""
+
+
+def test_package_exports_resolve_to_their_defining_modules():
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys; sys.path.insert(0, sys.argv[1]); import looptest.cli; "
-         "print('looptest.casegen' in sys.modules)", str(ROOT / "src")],
+        [sys.executable, "-S", "-c", _EXPORT_PROBE, str(ROOT / "src")],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False"]
+    found = json.loads(proc.stdout)
+    assert found["all"] == _EXPORTS
+    assert found["listed"] == found["star"] == found["home"] == _EXPORTS
 
 
 def test_nodes_compare_by_identity():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from looptest import casegen, compiled, ltl, testgen
+from looptest.compiled import RowSets, lower_set
 from looptest.dsl import parse_model, parse_reqs, parse_suite
 from looptest.model import (
     Assignment,
@@ -24,14 +25,12 @@ from looptest.model import (
     Lit,
     ModelError,
     Ref,
-    RowSets,
     Unary,
     UpdateBlock,
     Variable,
     VarKind,
     eval_expr,
     init_state,
-    lower_set,
     referenced_names,
     step,
     validate_model,
@@ -399,6 +398,43 @@ def test_short_circuit_hides_undefined_variables():
     evaluated = Binary("&&", Ref("p"), missing)
     assert _value(rows.first_hit, evaluated) == \
         _value(oracles.reference_eval, evaluated, {"p": True})
+
+
+# what an unvalidated bool variable may hold; each reads as its truth
+_ODD_BOOLS = (False, True, 0, 1, 2, 48, 49, 255, 256, -1, None)
+
+
+def _bool_copy_model(init) -> ClosedLoopModel:
+    """ctrlvar b : bool = init, stepped by b = b, left unvalidated."""
+    return ClosedLoopModel(
+        name="odd", variables=(Variable("b", VarKind.CTRL, BoolDomain(),
+                                        init),),
+        plant=UpdateBlock(),
+        controller=UpdateBlock((Assignment("b", Ref("b")),)))
+
+
+def test_bool_masks_read_truth_like_reference_eval():
+    model = _bool_copy_model(False)
+    # all values in one column, and each alone, where bytes() takes it
+    columns = [_ODD_BOOLS] + [(x,) for x in _ODD_BOOLS]
+    for values in columns:
+        rows = RowSets(model, [(x,) for x in values], [()] * len(values))
+        for expr in (Ref("b"), Unary("!", Ref("b"))):
+            value, err = lower_set(expr, rows, rows)
+            assert err == 0
+            for k, x in enumerate(values):
+                want = bool(oracles.reference_eval(expr, {"b": x}))
+                assert bool(value >> k & 1) == want, (str(expr), x)
+
+
+@pytest.mark.parametrize("init", [2, 48, 256, -1])
+def test_search_reads_an_odd_bool_init_by_truth(init):
+    model = _bool_copy_model(init)
+    assert BoundedExplorer(model, 1).find(Ref("b")) == ([], 0)
+    failure = _value(step, model, init_state(model), {})
+    assert failure[0] is DomainViolation
+    assert _value(BoundedExplorer(model, 1).find,
+                  Unary("!", Ref("b"))) == failure
 
 
 def _explored_layers(model, max_len):
