@@ -637,10 +637,12 @@ _GIVES_BOOL = {"!", *_COMPARE}  # the operators whose value is a bool
 
 
 def _read_set(v: Variable) -> set | None:
-    """v's domain, and a state variable's init, kept until it is assigned."""
+    """v's domain, and a state variable's init, kept until it is assigned:
+    even a missing one, None, which no domain holds (a nondet has none)."""
     if isinstance(v.domain, IntRange) and v.domain.hi - v.domain.lo >= _VALUE_CAP:
         return None
-    return {(x.__class__, x) for x in (*v.domain.values(), v.init) if x is not None}
+    init = () if v.kind is VarKind.NONDET else (v.init,)
+    return {(x.__class__, x) for x in (*v.domain.values(), *init)}
 
 
 def _narrowed(item: tuple) -> list:

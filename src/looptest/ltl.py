@@ -16,10 +16,9 @@ positions: position i of m is bit m-1-i, so the loop is the low bits and
 the connectives and temporal operators are a few whole-word integer
 operations (Until uses one addition whose carries run backward along the
 word).  Nothing recurses: a formula is evaluated, or lowered to a model
-expression, by one loop over its _postorder.  _last keeps the trace
-evaluated last, its tables, and each formula's order while the model stays
-the same, so requirements checked on one trace share tables and the traces
-of one model share orders.
+expression, by one loop over its _postorder.  _last keeps the lasso_rows
+of the trace evaluated last, so requirements checked on one trace share
+tables and the traces of one model share each formula's order.
 """
 
 from __future__ import annotations
@@ -236,8 +235,7 @@ def boolean_subformulas(f: Formula, mode: str = "maximal",
 # Evaluation on lassos
 
 
-# The last trace evaluated on: (trace, RowSets of its positions in reverse,
-# prefix, memo, orders); orders carries over to traces of the same model.
+# The last trace evaluated on, as lasso_rows holds it
 _last = (None, None, 0, None, None)
 
 # compiled.RowSets, imported by the first evaluation (None until then), so
@@ -251,19 +249,16 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
     The trace is a sim.LassoTrace.  Position indexes the stored part of the
     trace (0 <= position < prefix_len + loop_len).
 
-    Calls on the same trace object share its positions (unroll) and one memo
-    of subformula tables, so checking many requirements on one trace, as
-    runner.execute_suite does, evaluates each distinct subformula once.
+    Calls on the same trace object share its lasso_rows, kept in _last
+    (where runner.execute_suite puts a generated test's), so checking many
+    requirements on one trace evaluates each distinct subformula once.
     The trace must not be changed in between.
     """
-    global _last, RowSets
+    global _last
     held = _last
     if held[0] is not trace:
-        from .compiled import RowSets
-        states, columns, prefix = unroll(trace)
-        rows = RowSets(trace.model, states[::-1], columns[::-1])
         same = held[0] is not None and held[0].model is trace.model
-        held = _last = (trace, rows, prefix, {}, held[4] if same else {})
+        held = _last = lasso_rows(trace, held[4] if same else {})
     _, rows, prefix, memo, orders = held
     if not 0 <= position < trace.prefix_len + trace.loop_len:
         raise ValueError(f"position {position} outside lasso")
@@ -271,6 +266,17 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
         orders[f] = _postorder(f)
     table = _eval_table(orders[f], rows, prefix, memo)
     return bool(table >> (rows.true.bit_length() - 1 - position) & 1)
+
+
+def lasso_rows(trace, orders: dict) -> tuple:
+    """What eval_on_lasso holds of a trace: (trace, RowSets of its positions
+    in reverse, effective prefix, memo of subformula tables, orders), orders
+    mapping formulas to their _postorder for the traces of one model."""
+    global RowSets
+    from .compiled import RowSets
+    states, columns, prefix = unroll(trace)
+    return (trace, RowSets(trace.model, states[::-1], columns[::-1]), prefix,
+            {}, orders)
 
 
 def unroll(trace) -> tuple:

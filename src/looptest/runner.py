@@ -8,14 +8,15 @@ suite is weaker than a proof: it says nothing about inputs the suite never
 plays.
 
 Checking is trace-major: each trace's positions and subformula tables
-are built once and shared by every requirement still undecided on it (see
-ltl.eval_on_lasso).
+are built once, for a generated test by its generation, and shared by
+every requirement still undecided on it (see ltl.eval_on_lasso).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from . import ltl
 from .ltl import eval_on_lasso
 from .model import ClosedLoopModel, ModelError
 from .sim import DEFAULT_STEP_CAP, TestSuite, dump_trace, simulate_lasso
@@ -93,11 +94,23 @@ def execute_suite(model: ClosedLoopModel, reqs: list, suite: TestSuite,
     verdict.  The traces are then checked in suite order, each against the
     requirements not yet decided, so a requirement is decided by the first
     test that violates it or raises while it is checked.
+
+    A test of a suite generate_suite returned for this model object is not
+    unwound again where its lasso is within step_cap: the lasso_rows built
+    to scan its goals are evaluated on, with the same verdicts.  A parsed
+    suite or a replay is unwound here, and execution keeps nothing.
     """
-    traces = []
+    lassos = getattr(suite, "_lassos", {})  # see sim.TestSuite
+    traces = []  # (trace, its lasso_rows from generation or None)
     for case in suite.cases:
+        held = lassos.get(case.tid)
+        if held and held[0].case is case and held[0].model is model \
+                and held[0].positions <= step_cap:
+            traces.append((held[0], held))
+            continue
         try:
-            traces.append(simulate_lasso(model, case, step_cap=step_cap))
+            traces.append((simulate_lasso(model, case, step_cap=step_cap),
+                           None))
         except ModelError as err:
             broken = f"test={case.tid} {err}"
             return ExecutionReport(verdicts=tuple(
@@ -105,9 +118,11 @@ def execute_suite(model: ClosedLoopModel, reqs: list, suite: TestSuite,
                 for req in reqs))
 
     decided = {}  # requirement index -> verdict
-    for trace in traces:
+    for trace, held in traces:
         if len(decided) == len(reqs):
             break
+        if held is not None:
+            ltl._last = held
         for i, req in enumerate(reqs):
             if i in decided:
                 continue

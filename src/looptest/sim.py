@@ -53,10 +53,16 @@ class TestCase(namedtuple("TestCase", "tid variables rows")):
 
 
 class TestSuite(namedtuple("TestSuite", "variables cases")):
-    """Test cases sharing one nondet variable ordering."""
+    """Test cases sharing one nondet variable ordering.  No __slots__: a
+    suite generate_suite returns keeps its tests' ltl.lasso_rows, by tid,
+    as _lassos in its __dict__, outside equality, hash and repr, which
+    execute_suite on the same model object evaluates on; a parsed,
+    replayed, pickled or copied suite carries none."""
 
-    __slots__ = ()
     __test__ = False  # keep pytest from collecting this
+
+    def __getstate__(self):  # the lassos hold compiled functions
+        return None
 
     @property
     def element_count(self) -> int:

@@ -456,7 +456,12 @@ def _direct_nondet_witness(model: ClosedLoopModel, predicate: Expr):
 
 def generate_suite(model: ClosedLoopModel, reqs: list,
                    config: GeneratorConfig):
-    """Drive the goal list to a suite.  Returns (suite, report)."""
+    """Drive the goal list to a suite.  Returns (suite, report).
+
+    Each new test is unwound once, to ltl.lasso_rows, and the goals still
+    open are scanned over its positions.  The suite keeps those rows, which
+    runner.execute_suite evaluates on instead of unwinding the test again.
+    """
     goals = enumerate_goals(model, reqs, config.goal_mode)
     explorer = BoundedExplorer(model, config.max_len,
                                state_cap=config.state_cap,
@@ -467,6 +472,8 @@ def generate_suite(model: ClosedLoopModel, reqs: list,
     nondet_names = {v.name for v in model.nondet_variables()}
     outcomes: list = [None] * len(goals)
     cases = []
+    lassos = {}  # each test's ltl.lasso_rows, by tid
+    orders = {}  # and the postorders they share
     try:
         for i, goal in enumerate(goals):
             if outcomes[i] is not None:
@@ -489,14 +496,21 @@ def generate_suite(model: ClosedLoopModel, reqs: list,
                                       status="COVERED", test_id=tid,
                                       position=position)
             trace = simulate_lasso(model, case, step_cap=config.step_cap)
-            rows = RowSets(model, *ltl.unroll(trace)[:2])
+            lassos[tid] = ltl.lasso_rows(trace, orders)
+            rows = lassos[tid][1]
             for j in range(i + 1, len(goals)):
                 if outcomes[j] is not None:
                     continue
-                if rows.first_hit(goals[j].predicate) is not None:
+                value, err = rows.lower(goals[j].predicate)
+                # position 0 is the highest bit: the goal holds before
+                # any position fails, or the first failing one raises
+                if (value & ~err).bit_length() > err.bit_length():
                     outcomes[j] = GoalOutcome(index=j + 1,
                                               origin=goals[j].origin,
                                               status="SUBSUMED", test_id=tid)
+                elif err:
+                    rows.fail(goals[j].predicate,
+                              1 << (err.bit_length() - 1))
     except ModelError as err:
         # Keep whatever was decided before the abort inspectable.
         done = tuple(out for out in outcomes if out is not None)
@@ -509,6 +523,7 @@ def generate_suite(model: ClosedLoopModel, reqs: list,
         raise
 
     suite = TestSuite(variables=names, cases=tuple(cases))
+    suite._lassos = lassos
     report = GenerationReport(bound=config.max_len, outcomes=tuple(outcomes),
                               test_count=len(suite.cases),
                               element_count=suite.element_count)

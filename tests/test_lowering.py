@@ -437,6 +437,18 @@ def test_search_reads_an_odd_bool_init_by_truth(init):
                   Unary("!", Ref("b"))) == failure
 
 
+def test_a_missing_init_is_not_proven_to_stay_in_its_domain():
+    # unvalidated: b = b copies the missing init, which no bool holds
+    model = _bool_copy_model(None)
+    assert validate_model(model) != []
+    assert _tested(model) == ["controller assignment 1"]
+    failure = _value(oracles.reference_step, model, (None,), {})
+    assert failure == (DomainViolation, "controller assignment 1: value "
+                       "None outside domain of 'b'")
+    assert _value(step, model, (None,), {}) == failure
+    assert _value(BoundedExplorer(model, 1).find, Ref("b")) == failure
+
+
 def _explored_layers(model, max_len):
     """The explorer's nodes, parents and columns grouped by depth, after
     building every layer within the bound."""

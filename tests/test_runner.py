@@ -1,17 +1,24 @@
 """Executing suites: verdicts, report text, expectation bookkeeping."""
 
+import copy
+import pickle
 import random
 
-from looptest import runner
-from looptest.dsl import parse_model
+import pytest
+
+from looptest import casegen, ltl, runner, testgen
+from looptest.dsl import parse_model, parse_reqs, parse_suite, serialize_suite
 from looptest.ltl import Atom, Finally, Globally, Or, Requirement
-from looptest.model import (Binary, BoolDomain, Cond, EvalError, Lit, Ref,
-                             Unary)
+from looptest.model import (Binary, BoolDomain, Cond, EvalError, Lit,
+                             ModelError, Ref, Unary)
 from looptest.runner import execute_suite
 from looptest.sim import TestCase, TestSuite, simulate_lasso
+from looptest.testgen import GeneratorConfig, generate_suite
 
 import oracles
 import randgen
+from test_lowering import _CORNERS, _faulty, _outside_init
+from test_testgen import RING, TAIL
 
 
 MODEL = parse_model("""model run;
@@ -297,3 +304,169 @@ def test_trace_major_verdicts_match_per_pair_reference(monkeypatch):
                            and not message.startswith("test=t0 "))
     assert statuses == {"pass", "violated", "error"}
     assert late_errors > 0
+
+
+# --------------------------------------------------------------------------
+# A generated suite's lassos, evaluated on again by execution
+
+
+def _bare(suite):
+    """The suite as a new record: equal to it, carrying nothing."""
+    bare = TestSuite(*suite)
+    assert bare == suite and vars(bare) == {}
+    return bare
+
+
+def _same_execution(model, reqs, suite, **caps):
+    """execute_suite's report on the generated suite, checked against the
+    report on a bare copy, which unwinds every test."""
+    report = execute_suite(model, reqs, suite, **caps)
+    want = execute_suite(model, reqs, _bare(suite), **caps)
+    assert report == want
+    assert report.text() == want.text()
+    assert report.expectation_misses(reqs) == want.expectation_misses(reqs)
+    return report
+
+
+def _random_reqs(rng, model) -> list:
+    pool = rng.sample(randgen.model_atoms(model), 3)
+    v = rng.choice(model.state_variables())
+    if rng.random() < 0.5:  # generation raises where a goal fails first
+        pool.append(_raises_when(
+            Ref(v.name) if isinstance(v.domain, BoolDomain) else
+            Binary("==", Ref(v.name), Lit(rng.choice(v.domain.values())))))
+    return [Requirement(f"R{j}", randgen.random_formula(rng, pool, depth=3),
+                        rng.choice((None, "expect-pass", "expect-fail")))
+            for j in range(3)]
+
+
+def _generated_models():
+    """(model, reqs, bound) to generate suites for."""
+    rng = random.Random(2525)
+    for i in range(120):
+        model = randgen.random_model(rng, name=f"u{i}")
+        if i % 3 == 1:
+            model = _faulty(rng, model)
+        if i % 4 == 3:
+            model = _outside_init(rng, model)
+        yield model, _random_reqs(rng, model), rng.randint(2, 5)
+    for text, bound, *_ in _CORNERS.values():
+        model = parse_model(text)
+        yield model, _random_reqs(rng, model), bound + 2
+    for kind in ("elevator", "pnp"):
+        for n in (2, 3):
+            study = casegen.build(kind, n)
+            yield study.model, study.reqs, study.suggested_max_len
+    # goals holding before a position fails, which the atoms then raise at
+    for model, goal in ((RING, "10 / (x - 2) < -7"),
+                        (TAIL, "10 / (x - 4) < -4")):
+        yield model, parse_reqs(f"R1 : G ({goal});\n", model), 8
+
+
+def test_execution_on_a_generated_suite_matches_a_bare_copy():
+    seen = {"pass": 0, "violated": 0, "error": 0, "aborted": 0}
+    for model, reqs, bound in _generated_models():
+        for mode in ("maximal", "all", "all-kinds"):
+            try:
+                suite, _ = generate_suite(model, reqs,
+                                          GeneratorConfig(bound, mode))
+            except ModelError:
+                seen["aborted"] += 1
+                continue
+            report = _same_execution(model, reqs, suite)
+            for verdict in report.verdicts:
+                seen[verdict.status] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _lasso_positions(model, suite) -> list:
+    return [simulate_lasso(model, case).positions for case in suite.cases]
+
+
+def test_a_step_cap_below_a_lasso_gives_the_unwound_errors():
+    reqs = [_low(), _any(), _hit()]
+    suite, _ = generate_suite(MODEL, reqs, GeneratorConfig(max_len=6))
+    positions = _lasso_positions(MODEL, suite)
+    assert sorted(positions) == [1, 4]
+    errors = set()
+    for cap in range(max(positions) + 2):
+        report = _same_execution(MODEL, reqs, suite, step_cap=cap)
+        errors.update(v.message for v in report.verdicts
+                      if v.status == "error")
+    assert errors == {"test=t0 no lasso within 0 steps for test 't0'",
+                      "test=t1 no lasso within 1 steps for test 't1'",
+                      "test=t1 no lasso within 2 steps for test 't1'",
+                      "test=t1 no lasso within 3 steps for test 't1'"}
+
+
+def _unwound(monkeypatch) -> list:
+    """The tids of the tests generation and execution unwind from now on,
+    and of those whose position rows they build."""
+    calls = []
+    for module in (testgen, runner):
+        def counted(model, case, *args, real=module.simulate_lasso,
+                    **named):
+            calls.append(case.tid)
+            return real(model, case, *args, **named)
+
+        monkeypatch.setattr(module, "simulate_lasso", counted)
+    real_rows = ltl.lasso_rows
+
+    def rows_counted(trace, orders):
+        calls.append(("rows", trace.case.tid))
+        return real_rows(trace, orders)
+
+    monkeypatch.setattr(ltl, "lasso_rows", rows_counted)
+    return calls
+
+
+def test_each_generated_test_is_unwound_once(monkeypatch):
+    study = casegen.pnp(3)
+    calls = _unwound(monkeypatch)
+    suite, _ = generate_suite(study.model, study.reqs,
+                              GeneratorConfig(study.suggested_max_len, "all"))
+    report = execute_suite(study.model, study.reqs, suite)
+    tids = [case.tid for case in suite.cases]
+    once = [call for tid in tids for call in (tid, ("rows", tid))]
+    assert len(tids) > 5 and calls == once
+    kept = dict(vars(study.model))
+    for other in (parse_suite(serialize_suite(suite), study.model),
+                  _bare(suite), pickle.loads(pickle.dumps(suite))):
+        del calls[:]
+        assert execute_suite(study.model, study.reqs, other) == report
+        assert calls == tids + [("rows", tid) for tid in tids]
+        # a replay records nothing, on the suite or on the model
+        assert vars(other) == {} and vars(study.model) == kept
+
+
+def test_a_suite_executed_on_another_model_object_unwinds_again(
+        monkeypatch):
+    study = casegen.elevator(2)
+    suite, _ = generate_suite(study.model, study.reqs,
+                              GeneratorConfig(study.suggested_max_len))
+    report = execute_suite(study.model, study.reqs, suite)
+    calls = _unwound(monkeypatch)
+    again = parse_model(study.model_text)
+    assert again == study.model and again is not study.model
+    assert execute_suite(again, parse_reqs(study.reqs_text, again),
+                         suite) == report
+    tids = [case.tid for case in suite.cases]
+    assert calls == tids + [("rows", tid) for tid in tids]
+
+
+def test_a_generated_suite_is_a_plain_record():
+    study = casegen.pnp(2)
+    model = study.model
+    suite, _ = generate_suite(model, study.reqs,
+                              GeneratorConfig(study.suggested_max_len))
+    parsed = parse_suite(serialize_suite(suite), model)
+    assert suite == parsed and not suite != parsed
+    assert repr(suite) == repr(parsed) and hash(suite) == hash(parsed)
+    report = execute_suite(model, study.reqs, suite)
+    for other in (pickle.loads(pickle.dumps(suite)), copy.copy(suite),
+                  copy.deepcopy(suite), suite._replace(cases=suite.cases)):
+        assert type(other) is TestSuite and other == suite
+        assert vars(other) == {}
+        assert execute_suite(model, study.reqs, other) == report
+    with pytest.raises(AttributeError):
+        suite.cases = ()

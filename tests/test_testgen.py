@@ -337,6 +337,63 @@ controller {
     assert report.text().endswith("suite 1/1\n")
 
 
+# x runs 0..3 and back to 0: the loop is the whole lasso
+RING = parse_model("""model ring;
+input x : int 0..3 = 0;
+plant {
+  x = x < 3 ? x + 1 : 0;
+}
+controller {
+}
+""")
+
+# x runs 0..5, then 4, 5 forever under the default go = false
+TAIL = parse_model("""model tail;
+nondet go : bool;
+input x : int 0..5 = 0;
+plant {
+  x = x < 5 ? x + 1 : go ? 3 : 4;
+}
+controller {
+}
+""")
+
+
+@pytest.mark.parametrize("model, goal, raised", [
+    # holds at x = 1, before the failing x = 2
+    (RING, "10 / (x - 2) < -7", None),
+    # holds at x = 3, after it
+    (RING, "10 / (x - 2) > 3", "division by zero"),
+    # holds at x = 2 in the prefix, fails at x = 4 in the loop
+    (TAIL, "10 / (x - 4) < -4", None),
+    # fails at x = 2 and x = 4, holds at x = 3 between them
+    (TAIL, "10 / (x - 2) + 10 mod (x - 4) > 3", "division by zero"),
+    # fails at x = 2 and x = 4 the other way round, holds at x = 5
+    (TAIL, "10 mod (x - 2) + 10 / (x - 4) > 4", "mod by zero"),
+    # never holds
+    (TAIL, "10 / (x - 4) > 100", "division by zero"),
+])
+def test_scan_raises_only_where_a_position_fails_before_the_goal_holds(
+        model, goal, raised):
+    reqs = parse_reqs(f"R1 : G ({goal});\n", model)
+    values = [f"goal {k + 1} var x={k} :: "
+              + ("SUBSUMED test=t0" if k else "COVERED test=t0 pos=0")
+              for k in range(len(model.var("x").domain.values()))]
+    config = GeneratorConfig(max_len=8)
+    if raised is None:
+        _, report = generate_suite(model, reqs, config)
+        text = reqs[0].formula.operand
+        assert report.text() == "\n".join(values + [
+            f"goal {len(values) + 1} sub R1 {text} :: SUBSUMED test=t0",
+            f"goal {len(values) + 2} sub R1 !({text}) :: SUBSUMED test=t0",
+            "suite 1/1\n"])
+    else:
+        with pytest.raises(EvalError, match=f"^{raised}$") as caught:
+            generate_suite(model, reqs, config)
+        assert caught.value.partial_report.text() == \
+            "\n".join(values + ["suite 1/1\n"])
+
+
 # --------------------------------------------------------------------------
 # Outcomes against exhaustive enumeration
 
