@@ -32,6 +32,10 @@ class StepCapExceeded(ModelError):
     """Lasso search walked more steps than the configured cap."""
 
 
+class EmptyTestCase(ModelError):
+    """A test case without rows, which induces no execution."""
+
+
 class TestCase(namedtuple("TestCase", "tid variables rows")):
     """A named matrix of nondeterministic values, one row per step.
 
@@ -127,33 +131,53 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
     """Run a test case until the (step index mod L, state) pair repeats.
 
     The pair key, not the state alone, decides the loop: the same state met
-    at a different point of the test matrix continues differently.  Only a
-    row's first step (step()), which comes before any repeat, tests it.
-    Every step runs the compiled run(), which a replay compiles alone.
+    at a different point of the test matrix continues differently.  The
+    first pass over the rows tests their values (step()); later passes run
+    the compiled run(), which a replay compiles alone.  Every loop is a
+    multiple of L long, so only pass starts are looked up: the state at
+    p*L met at j*L closes a loop (p-j)*L long, which starts fewer than L
+    steps before j*L.  No step runs at an index >= step_cap: near it, the
+    last steps run one by one and every pair is tested.
     """
     length = case.length
+    if not length:
+        raise EmptyTestCase(f"test '{case.tid}' needs at least one row")
     compiled = model.compiled()
     run = compiled.run
     nds = [dict(zip(case.variables, row)) for row in case.rows]  # shared
-    columns = []
-    states = []
-    seen = {}
     s = init_state(model)
-    k = 0
-    while (hit := seen.setdefault((k % length, s), k)) == k:
-        states.append(s)
-        if k >= step_cap:
+    states = [s]
+    columns = []
+    for nd in nds[:max(step_cap, 0)]:  # the first, tested pass
+        states.append(s := step(model, s, nd))
+        columns.append(compiled.column(nd))
+    starts = {states[0]: 0}  # the state at a pass start -> its position
+    end = len(states) - 1
+    while end + length <= step_cap:
+        if (start := starts.setdefault(s, end)) != end:
+            break
+        for column in columns:
+            s = run(s, column)
+            states.append(s)
+        end += length
+    else:  # run up to the cap, then test every pair
+        for k in range(end, step_cap):
+            states.append(s := run(s, columns[k % length]))
+        seen = {}
+        for end, s in enumerate(states):
+            if (start := seen.setdefault((end % length, s), end)) != end:
+                break
+        else:
             raise StepCapExceeded(
                 f"no lasso within {step_cap} steps for test '{case.tid}'")
-        if k < length:
-            s = step(model, s, nds[k])
-            columns.append(compiled.column(nds[k]))
-        else:
-            s = run(s, columns[k % length])
-        k += 1
+    loop = end - start
+    while start and states[start - 1] == states[start - 1 + loop]:
+        start -= 1
+    k = start + loop
+    del states[k:]
     return LassoTrace(model=model, case=case, states=states, nondet=(
-        [None] + nds * (k // length + 1))[:k], prefix_len=hit,
-        loop_len=k - hit, wrap_nondet=nds[(k - 1) % length])
+        [None] + nds * (k // length + 1))[:k], prefix_len=start,
+        loop_len=loop, wrap_nondet=nds[(k - 1) % length])
 
 
 # --------------------------------------------------------------------------

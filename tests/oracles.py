@@ -1,12 +1,13 @@
 """Independent reference implementations the tests compare against.
 
 Everything here favors the dumbest correct algorithm: expressions and steps
-by walking the expression tree over dict environments, formula evaluation
-by literally walking an unrolled path, reachability by enumerating every
-nondet sequence as a tree without any visited bookkeeping, the
-breadth-first layers by stepping every full nondet column, and tokens by
-a loop over characters.  Slow on purpose.  Only the package's data classes
-and its ParseError are imported, never its evaluators.
+by walking the expression tree over dict environments, lassos by stepping
+until a (row, state) pair repeats, formula evaluation by literally walking
+an unrolled path, reachability by enumerating every nondet sequence as a
+tree without any visited bookkeeping, the breadth-first layers by stepping
+every full nondet column, and tokens by a loop over characters.  Slow on
+purpose.  Only the package's data classes and its ParseError and
+StepCapExceeded are imported, never its evaluators.
 """
 
 from itertools import product
@@ -33,6 +34,7 @@ from looptest.model import (
     Ref,
     Unary,
 )
+from looptest.sim import LassoTrace, StepCapExceeded
 
 
 def reference_eval(expr, env):
@@ -166,6 +168,30 @@ def reference_step(model, state, nondet):
                                       f"{block_name} assignment {i + 1}")
             env[asn.target] = value
     return tuple(env[n] for n in names)
+
+
+def reference_lasso(model, case, step_cap):
+    """The lasso a test case induces: reference_step applies its rows,
+    cyclically, until a (step index mod L, state) pair repeats.  Raises
+    StepCapExceeded once position step_cap is new."""
+    rows = [dict(zip(case.variables, row)) for row in case.rows]
+    seen = {}  # (k mod L, state) -> k
+    states, nondet = [], [None]
+    state = reference_root(model)
+    while (len(states) % len(rows), state) not in seen:
+        k = len(states)
+        if k >= step_cap:
+            raise StepCapExceeded(
+                f"no lasso within {step_cap} steps for test '{case.tid}'")
+        seen[k % len(rows), state] = k
+        states.append(state)
+        nondet.append(rows[k % len(rows)])
+        state = reference_step(model, state, rows[k % len(rows)])
+    k = len(states)
+    start = seen[k % len(rows), state]
+    return LassoTrace(model=model, case=case, states=states,
+                      nondet=nondet[:k], prefix_len=start,
+                      loop_len=k - start, wrap_nondet=rows[(k - 1) % len(rows)])
 
 
 def lasso_positions(trace):

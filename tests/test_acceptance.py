@@ -4,8 +4,8 @@ Each test prints a single summary line (visible with pytest -s, or in the
 failure output otherwise) so a run reads as a checklist.  Criterion 6 runs
 elevator n=3..8 past the range of explicit search; the bounded search
 continues symbolically there (see the README section on scaling).  On a
-2-vCPU host it reads "completed [n=3 0s, n=4 1s, n=5 1s, n=6 2s, n=7 4s,
-n=8 3s] in 11s".
+2-vCPU host it reads "completed [n=3 0s, n=4 0s, n=5 0s, n=6 1s, n=7 1s,
+n=8 1s] in 4s".
 """
 
 import random

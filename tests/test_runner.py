@@ -160,6 +160,14 @@ controller {
     assert report.expectation_misses(tagged) == []
 
 
+def test_a_case_without_rows_errors_every_verdict():
+    suite = TestSuite(variables=("go",), cases=(
+        CLIMB, TestCase("t9", ("go",), ())))
+    report = execute_suite(MODEL, [_low(), _hit()], suite)
+    assert [(v.status, v.message) for v in report.verdicts] == [
+        ("error", "test=t9 test 't9' needs at least one row")] * 2
+
+
 def test_step_cap_is_passed_through():
     report = execute_suite(MODEL, [_low()], SUITE, step_cap=2)
     assert report.errored == 1

@@ -1,10 +1,13 @@
 """Lasso detection, trace dumps, and test case validation."""
 
+import random
+
 import pytest
 
 from looptest.dsl import parse_model
-from looptest.model import DomainViolation, EvalError
+from looptest.model import DomainViolation, EvalError, ModelError
 from looptest.sim import (
+    EmptyTestCase,
     StepCapExceeded,
     TestCase,
     TestSuite,
@@ -12,6 +15,9 @@ from looptest.sim import (
     simulate_lasso,
     validate_test,
 )
+
+import oracles
+import randgen
 
 
 COUNTER = """
@@ -197,3 +203,93 @@ def test_a_missing_nondet_name_raises_key_error():
     case = TestCase(tid="t0", variables=("v",), rows=((0,),))
     with pytest.raises(KeyError):
         simulate_lasso(m, case)
+
+
+def test_a_case_without_rows_raises_a_model_error():
+    m = parse_model(COUNTER)
+    case = TestCase(tid="t0", variables=("u",), rows=())
+    with pytest.raises(EmptyTestCase) as caught:
+        simulate_lasso(m, case)
+    assert isinstance(caught.value, ModelError)
+    assert str(caught.value) == "test 't0' needs at least one row"
+
+
+# --------------------------------------------------------------------------
+# Unwinding in row passes against the pair-by-pair reference
+
+
+def _outcome(unwind, *args):
+    try:
+        return unwind(*args)
+    except ModelError as err:
+        return type(err), str(err)
+
+
+def _random_lassos(count, seed=26):
+    """(model, case) pairs of randgen models and cases of 1 to 8 rows."""
+    rng = random.Random(seed)
+    for i in range(count):
+        model = randgen.random_model(rng)
+        yield model, randgen.random_case(rng, model, tid=f"t{i}", max_rows=8)
+
+
+def test_row_passes_match_the_reference_lasso_under_every_cap():
+    first_pass = many_passes = 0
+    for model, case in _random_lassos(150):
+        want = oracles.reference_lasso(model, case, 10 ** 6)
+        end = want.prefix_len + want.loop_len
+        first_pass += want.prefix_len == 0 and want.loop_len == case.length
+        many_passes += end > 3 * case.length
+        for cap in range(end + 2):
+            assert _outcome(simulate_lasso, model, case, cap) == \
+                _outcome(oracles.reference_lasso, model, case, cap), \
+                (case, cap)
+    # both shapes are exercised: lassos closing at the end of the first
+    # pass, and lassos found only after more than three passes
+    assert first_pass >= 20 and many_passes >= 10
+
+
+def test_at_most_l_minus_one_steps_run_past_the_lasso():
+    overshoot = set()
+    for model, case in _random_lassos(100, seed=27):
+        compiled = model.compiled()
+        run = compiled.run
+        calls = []
+
+        def counting(s, column, run=run, calls=calls):
+            calls.append(s)
+            return run(s, column)
+
+        compiled.run = counting
+        trace = simulate_lasso(model, case)
+        assert trace.positions <= len(calls) \
+            <= trace.positions + case.length - 1
+        overshoot.add(len(calls) - trace.positions)
+    assert max(overshoot) > 0  # some lassos close inside a pass
+
+
+LATER = """
+model later;
+nondet u : bool;
+input x : int 0..9 = 0;
+ctrlvar y : int -9..9 = 0;
+plant { x = x < 9 ? x + 1 : 9; }
+controller { y = 6 / (x - 5); }
+"""
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_a_cap_below_a_failing_later_step_wins_over_its_error(length):
+    # step 4 divides by zero: in the fifth pass of one row, the third of
+    # two rows, midway through the second of three
+    m = parse_model(LATER)
+    case = TestCase(tid="t0", variables=("u",),
+                    rows=((False,), (True,), (False,))[:length])
+    for cap in range(8):
+        got = _outcome(simulate_lasso, m, case, cap)
+        assert got == _outcome(oracles.reference_lasso, m, case, cap)
+        if cap <= 4:
+            assert got == (StepCapExceeded,
+                           f"no lasso within {cap} steps for test 't0'")
+        else:
+            assert got == (EvalError, "division by zero")
