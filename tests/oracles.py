@@ -176,22 +176,23 @@ def reference_lasso(model, case, step_cap):
     StepCapExceeded once position step_cap is new."""
     rows = [dict(zip(case.variables, row)) for row in case.rows]
     seen = {}  # (k mod L, state) -> k
-    states, nondet = [], [None]
+    states = []
     state = reference_root(model)
-    while (len(states) % len(rows), state) not in seen:
-        k = len(states)
+    k = 0
+    while (k % len(rows), state) not in seen:
         if k >= step_cap:
             raise StepCapExceeded(
                 f"no lasso within {step_cap} steps for test '{case.tid}'")
         seen[k % len(rows), state] = k
         states.append(state)
-        nondet.append(rows[k % len(rows)])
         state = reference_step(model, state, rows[k % len(rows)])
-    k = len(states)
+        k += 1
     start = seen[k % len(rows), state]
-    return LassoTrace(model=model, case=case, states=states,
-                      nondet=nondet[:k], prefix_len=start,
-                      loop_len=k - start, wrap_nondet=rows[(k - 1) % len(rows)])
+    return LassoTrace(
+        model=model, case=case, states=states,
+        nondet=[None] + [rows[j % len(rows)] for j in range(k - 1)],
+        prefix_len=start, loop_len=k - start,
+        wrap_nondet=rows[(k - 1) % len(rows)])
 
 
 def lasso_positions(trace):
