@@ -10,7 +10,8 @@ short-circuiting evaluation reaches the failing node.
 lower_set lowers it to the sets where it takes each value or fails, over
 any algebra of sets: the BDDs of symbolic.py, or RowSets, where a set of
 rows is one integer bitmask, so a coverage goal or an LTL atom is decided
-over many rows at once without compiling anything.
+over many rows at once without compiling anything; RowSets.lower decides
+a variable, !b and x == v by one lookup of the variable's masks instead.
 """
 
 from __future__ import annotations
@@ -350,7 +351,21 @@ class RowSets:
         return value
 
     def lower(self, expr: Expr) -> tuple:
-        """lower_set over these rows, sharing subexpressions across calls."""
+        """lower_set over these rows, sharing subexpressions across calls.
+        A variable, !b of a bool b, and x == v of a non-bool x and a
+        literal v not a bool each take one lookup of the variable's value."""
+        cls = expr.__class__
+        if cls is Ref:
+            value = self.get(expr.name)
+            return (0, self.true) if value is None else (value, 0)
+        if (cls is Unary or cls is Binary) and expr.kids[0].__class__ is Ref:
+            value = self.get(expr.kids[0].name)
+            if expr.op == "!" and value.__class__ is int:
+                return self.true ^ value, 0
+            lit = expr.kids[-1]
+            if expr.op == "==" and value.__class__ is dict and lit.__class__ \
+                    is Lit and lit.value.__class__ is not bool:
+                return value.get(lit.value, 0), 0
         return lower_set(expr, self, self, self._memo)
 
     def first_hit(self, expr: Expr):
@@ -440,10 +455,10 @@ class CompiledModel:
             self.expand = function
         return function
 
-    def step(self, state: tuple, nondet: Mapping[str, object]) -> tuple:
-        """The successor of state under the nondet values named in nondet,
-        each tested against its domain first."""
-        column = self.column(nondet)
+    def step(self, state: tuple, nondet: Mapping | tuple) -> tuple:
+        """The successor of state under the nondet values, named in a
+        mapping or as a column, each tested against its domain first."""
+        column = nondet if nondet.__class__ is tuple else self.column(nondet)
         for v, value in zip(self._nondet, column):
             if not v.domain.contains(value):
                 raise DomainViolation(v.name, value, "nondet value")

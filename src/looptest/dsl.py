@@ -518,11 +518,17 @@ def parse_ltl(text: str, model: ClosedLoopModel) -> ltl.Formula:
 _INFIX = {cls.symbol: (cls.level, cls.level if cls.right else cls.level + 1, cls, ())
           for cls in ltl._Infix.__subclasses__()}
 _PREFIX = {cls.symbol: cls for cls in ltl._Prefix.__subclasses__()}
+# the tokens after a name that make it more than an atom alone: the
+# operators binding at == or tighter, and an index not read as name[digits]
+_TIGHT = frozenset(["[", *(op for op, entry in _BINARY.items()
+                          if entry[0] >= _PREC["=="])])
 
 
 class _LtlParser:
     """Formula grammar: the infix operators of ltl at their levels (-> loosest,
-    then ||, U, &&), then the prefix operators ! X F G and atoms.
+    then ||, U, &&), then the prefix operators ! X F G and atoms.  An atom
+    that is a declared variable alone, name or name[digits] with no token
+    of _TIGHT after it, is read directly; any other goes through _climb.
     """
 
     def __init__(self, cur: _Cursor, model: ClosedLoopModel):
@@ -531,6 +537,9 @@ class _LtlParser:
         self.labels = enum_label_map(model)
         self.atoms = _ExprParser(cur, {v.name for v in model.variables},
                                  self.labels)
+        # the names read directly: true and false are literals first
+        self.refs = {name for name in self.atoms.var_names
+                     if name.partition(".")[0] not in ("true", "false")}
         self.checked = set()  # the atom expressions that passed _check_bool
 
     def parse(self) -> ltl.Formula:
@@ -549,7 +558,14 @@ class _LtlParser:
             formula = self.parse()
             cur.expect(")")
         else:
-            expr = _climb(cur, self.atoms.operand, _BINARY, _PREC["=="])
+            name, after = tokens[end], end + 1
+            if name and tokens[after] == "[" and tokens[after + 1].isdigit() \
+                    and tokens[after + 2] == "]":
+                name, after = f"{name}.{tokens[after + 1]}", after + 3
+            if name in self.refs and tokens[after] not in _TIGHT:
+                cur.pos, expr = after, Ref(name)
+            else:
+                expr = _climb(cur, self.atoms.operand, _BINARY, _PREC["=="])
             if expr not in self.checked:
                 self._check_bool(expr, end)
                 self.checked.add(expr)

@@ -10,8 +10,9 @@ it associates right, so printing here and parsing in dsl read one table.
 
 A trace is evaluated over its positions (unroll): each a state and the
 nondet column applied into it.  Atoms are not compiled: each is lowered
-by compiled.lower_set over the positions' bitmasks (compiled.RowSets), all
-positions at once.  A subformula's table is one integer bitmask over the
+over the positions' bitmasks by compiled.RowSets.lower, all positions at
+once, an atom x or x == v by one lookup of x's masks and any other by
+compiled.lower_set.  A subformula's table is one integer bitmask over the
 positions: position i of m is bit m-1-i, so the loop is the low bits and
 the connectives and temporal operators are a few whole-word integer
 operations (Until uses one addition whose carries run backward along the

@@ -584,14 +584,16 @@ def init_state(model: ClosedLoopModel) -> tuple:
 
 
 def step(model: ClosedLoopModel, state: tuple,
-         nondet: Mapping[str, object]) -> tuple:
+         nondet: Mapping[str, object] | tuple) -> tuple:
     """Run one full step: plant assignments, then controller assignments.
 
-    The nondeterministic values for this step must all be supplied; they are
-    readable by both blocks but never assigned.  Every assignment's value is
-    proven at lowering or tested at run time to lie in the target's domain;
-    the proof assumes the given state's values lie in their domains (or are
-    their init values), as init_state and step produce them.
+    The nondeterministic values for this step must all be supplied, by name
+    in a mapping or as a column, a tuple in the order of
+    model.nondet_variables(); they are readable by both blocks but never
+    assigned.  Every assignment's value is proven at lowering or tested at
+    run time to lie in the target's domain; the proof assumes the given
+    state's values lie in their domains (or are their init values), as
+    init_state and step produce them.
     """
     return model.compiled().step(state, nondet)
 

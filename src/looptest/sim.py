@@ -50,11 +50,6 @@ class TestCase(namedtuple("TestCase", "tid variables rows")):
     def length(self) -> int:
         return len(self.rows)
 
-    def column(self, k: int) -> dict:
-        """Nondet values applied at step index k (wrapping beyond the end)."""
-        row = self.rows[k % len(self.rows)]
-        return dict(zip(self.variables, row))
-
 
 class TestSuite(namedtuple("TestSuite", "variables cases")):
     """Test cases sharing one nondet variable ordering.  No __slots__: a
@@ -149,8 +144,8 @@ def simulate_lasso(model: ClosedLoopModel, case: TestCase,
     states = [s]
     columns = []
     for nd in nds[:max(step_cap, 0)]:  # the first, tested pass
-        states.append(s := step(model, s, nd))
-        columns.append(compiled.column(nd))
+        columns.append(column := compiled.column(nd))
+        states.append(s := step(model, s, column))
     starts = {states[0]: 0}  # the state at a pass start -> its position
     end = len(states) - 1
     while end + length <= step_cap:

@@ -26,6 +26,8 @@ from looptest.dsl import (
     tokenize,
 )
 from looptest.ltl import (
+    And,
+    Atom,
     Finally,
     Formula,
     Globally,
@@ -475,6 +477,96 @@ def test_atoms_must_be_boolean():
     # but a parenthesized arithmetic atom is read as a formula group
     with pytest.raises(ParseError):
         parse_reqs("R : (level + 1) > 0;\n", m)
+
+
+ATOM_MODEL = """model atoms;
+nondet f[3] : bool;
+input b : bool = false;
+input n : int 0..3 = 0;
+input a[3] : int 0..3 = 0;
+input c : enum { red, green } = red;
+plant {
+}
+controller {
+}
+"""
+
+_B, _F1, _F2 = Atom(Ref("b")), Atom(Ref("f.1")), Atom(Ref("f.2"))
+
+
+# each atom text and the formula it parses to, or the column and message of
+# its error in parse_ltl, and in parse_reqs where the message differs
+@pytest.mark.parametrize("text, want", [
+    ("b", _B), ("f[2]", _F2), ("f [ 2 ]", _F2),
+    ("a[2] == 1", Atom(Binary("==", Ref("a.2"), Lit(1)))),
+    ("a[2] + 1 > 2",
+     Atom(Binary(">", Binary("+", Ref("a.2"), Lit(1)), Lit(2)))),
+    ("n mod 2 == 0",
+     Atom(Binary("==", Binary("mod", Ref("n"), Lit(2)), Lit(0)))),
+    ("b == f[0]", Atom(Binary("==", Ref("b"), Ref("f.0")))),
+    ("f[1] != b", Atom(Binary("!=", Ref("f.1"), Ref("b")))),
+    ("c == green", Atom(Binary("==", Ref("c"), Lit("green")))),
+    ("b && f[1]", And(_B, _F1)), ("b -> b", Implies(_B, _B)),
+    ("true", Atom(Lit(True))), ("!b", Not(_B)), ("X b", Next(_B)),
+    ("(b)", _B), ("b U f[1]", Until(_B, _F1)),
+    ("a[", (3, "array index must be an integer literal")),
+    ("a[b]", (3, "array index must be an integer literal")),
+    ("b[", (3, "array index must be an integer literal")),
+    ("a[9]", (1, "unknown identifier 'a[9]'")),
+    ("b[0]", (1, "unknown identifier 'b[0]'")),
+    ("mod", (1, "unknown identifier 'mod'")),
+    ("red", (1, "atoms must be boolean")),
+    ("n", (1, "atoms must be boolean")),
+    ("a[2]", (1, "atoms must be boolean")),
+    ("X n", (3, "atoms must be boolean")),
+    ("b == 1", (1, "type mismatch: '==' compares bool with int")),
+    ("b < f[0]", (1, "type mismatch: '<' compares ints, got bool and bool")),
+    ("n + b > 0",
+     (1, "type mismatch: '+' needs int operands, got int and bool")),
+    ("", (1, "expected an expression, got 'end of input'",
+          "expected an expression, got ';'")),
+    ("f[2]]", (5, "unexpected ']' after formula", "expected ';', got ']'")),
+    ("b ? b : b", (3, "unexpected '?' after formula",
+                   "expected ';', got '?'")),
+])
+def test_atoms_parse_to_the_same_nodes_and_errors(text, want):
+    """Atoms that read a variable alone, the comparisons next to them and
+    their errors: parse_ltl on the text, and parse_reqs on it as the second
+    requirement of a file, give the same node or the same error."""
+    model = parse_model(ATOM_MODEL)
+    outcomes = []
+    for parse, source, line, shift in (
+            (parse_ltl, text, 1, 0),
+            (lambda *args: parse_reqs(*args)[1].formula,
+             f"Q : G b;\nR : {text};\n", 2, 4)):
+        try:
+            outcomes.append(parse(source, model))
+        except ParseError as err:
+            outcomes.append((err.line, err.col, str(err)))
+        if isinstance(want, Formula):
+            assert outcomes[-1] is want, (text, outcomes[-1])
+        else:
+            col, message, *other = want
+            message = other[0] if other and shift else message
+            assert outcomes[-1] == (line, col + shift, f"line {line}:"
+                                    f"{col + shift}: {message}"), text
+
+
+def test_atoms_read_names_no_model_file_declares_as_before():
+    """A model built in code may name variables true, true.0 or f.b: an
+    atom still reads true as the literal and f[b] as a bad index."""
+    model = ClosedLoopModel(
+        name="odd", variables=tuple(
+            Variable(name, VarKind.INPUT, BoolDomain(), False)
+            for name in ("true", "true.0", "f.b")),
+        plant=UpdateBlock(), controller=UpdateBlock())
+    assert parse_ltl("true", model) is Atom(Lit(True))
+    for text, message in (
+            ("true[0]", "line 1:5: unexpected '[' after formula"),
+            ("f[b]", "line 1:3: array index must be an integer literal")):
+        with pytest.raises(ParseError) as caught:
+            parse_ltl(text, model)
+        assert str(caught.value) == message
 
 
 def test_parse_reqs_shares_equal_subformulas():

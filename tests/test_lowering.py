@@ -29,6 +29,8 @@ from looptest.model import (
     UpdateBlock,
     Variable,
     VarKind,
+    _type_of,
+    enum_label_map,
     eval_expr,
     init_state,
     referenced_names,
@@ -105,6 +107,9 @@ def test_compiled_step_matches_reference_step():
             got = _outcome(step, model, state, column)
             want = _outcome(oracles.reference_step, model, state, column)
             assert got == want, (model, state, column)
+            # the same values as a column tuple, in declaration order
+            assert _outcome(step, model, state, tuple(column.values())) \
+                == want, (model, state, column)
             if isinstance(want[0], type):
                 message = want[1]
                 seen["violation"] += "outside domain" in message
@@ -809,6 +814,91 @@ def test_row_sets_from_states_and_columns_match_position_rows(monkeypatch):
                     raised.add(want[1].split(" '")[0])
                 assert _value(sets.first_hit, goal) == want, (str(goal), envs)
     assert raised == {"division by zero", "mod by zero", "undefined variable"}
+
+
+def _direct_shapes(model) -> tuple:
+    """The expressions RowSets.lower decides by one lookup, a variable, !b
+    of a bool b and x == v of a non-bool x and a literal v not a bool, and
+    the near misses lower_set decides: each over every variable and an
+    undeclared one."""
+    direct, general = [], [Lit("red"), Lit(1), Lit(True)]
+    for name in [v.name for v in model.variables] + ["missing"]:
+        x = Ref(name)
+        domain = model.var(name).domain if model.has_var(name) else None
+        boolean = isinstance(domain, BoolDomain)
+        direct.append(x)
+        (direct if boolean else general).append(Unary("!", x))
+        values = [] if domain is None or boolean else list(domain.values())
+        for v in values[:2] + [7, "red", "lo"]:
+            (direct if domain is not None and not boolean else general).append(
+                Binary("==", x, Lit(v)))
+            general += [Binary("==", Lit(v), x), Binary("!=", x, Lit(v))]
+        general += [Binary("==", x, Lit(True)), Binary("==", x, x),
+                    Unary("-", x), Binary("<", x, Lit(1)), Cond(x, x, x)]
+    return direct, general
+
+
+def _lowered(lower, expr):
+    try:
+        return lower(expr)
+    except Exception as err:  # ! over a value map raises, on both paths
+        return type(err), str(err)
+
+
+def test_direct_row_set_paths_match_lower_set(monkeypatch):
+    """RowSets.lower against lower_set with a fresh memo, over explorer
+    layers (rows in search order) and lasso rows (positions reversed):
+    the same value and error, or the same exception; one lookup for the
+    direct shapes and lower_set for the rest; and the same first_hit and
+    scan bits as the reference evaluation of each row."""
+    calls = []
+    real = compiled.lower_set
+    monkeypatch.setattr(compiled, "lower_set",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(28)
+    taken = {True: 0, False: 0}
+    scans = {"hits": 0, "misses": 0, "raises": 0}
+    for i in range(40):
+        model = randgen.random_model(rng, name=f"d{i}")
+        direct, general = _direct_shapes(model)
+        labels = enum_label_map(model)
+        explorer = BoundedExplorer(model, 3)
+        assert explorer.find(Lit(False)) is None
+        trace = simulate_lasso(model, randgen.random_case(rng, model))
+        lasso = ltl.lasso_rows(trace, {})[1]
+        for rows in [rows for _, rows in explorer._row_layers] + [lasso]:
+            envs = [dict(zip(model.compiled().index, (*column, *state)))
+                    for column, state in zip(rows.columns, rows.states)]
+            for expr in direct + general:
+                calls.clear()
+                got = _lowered(rows.lower, expr)
+                assert len(calls) == (expr not in direct), str(expr)
+                assert got == _lowered(
+                    lambda e: real(e, rows, rows, {}), expr), str(expr)
+                taken[expr in direct] += 1
+                # well typed, or failing everywhere: lower_set reads a
+                # bool compared with an int otherwise than eval_expr
+                if got[0].__class__ is not int or "missing" not in \
+                        referenced_names(expr) and _type_of(
+                            expr, model._by_name, labels, [], "") != "bool":
+                    continue
+                assert _value(rows.first_hit, expr) == \
+                    _first_hit(expr, envs), str(expr)
+                if rows is lasso:  # position 0 is the highest bit
+                    value, err = got
+                    hit, fail = (value & ~err).bit_length(), err.bit_length()
+                    want = _first_hit(expr, envs[::-1])
+                    scans["raises" if _raises(want) else
+                          "misses" if want[1] is None else "hits"] += 1
+                    if _raises(want):
+                        assert fail > hit, str(expr)
+                    elif want[1] is None:
+                        assert hit == fail == 0, str(expr)
+                    else:
+                        assert hit == len(envs) - want[1] > fail, str(expr)
+    assert min(taken.values()) > 1000, taken
+    # goals that hold, raise first, and neither, in the scan
+    assert min(scans.values()) > 200, scans
 
 
 def _step_forms(model) -> tuple:

@@ -122,12 +122,10 @@ controller { }
         simulate_lasso(m, case, step_cap=100)
 
 
-def test_case_columns_wrap():
+def test_case_length_counts_rows():
     case = TestCase(tid="t0", variables=("a", "b"),
                     rows=((1, True), (2, False)))
     assert case.length == 2
-    assert case.column(0) == {"a": 1, "b": True}
-    assert case.column(3) == {"a": 2, "b": False}
 
 
 def test_suite_lookup_and_element_count():
@@ -266,6 +264,26 @@ def test_at_most_l_minus_one_steps_run_past_the_lasso():
             <= trace.positions + case.length - 1
         overshoot.add(len(calls) - trace.positions)
     assert max(overshoot) > 0  # some lassos close inside a pass
+
+
+def test_each_rows_column_is_built_once():
+    many_passes = 0
+    for model, case in _random_lassos(100, seed=28):
+        compiled = model.compiled()
+        column = compiled.column
+        for cap in (case.length - 1, 10 ** 6):
+            calls = []
+
+            def counting(nondet, column=column, calls=calls):
+                calls.append(nondet)
+                return column(nondet)
+
+            compiled.column = counting
+            trace = _outcome(simulate_lasso, model, case, cap)
+            # one per row of the first pass, which the cap may cut short
+            assert len(calls) == min(case.length, cap), (case, cap)
+        many_passes += trace.positions > 2 * case.length
+    assert many_passes >= 10
 
 
 LATER = """

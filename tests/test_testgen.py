@@ -458,6 +458,63 @@ def test_goals_and_atoms_compile_nothing(monkeypatch):
     assert len(calls) == 1, len(calls)
 
 
+VARIABLE_SHAPES = """model shapes;
+nondet press : bool;
+nondet speed : int 0..2;
+input level : int 0..3 = 0;
+input mode : enum { idle, busy } = idle;
+output lamp : bool = false;
+plant {
+  level = press && level < 3 ? level + speed : level;
+  mode = level > 1 ? busy : idle;
+}
+controller {
+  lamp = mode == busy;
+}
+"""
+
+
+def _count_lower_set(monkeypatch) -> list:
+    calls = []
+    lower_set = compiled.lower_set
+
+    def counting(expr, *args):
+        calls.append(expr)
+        return lower_set(expr, *args)
+
+    monkeypatch.setattr(compiled, "lower_set", counting)
+    return calls
+
+
+def test_variable_goals_and_atoms_take_the_direct_paths(monkeypatch):
+    # value goals x, !x and x == v, and atoms that are bool variables
+    # (their negated goals !x too), are each one lookup of a row mask
+    calls = _count_lower_set(monkeypatch)
+    model = parse_model(VARIABLE_SHAPES)
+    reqs = parse_reqs("R1 : G (press -> F lamp);\n"
+                      "R2 expect-fail : X lamp U X X lamp;\n", model)
+    suite, report = generate_suite(model, reqs, GeneratorConfig(
+        max_len=6, goal_mode="all"))
+    assert [o.status for o in report.outcomes] == \
+        ["COVERED"] * 2 + ["SUBSUMED"] * 6
+    report = execute_suite(model, reqs, suite)
+    assert [v.status for v in report.verdicts] == ["pass", "violated"]
+    assert calls == []
+
+
+def test_compound_goals_alone_go_to_lower_set(monkeypatch):
+    # every other goal and atom is lowered by lower_set: on pnp n=3 under
+    # --goals all, 223 of the 501 lowerings, all in generation (a count
+    # measured when the direct paths came in; it repeats exactly)
+    calls = _count_lower_set(monkeypatch)
+    study = casegen.pnp(3)
+    suite, _ = generate_suite(study.model, study.reqs,
+                              GeneratorConfig(max_len=11, goal_mode="all"))
+    execute_suite(study.model, study.reqs, suite)
+    assert len(calls) == 223, len(calls)
+    assert not any(expr.__class__ is Ref for expr in calls)
+
+
 def test_replay_compiles_the_straight_line_step_only(monkeypatch):
     # a replay compiles run() alone, without the search's branching; a
     # search compiles expand(), which run() is from then on
