@@ -229,10 +229,10 @@ def lower_set(expr: Expr, env, algebra, memo: dict | None = None) -> tuple:
                  {} if memo is None else memo)
 
 
-def _as_map(value) -> dict:
-    # only an undefined name, which fails everywhere, gives a set where a
-    # value map belongs; its value is never read
-    return value if isinstance(value, dict) else {}
+def _as_map(value, alg) -> dict:
+    # a bool's set as the value map eval_expr reads next to an int's
+    return value if isinstance(value, dict) else \
+        {True: value, False: alg.not_(value)}
 
 
 def _set_of(node: Expr, parts: list, env, alg) -> tuple:
@@ -248,7 +248,7 @@ def _set_of(node: Expr, parts: list, env, alg) -> tuple:
         ((value, err),) = parts
         if node.op == "!":
             return alg.not_(value), err
-        return {-x: g for x, g in _as_map(value).items()}, err
+        return {-x: g for x, g in _as_map(value, alg).items()}, err
     and_, or_ = alg.and_, alg.or_
     if isinstance(node, Binary):
         (a, err_a), (b, err_b) = parts
@@ -269,8 +269,8 @@ def _set_of(node: Expr, parts: list, env, alg) -> tuple:
         if compare is None and arith is None:
             return 0, alg.true
         out = 0 if compare else {}
-        for x, gx in _as_map(a).items():
-            for y, gy in _as_map(b).items():
+        for x, gx in _as_map(a, alg).items():
+            for y, gy in _as_map(b, alg).items():
                 guard = and_(gx, gy)
                 if guard == 0:
                     continue
@@ -292,7 +292,7 @@ def _set_of(node: Expr, parts: list, env, alg) -> tuple:
         return or_(and_(c, then), and_(not_c, other)), err
     out = {}
     for arm, guard_arm in ((then, c), (other, not_c)):
-        for x, g in _as_map(arm).items():
+        for x, g in _as_map(arm, alg).items():
             guard = and_(guard_arm, g)
             if guard:
                 out[x] = or_(out.get(x, 0), guard)

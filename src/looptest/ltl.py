@@ -17,9 +17,10 @@ positions: position i of m is bit m-1-i, so the loop is the low bits and
 the connectives and temporal operators are a few whole-word integer
 operations (Until uses one addition whose carries run backward along the
 word).  Nothing recurses: a formula is evaluated, or lowered to a model
-expression, by one loop over its _postorder.  _last keeps the lasso_rows
-of the trace evaluated last, so requirements checked on one trace share
-tables and the traces of one model share each formula's order.
+expression, by one loop over its _postorder.  A caller checking many
+requirements on one trace passes its lasso_rows to each evaluation, so they
+share tables, and traces built with one orders dict share each formula's
+order; nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -236,31 +237,19 @@ def boolean_subformulas(f: Formula, mode: str = "maximal",
 # Evaluation on lassos
 
 
-# The last trace evaluated on, as lasso_rows holds it
-_last = (None, None, 0, None, None)
-
-# compiled.RowSets, imported by the first evaluation (None until then), so
-# that loading a model does not load compiled.py
-RowSets = None
-
-
-def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
+def eval_on_lasso(f: Formula, trace, position: int = 0, held=None) -> bool:
     """Decide the formula at a position of the infinite unwinding of a lasso.
 
     The trace is a sim.LassoTrace.  Position indexes the stored part of the
     trace (0 <= position < prefix_len + loop_len).
 
-    Calls on the same trace object share its lasso_rows, kept in _last
-    (where runner.execute_suite puts a generated test's), so checking many
-    requirements on one trace evaluates each distinct subformula once.
-    The trace must not be changed in between.
+    held is the trace's lasso_rows, built for this call alone when None.
+    Calls passing one holder share it, so checking many requirements on
+    one trace evaluates each distinct subformula once.  The trace must not
+    be changed in between.
     """
-    global _last
-    held = _last
-    if held[0] is not trace:
-        same = held[0] is not None and held[0].model is trace.model
-        held = _last = lasso_rows(trace, held[4] if same else {})
-    _, rows, prefix, memo, orders = held
+    _, rows, prefix, memo, orders = \
+        lasso_rows(trace, {}) if held is None else held
     if not 0 <= position < trace.prefix_len + trace.loop_len:
         raise ValueError(f"position {position} outside lasso")
     if f not in orders:
@@ -272,8 +261,7 @@ def eval_on_lasso(f: Formula, trace, position: int = 0) -> bool:
 def lasso_rows(trace, orders: dict) -> tuple:
     """What eval_on_lasso holds of a trace: (trace, RowSets of its positions
     in reverse, effective prefix, memo of subformula tables, orders), orders
-    mapping formulas to their _postorder for the traces of one model."""
-    global RowSets
+    mapping formulas to their _postorder, one dict for a suite's traces."""
     from .compiled import RowSets
     states, columns, prefix = unroll(trace)
     return (trace, RowSets(trace.model, states[::-1], columns[::-1]), prefix,
@@ -318,12 +306,12 @@ def position_envs(trace) -> tuple:
     return [dict(zip(names, row)) for row in rows], prefix
 
 
-def _eval_table(order: list, rows: RowSets, prefix: int, memo: dict):
+def _eval_table(order: list, rows, prefix: int, memo: dict):
     """Satisfaction of order[-1] at every position, as one integer bitmask.
 
-    rows holds the positions in reverse, so position i of the m rows
-    is bit m-1-i: later positions sit in lower bits and the loop
-    (positions prefix..m-1) is the low q = m-prefix bits.
+    rows, a compiled.RowSets, holds the positions in reverse, so position
+    i of the m rows is bit m-1-i: later positions sit in lower bits and the
+    loop (positions prefix..m-1) is the low q = m-prefix bits.
     Information flows backward along the word, from low bits to high, the
     direction addition carries run.  Until writes the loop out twice, so
     every position's witness lies within the finite word, then clears with

@@ -8,8 +8,10 @@ suite is weaker than a proof: it says nothing about inputs the suite never
 plays.
 
 Checking is trace-major: each trace's positions and subformula tables
-are built once, for a generated test by its generation, and shared by
-every requirement still undecided on it (see ltl.eval_on_lasso).
+are built once, into the holder ltl.lasso_rows makes (for a generated
+test, by its generation), and every requirement still undecided on the
+trace is evaluated with it (see ltl.eval_on_lasso).  Nothing outlives
+the call.
 """
 
 from __future__ import annotations
@@ -118,16 +120,17 @@ def execute_suite(model: ClosedLoopModel, reqs: list, suite: TestSuite,
                 for req in reqs))
 
     decided = {}  # requirement index -> verdict
+    orders = {}  # the postorders of the traces unwound here
     for trace, held in traces:
         if len(decided) == len(reqs):
             break
-        if held is not None:
-            ltl._last = held
+        if held is None:
+            held = ltl.lasso_rows(trace, orders)
         for i, req in enumerate(reqs):
             if i in decided:
                 continue
             try:
-                holds = eval_on_lasso(req.formula, trace)
+                holds = eval_on_lasso(req.formula, trace, 0, held)
             except ModelError as err:
                 decided[i] = ReqVerdict(
                     req.rid, "error", message=f"test={trace.case.tid} {err}")

@@ -68,6 +68,16 @@ def f(x: Optional[int]) -> str:
     assert unused_imports(text) == [(2, "os"), (5, "Union")]
 
 
+def test_no_module_rebinds_a_global():
+    # a call leaves nothing for the next in module state: what it shares
+    # goes through its arguments and results
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(ROOT.glob("src/looptest/*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert not found, "\n".join(found)
+
+
 def _defined_functions(module) -> dict:
     """qualname -> function of every function and method defined at module
     or class level in module (properties and static/class methods too)."""

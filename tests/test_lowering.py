@@ -29,8 +29,6 @@ from looptest.model import (
     UpdateBlock,
     Variable,
     VarKind,
-    _type_of,
-    enum_label_map,
     eval_expr,
     init_state,
     referenced_names,
@@ -384,6 +382,57 @@ def test_row_sets_match_reference_eval():
                 hit_errors.add(first[1].split(" '")[0])
     assert raised == hit_errors == {"division by zero", "mod by zero",
                                     "undefined variable"}
+
+
+def _ill_typed_goal(rng, ints, bools):
+    """A goal where a bool meets an int, as type checking would reject:
+    compared, in arithmetic, negated, or as the other arm of a ?: ."""
+    def draw(want):
+        return randgen.random_expr(rng, ints, bools, want, 2, missing=0.05)
+
+    mixed = [draw("bool"), draw("int")]
+    rng.shuffle(mixed)
+    shape = rng.randrange(4)
+    if shape == 1:
+        mixed = [Binary(rng.choice(("+", "-", "*", "/", "mod")), *mixed),
+                 draw("int")]
+    elif shape == 2:
+        mixed = [Unary("-", draw("bool")), draw("int")]
+    elif shape == 3:
+        mixed = [Cond(draw("bool"), *mixed), draw("int")]
+    return Binary(rng.choice(("==", "!=", "<", "<=", ">", ">=")), *mixed)
+
+
+def test_row_sets_read_a_bool_next_to_an_int_as_reference_eval():
+    # a bool's set is its value map {True: set, False: the rest} wherever
+    # it meets an int's, since True == 1 where the expression is evaluated
+    rng = random.Random(2929)
+    seen = {"True": 0, "False": 0, "fails": 0, "hits": 0}
+    for i in range(200):
+        model = randgen.random_model(rng, name=f"m{i}")
+        ints = [v.name for v in model.variables
+                if isinstance(v.domain, IntRange)]
+        bools = [v.name for v in model.variables
+                 if isinstance(v.domain, BoolDomain)]
+        envs = [{v.name: rng.choice(list(v.domain.values()))
+                 for v in model.variables} for _ in range(6)]
+        rows = RowSets(model, [tuple(e[v.name] for v in
+                                     model.state_variables()) for e in envs],
+                       [tuple(e[v.name] for v in model.nondet_variables())
+                        for e in envs])
+        for _ in range(10):
+            goal = _ill_typed_goal(rng, ints, bools)
+            value, err = rows.lower(goal)
+            for k, env in enumerate(envs):
+                want = _value(oracles.reference_eval, goal, env)
+                if _raises(want):
+                    want = "fails"
+                seen[want if want == "fails" else str(want[1])] += 1
+                assert _row_outcome(value, err, k) == want, (str(goal), env)
+            first = _first_hit(goal, envs)
+            seen["hits"] += first[0] is int
+            assert _value(rows.first_hit, goal) == first, (str(goal), envs)
+    assert min(seen.values()) > 100, seen
 
 
 def test_short_circuit_hides_undefined_variables():
@@ -861,7 +910,6 @@ def test_direct_row_set_paths_match_lower_set(monkeypatch):
     for i in range(40):
         model = randgen.random_model(rng, name=f"d{i}")
         direct, general = _direct_shapes(model)
-        labels = enum_label_map(model)
         explorer = BoundedExplorer(model, 3)
         assert explorer.find(Lit(False)) is None
         trace = simulate_lasso(model, randgen.random_case(rng, model))
@@ -876,11 +924,7 @@ def test_direct_row_set_paths_match_lower_set(monkeypatch):
                 assert got == _lowered(
                     lambda e: real(e, rows, rows, {}), expr), str(expr)
                 taken[expr in direct] += 1
-                # well typed, or failing everywhere: lower_set reads a
-                # bool compared with an int otherwise than eval_expr
-                if got[0].__class__ is not int or "missing" not in \
-                        referenced_names(expr) and _type_of(
-                            expr, model._by_name, labels, [], "") != "bool":
+                if got[0].__class__ is not int:  # a value map, or raised
                     continue
                 assert _value(rows.first_hit, expr) == \
                     _first_hit(expr, envs), str(expr)

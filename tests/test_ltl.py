@@ -22,6 +22,7 @@ from looptest.ltl import (
     boolean_subformulas,
     eval_on_lasso,
     is_temporal_free,
+    lasso_rows,
     position_envs,
     to_expr,
 )
@@ -250,13 +251,58 @@ def test_long_lassos_match_path_oracle_at_every_position():
                     str(formula), trace.prefix_len, trace.loop_len, position)
 
 
+def test_a_shared_holder_decides_as_a_fresh_one_and_the_path_oracle():
+    # one holder passed to every call shares its tables between formulas
+    # and positions; without one, each call builds its own
+    rng = random.Random(929)
+    for _ in range(120):
+        model = randgen.random_model(rng)
+        trace = simulate_lasso(model, randgen.random_case(rng, model))
+        atoms = randgen.model_atoms(model)
+        formulas = [randgen.random_formula(rng, atoms, depth=3)
+                    for _ in range(4)]
+        want = oracles.path_evaluator(*oracles.lasso_positions(trace))
+        held = lasso_rows(trace, {})
+        for position in range(trace.prefix_len + trace.loop_len):
+            for formula in formulas:
+                got = eval_on_lasso(formula, trace, position, held)
+                assert got == eval_on_lasso(formula, trace, position) \
+                    == want(formula, position), (model.name, str(formula),
+                                                 position)
+
+
+def test_interleaved_holders_keep_each_trace_its_verdicts():
+    # two traces of one model, their holders sharing one orders dict as
+    # execute_suite's do, evaluated A, B, A: no table of one reaches the
+    # other's verdicts
+    rng = random.Random(5150)
+    differ = 0
+    for _ in range(80):
+        model = randgen.random_model(rng)
+        traces = [simulate_lasso(model, randgen.random_case(rng, model))
+                  for _ in range(2)]
+        orders = {}
+        holders = [lasso_rows(trace, orders) for trace in traces]
+        wants = [oracles.path_evaluator(*oracles.lasso_positions(trace))
+                 for trace in traces]
+        atoms = randgen.model_atoms(model)
+        for _ in range(8):
+            formula = randgen.random_formula(rng, atoms, depth=3)
+            got = [eval_on_lasso(formula, traces[k], 0, holders[k])
+                   for k in (0, 1, 0)]
+            assert got == [wants[k](formula, 0) for k in (0, 1, 0)], (
+                model.name, str(formula))
+            differ += got[0] != got[1]
+    assert differ > 15
+
+
 # Run in a fresh interpreter, so that no object another test keeps alive
 # holds a formula of these parses.
 _DRAIN = """
 import gc, json, sys, weakref
 sys.path[:0] = sys.argv[1:3]
 from looptest import casegen, model
-from looptest.dsl import parse_model, parse_reqs
+from looptest.dsl import parse_model, parse_reqs, parse_suite, serialize_suite
 from looptest.ltl import Formula
 from looptest.runner import execute_suite
 from looptest.testgen import GeneratorConfig, generate_suite
@@ -267,6 +313,7 @@ def run(texts):
     reqs = parse_reqs(texts[1], m)
     suite, _ = generate_suite(m, reqs, GeneratorConfig(max_len=4))
     execute_suite(m, reqs, suite)
+    execute_suite(m, reqs, parse_suite(serialize_suite(suite), m))
     return _subtrees([r.formula for r in reqs], Formula)
 
 a, b = ((s.model_text, s.reqs_text)
@@ -283,14 +330,15 @@ print(json.dumps(out))
 """
 
 
-def test_evaluating_another_model_drains_the_formulas_of_the_last():
+def test_formulas_drain_once_the_caller_drops_the_model():
     root = Path(__file__).resolve().parent
     proc = subprocess.run(
         [sys.executable, "-c", _DRAIN, str(root.parent / "src"), str(root)],
         capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout)
-    # what the last trace's evaluation keeps holds formulas of model A ...
-    assert out["theirs"] > 50 and out["held"] > 0
-    # ... until a trace of model B is evaluated: then none built only by A's
-    # parse is alive, so nothing carried from trace to trace outlives it
+    # once the caller drops what generating and executing model A's suite,
+    # and executing its replay, returned, no formula built only by A's
+    # parse is alive: no call keeps a trace, model or formula for the next
+    assert out["theirs"] > 50 and out["held"] == 0
+    # nor after a trace of model B is evaluated
     assert out["alive"] == 0
