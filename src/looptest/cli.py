@@ -50,10 +50,22 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+def _count(text: str) -> int:
+    """A budget or bound: an int of at least 0, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_caps(sub):
-    sub.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+    sub.add_argument("--state-cap", type=_count, default=DEFAULT_STATE_CAP,
                      help="abort generation beyond this many reached states")
-    sub.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP,
+    sub.add_argument("--step-cap", type=_count, default=DEFAULT_STEP_CAP,
                      help="abort beyond this many explicit search branch "
                           "steps, or steps of one lasso unwinding")
 
@@ -63,7 +75,7 @@ def _add_inputs(sub):
     sub.add_argument("--model", required=True, help="model file (.clm)")
     sub.add_argument("--reqs", required=True,
                      help="requirements file (.ltl)")
-    sub.add_argument("--max-len", type=int, required=True,
+    sub.add_argument("--max-len", type=_count, required=True,
                      help="maximum test case length")
     sub.add_argument("--goals", choices=("maximal", "all", "all-kinds"),
                      default="maximal", help="coverage goal selection")
@@ -106,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--model", required=True, help="model file (.clm)")
     ex.add_argument("--reqs", required=True, help="requirements file (.ltl)")
     ex.add_argument("--suite", required=True, help="suite file (.cts)")
-    ex.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP,
+    ex.add_argument("--step-cap", type=_count, default=DEFAULT_STEP_CAP,
                     help="abort any single unwinding beyond this many steps")
     ex.add_argument("--check-expectations", action="store_true",
                     help="compare verdicts against expect-pass/expect-fail "

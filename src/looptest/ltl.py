@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Binary, Expr, Node, Unary, _intern
+from .model import Binary, Expr, Node, Unary, _dead, _new
 
 
 class Formula(Node):
@@ -48,7 +48,10 @@ class Atom(Formula):
     __slots__ = _fields = ("expr",)
 
     def __new__(cls, expr: Expr):
-        return _intern((cls, id(expr)), expr)
+        if (node := cls._table.get(expr, _dead)()) is None:
+            node = _new(cls, expr)
+            node.expr = expr
+        return node
 
     def _text(self, parts):
         text = str(self.expr)
@@ -65,7 +68,10 @@ class _Prefix(Formula):
     symbol = ""
 
     def __new__(cls, operand: Formula):
-        return _intern((cls, id(operand)), operand, (operand,))
+        if (node := cls._table.get(operand, _dead)()) is None:
+            node = _new(cls, operand)
+            node.operand, node.kids = operand, (operand,)
+        return node
 
     def _text(self, parts):
         # a letter needs a space to stay apart from the name after it
@@ -104,7 +110,11 @@ class _Infix(Formula):
     right = False
 
     def __new__(cls, lhs: Formula, rhs: Formula):
-        return _intern((cls, id(lhs), id(rhs)), lhs, rhs, (lhs, rhs))
+        kids = lhs, rhs
+        if (node := cls._table.get(kids, _dead)()) is None:
+            node = _new(cls, kids)
+            node.lhs, node.rhs, node.kids = lhs, rhs, kids
+        return node
 
     def _text(self, parts):
         lhs = _sub(self.lhs, parts[0], self.level, tighten=self.right)

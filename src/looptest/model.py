@@ -60,17 +60,22 @@ CTRL_TARGETS = (VarKind.OUTPUT, VarKind.CTRL)
 
 
 class Node:
-    """A value built once per structure: each constructor interns its node
-    by class, leaf values and subtrees, process-wide, so structurally equal
-    nodes are one object, and == and hash are identity.  Nodes never change.
-    _fields names the slots a new node gets from its constructor's
-    arguments, kids the subtrees an operator node holds among them; repr
-    prints every field but kids, as _key() gives them.
+    """A value built once per structure, so structurally equal nodes are
+    one object, and == and hash are identity.  Nodes never change.  Each
+    concrete class keeps its own weak table from a key, its leaf values and
+    its subtrees themselves, to the live node of that key; its constructor
+    looks the key up and, on a miss, makes the node by _new and sets its
+    slots.  _fields names those slots, kids the subtrees an operator node
+    holds among them; repr prints every field but kids, as _key() gives
+    them.
     """
 
     __slots__ = ("__weakref__",)
     _fields = ()
     kids = ()
+
+    def __init_subclass__(cls):
+        cls._table = {}
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
@@ -79,34 +84,29 @@ class Node:
         return tuple(getattr(self, n) for n in self._fields if n != "kids")
 
 
-# key -> weak reference to the live node of that key, and back; a node's
-# death drops its entry.  No lock: build nodes from one thread at a time.
-_nodes = {}
-_keys = {}
+# weak reference to a live node -> (its class's table, its key).  A node's
+# death drops its entry from both before its slots are cleared, so a key
+# never outlives its node, and it holds nothing the node does not.  No
+# lock: build nodes from one thread at a time.
+_owners = {}
 _dead = type(None)  # called like the weak reference of a dead node: None
 
 
-def _drop(entry, nodes=_nodes, keys=_keys):
-    # the tables are bound here, since a module's globals may be cleared
+def _drop(entry, owners=_owners):
+    # the map is bound here, since a module's globals may be cleared
     # before the last of its nodes dies
-    key = keys.pop(entry)
-    if nodes.get(key) is entry:
-        del nodes[key]
+    table, key = owners.pop(entry)
+    if table.get(key) is entry:
+        del table[key]
 
 
-def _intern(key: tuple, *values):
-    """The live node of key, else a new node of class key[0] whose _fields
-    take values.  key holds the class, the leaf values (a literal's with its
-    class, so true and 1 stay apart) and the ids of the subtrees: a live
-    node keeps its subtrees alive, so no id in a live entry's key is reused.
-    """
-    node = _nodes.get(key, _dead)()
-    if node is None:
-        node = object.__new__(key[0])
-        for name, value in zip(node._fields, values):
-            setattr(node, name, value)
-        entry = _nodes[key] = _weakref(node, _drop)
-        _keys[entry] = key
+def _new(cls, key):
+    """A new node of cls, entered in its table under key; the caller sets
+    its _fields."""
+    node = object.__new__(cls)
+    table = cls._table
+    entry = table[key] = _weakref(node, _drop)
+    _owners[entry] = table, key
     return node
 
 
@@ -116,7 +116,8 @@ class BoolDomain(Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _intern((cls,))
+        node = cls._table.get((), _dead)()
+        return _new(cls, ()) if node is None else node
 
     def values(self):
         return (False, True)
@@ -138,7 +139,10 @@ class IntRange(Node):
     __slots__ = _fields = ("lo", "hi")
 
     def __new__(cls, lo: int, hi: int):
-        return _intern((cls, lo, hi), lo, hi)
+        if (node := cls._table.get((lo, hi), _dead)()) is None:
+            node = _new(cls, (lo, hi))
+            node.lo, node.hi = lo, hi
+        return node
 
     def values(self):
         return tuple(range(self.lo, self.hi + 1))
@@ -162,7 +166,10 @@ class EnumDomain(Node):
 
     def __new__(cls, labels: Iterable[str]):
         labels = tuple(labels)
-        return _intern((cls, labels), labels)
+        if (node := cls._table.get(labels, _dead)()) is None:
+            node = _new(cls, labels)
+            node.labels = labels
+        return node
 
     def values(self):
         return self.labels
@@ -210,7 +217,12 @@ class Lit(Expr):
     __slots__ = _fields = ("value",)
 
     def __new__(cls, value):
-        return _intern((cls, value.__class__, value), value)
+        # the value's class, so that true and 1 stay apart
+        key = value.__class__, value
+        if (node := cls._table.get(key, _dead)()) is None:
+            node = _new(cls, key)
+            node.value = value
+        return node
 
     def _key(self):
         return (type(self.value).__name__, self.value)
@@ -230,7 +242,10 @@ class Ref(Expr):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
-        return _intern((cls, name), name)
+        if (node := cls._table.get(name, _dead)()) is None:
+            node = _new(cls, name)
+            node.name = name
+        return node
 
     def _text(self, parts):
         return ref_text(self.name)
@@ -242,7 +257,11 @@ class Unary(Expr):
     __slots__ = _fields = ("op", "operand", "kids")
 
     def __new__(cls, op: str, operand: Expr):
-        return _intern((cls, op, id(operand)), op, operand, (operand,))
+        key = op, operand
+        if (node := cls._table.get(key, _dead)()) is None:
+            node = _new(cls, key)
+            node.op, node.operand, node.kids = op, operand, (operand,)
+        return node
 
     def _text(self, parts):
         inner, = parts
@@ -286,7 +305,11 @@ class Binary(Expr):
     __slots__ = _fields = ("op", "lhs", "rhs", "kids")
 
     def __new__(cls, op: str, lhs: Expr, rhs: Expr):
-        return _intern((cls, op, id(lhs), id(rhs)), op, lhs, rhs, (lhs, rhs))
+        key = op, lhs, rhs
+        if (node := cls._table.get(key, _dead)()) is None:
+            node = _new(cls, key)
+            node.op, node.lhs, node.rhs, node.kids = op, lhs, rhs, (lhs, rhs)
+        return node
 
     def _text(self, parts):
         prec = _PREC[self.op]
@@ -301,8 +324,11 @@ class Cond(Expr):
     __slots__ = _fields = ("cond", "then", "other", "kids")
 
     def __new__(cls, cond: Expr, then: Expr, other: Expr):
-        return _intern((cls, id(cond), id(then), id(other)),
-                       cond, then, other, (cond, then, other))
+        kids = cond, then, other
+        if (node := cls._table.get(kids, _dead)()) is None:
+            node = _new(cls, kids)
+            node.cond, node.then, node.other = node.kids = kids
+        return node
 
     def _text(self, parts):
         cond, then, other = parts

@@ -31,6 +31,7 @@ from looptest.model import (
     DomainViolation,
     EvalError,
     Lit,
+    Node,
     Ref,
     Unary,
 )
@@ -79,6 +80,27 @@ def reference_eval(expr, env):
             return reference_eval(expr.then, env)
         return reference_eval(expr.other, env)
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def same_tree(a, b):
+    """Whether two nodes are equal in structure: of one class, with equal
+    leaf values of one class each (so true and 1 differ) and equal subtrees
+    field by field.  Walks an explicit stack and never asks whether two
+    nodes are one object."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        for name in x._fields:
+            if name == "kids":
+                continue
+            u, v = getattr(x, name), getattr(y, name)
+            if isinstance(u, Node):
+                stack.append((u, v))
+            elif type(u) is not type(v) or u != v:
+                return False
+    return True
 
 
 def reference_tokenize(text):

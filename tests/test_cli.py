@@ -257,6 +257,36 @@ def test_exhausted_budgets_exit_3(workdir, capsys):
     assert "state budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option", [
+    ("generate", "--max-len"), ("generate", "--step-cap"),
+    ("generate", "--state-cap"), ("pipeline", "--max-len"),
+    ("pipeline", "--step-cap"), ("pipeline", "--state-cap"),
+    ("execute", "--step-cap")])
+def test_negative_budgets_and_bounds_are_usage_errors(workdir, capsys,
+                                                      command, option):
+    _generate(workdir)
+    capsys.readouterr()
+    # a later --max-len overrides the first
+    args = {"generate": ["--max-len", "6", "--out", str(workdir / "s.cts")],
+            "pipeline": ["--max-len", "6", "--out-dir", str(workdir / "res")],
+            "execute": ["--suite", str(workdir / "suite.cts")]}[command]
+    rc = main([command, "--model", str(workdir / "run.clm"),
+               "--reqs", str(workdir / "run.ltl"), *args, option, "-1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and option in err and "must be >= 0" in err
+    assert not (workdir / "s.cts").exists()
+    assert not (workdir / "res").exists()
+
+
+def test_a_zero_bound_searches_the_root_only(workdir, capsys):
+    assert _generate(workdir, "--max-len", "0") == 0
+    out = capsys.readouterr().out
+    assert "goal 1 var x=0 :: COVERED test=t0 pos=0\n" in out
+    assert "goal 2 var x=1 :: UNREACHABLE(bound=0)\n" in out
+    assert out.endswith("suite 1/1\n")
+
+
 def test_pipeline_abort_keeps_the_partial_generation_report(workdir, capsys):
     out_dir = workdir / "res"
     rc = main(["pipeline",

@@ -347,6 +347,17 @@ def _subtrees(roots, kind):
     return nodes
 
 
+def _node_tables():
+    """The table of every node class, each once."""
+    tables, classes = [], [Node]
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        if "_table" in vars(cls):
+            tables.append(cls._table)
+    return tables
+
+
 def _token_spans(text):
     """(start, end) offsets of text's tokens, the end of input left out."""
     line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
@@ -644,15 +655,18 @@ import gc, json, sys, weakref
 sys.path[:0] = sys.argv[1:3]
 from looptest import casegen, model
 from looptest.dsl import parse_model, parse_reqs
-from test_dsl import _subtrees
+from test_dsl import _node_tables, _subtrees
 study = casegen.pnp(3)
 texts = (study.model_text, study.reqs_text)
 del study
 gc.collect()
 
 def live():
-    return {id(node) for node in (e() for e in model._nodes.values())
-            if node is not None}
+    return {id(node) for table in _node_tables()
+            for node in (e() for e in table.values()) if node is not None}
+
+def entries():
+    return sum(map(len, _node_tables()))
 
 def parse():
     m = parse_model(texts[0])
@@ -665,7 +679,7 @@ def nodes(parsed):
     return _subtrees(roots, model.Node)
 
 before = live()
-size = len(model._nodes)
+size = entries()
 first, second = parse(), parse()
 out = {"nodes": len(nodes(first)),
        "shared": sum(a is b for a, b in zip(nodes(first), nodes(second)))}
@@ -675,16 +689,16 @@ gc.collect()
 out["theirs"] = len(refs)
 out["alive"] = sum(ref() is not None for ref in refs)
 out["live_after"] = len(live() - before)
-sizes = {len(model._nodes) - size}
+sizes = {entries() - size}
 for _ in range(1000):
     parsed = parse()
     del parsed
-    sizes.add(len(model._nodes) - size)
+    sizes.add(entries() - size)
 for i in range(10000):  # distinct leaves, each dropped at once
     model.Lit(i)
-sizes.add(len(model._nodes) - size)
+sizes.add(entries() - size)
 out["sizes"] = sorted(sizes)
-out["keys"] = len(model._keys) - len(model._nodes)
+out["keys"] = len(model._owners) - entries()
 print(json.dumps(out))
 """
 
@@ -697,12 +711,13 @@ def test_parses_share_nodes_and_the_table_drains():
     out = json.loads(proc.stdout)
     # two parses share every node
     assert out["shared"] == out["nodes"] > 1000
-    # once both are dropped, no node they built is alive, so the table holds
-    # no live entry of theirs
+    # once both are dropped, no node they built is alive, so the tables
+    # hold no live entry of theirs
     assert out["theirs"] > 400
     assert out["alive"] == out["live_after"] == 0
     # nor any dead entry: after 1,000 parse/drop cycles, and 10,000 leaves
-    # built and dropped, the table is back to its size before the parses
+    # built and dropped, the tables are back to their size before the
+    # parses, and every reverse entry has its table entry
     assert out["sizes"] == [0] and out["keys"] == 0
 
 

@@ -256,3 +256,48 @@ def test_nodes_compare_by_identity():
         for obj in vars(module).values():
             if inspect.isclass(obj) and obj.__module__ == module.__name__:
                 assert not {"__eq__", "__hash__"} & set(vars(obj)), obj
+
+
+def _sample_args(cls) -> tuple:
+    """Constructor arguments for a node of cls that no other test builds,
+    so the first build runs the class's miss path."""
+    x, one = model.Ref("hygiene.x"), model.Lit(-97)
+    a = ltl.Atom(model.Ref("hygiene.a"))
+    for base, args in (
+            (model.BoolDomain, ()), (model.IntRange, (-97, 97)),
+            (model.EnumDomain, (("hygiene_lo", "hygiene_hi"),)),
+            (model.Lit, ("hygiene",)), (model.Ref, ("hygiene",)),
+            (model.Unary, ("-", x)), (model.Binary, ("mod", x, one)),
+            (model.Cond, (model.Ref("hygiene.c"), x, one)),
+            (ltl.Atom, (x,)), (ltl._Prefix, (a,)),
+            (ltl._Infix, (a, ltl.Next(a)))):
+        if issubclass(cls, base):
+            return args
+    raise AssertionError(f"no sample arguments for {cls.__name__}")
+
+
+def test_every_node_class_sets_its_fields_and_builds_once():
+    concrete, todo = [], [model.Node]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        # tests may define node classes of their own
+        if not cls.__subclasses__() and cls.__module__ in (
+                model.__name__, ltl.__name__):
+            concrete.append(cls)
+    assert len(concrete) == 17
+    for cls in concrete:
+        args = _sample_args(cls)
+        node = cls(*args)
+        assert type(node) is cls and cls(*args) is node, cls
+        # every field is set (an unset slot raises), the leaves and
+        # subtrees from the arguments in order; an operator's kids are its
+        # subtree fields, in order
+        values = [getattr(node, name) for name in node._fields]
+        assert [value for name, value in zip(node._fields, values)
+                if name != "kids"] == list(args), cls
+        subtrees = tuple(arg for arg in args if isinstance(arg, model.Node))
+        if "kids" in node._fields:
+            assert type(node.kids) is tuple and node.kids == subtrees, cls
+        else:
+            assert node.kids == (), cls

@@ -306,7 +306,7 @@ from looptest.dsl import parse_model, parse_reqs, parse_suite, serialize_suite
 from looptest.ltl import Formula
 from looptest.runner import execute_suite
 from looptest.testgen import GeneratorConfig, generate_suite
-from test_dsl import _subtrees
+from test_dsl import _node_tables, _subtrees
 
 def run(texts):
     m = parse_model(texts[0])
@@ -319,7 +319,7 @@ def run(texts):
 a, b = ((s.model_text, s.reqs_text)
         for s in (casegen.elevator(2), casegen.pnp(2)))
 gc.collect()
-before = {id(node) for node in (e() for e in model._nodes.values())}
+before = {id(e()) for table in _node_tables() for e in table.values()}
 refs = [weakref.ref(f) for f in run(a) if id(f) not in before]
 gc.collect()
 out = {"theirs": len(refs), "held": sum(r() is not None for r in refs)}

@@ -1,8 +1,25 @@
 """Expression evaluation, validation, and single-step semantics."""
 
+import random
+
 import pytest
 
-from looptest.ltl import Atom, Or
+import randgen
+from looptest.dsl import parse_model, parse_reqs, serialize_model, \
+    serialize_reqs
+from looptest.ltl import (
+    And,
+    Atom,
+    Finally,
+    Formula,
+    Globally,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Requirement,
+    Until,
+)
 from looptest.model import (
     Assignment,
     Binary,
@@ -16,6 +33,7 @@ from looptest.model import (
     EvalError,
     IntRange,
     Lit,
+    Node,
     Ref,
     Unary,
     UpdateBlock,
@@ -28,6 +46,7 @@ from looptest.model import (
     step,
     validate_model,
 )
+from oracles import same_tree
 
 
 def test_bool_domain():
@@ -117,6 +136,112 @@ def test_equal_nodes_are_one_object():
     assert Atom(Ref("x")) is Atom(Ref("x"))
     assert Or(Atom(Ref("x")), Atom(Ref("y"))) \
         is not Or(Atom(Ref("y")), Atom(Ref("x")))
+
+
+def _random_trees(rng, model, count, depth=3):
+    """count expressions and formulas of at most depth over model."""
+    names = {kind: [v.name for v in model.variables
+                    if isinstance(v.domain, kind)]
+             for kind in (IntRange, BoolDomain)}
+    atoms = randgen.model_atoms(model)
+    return [randgen.random_expr(rng, names[IntRange], names[BoolDomain],
+                                rng.choice(("int", "bool")),
+                                rng.randrange(depth + 1))
+            if rng.random() < 0.5 else
+            randgen.random_formula(rng, atoms, rng.randrange(depth + 1))
+            for _ in range(count)]
+
+
+def _model_trees(model):
+    return [v.domain for v in model.variables] + [
+        a.expr for block in (model.plant, model.controller)
+        for a in block.assignments]
+
+
+def _distinct_nodes(roots):
+    """Every node reached from roots, each object once."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            values = [getattr(node, name) for name in node._fields]
+            stack += [value for value in values if isinstance(value, Node)]
+    return list(seen.values())
+
+
+def _shape(node):
+    """The class, leaf values and subtree classes: nodes of different
+    shapes are never equal in structure."""
+    values = [getattr(node, name) for name in node._fields if name != "kids"]
+    return (type(node),) + tuple(
+        type(value) if isinstance(value, Node) else (type(value), value)
+        for value in values)
+
+
+def test_nodes_are_one_object_exactly_when_equal_in_structure():
+    rng = random.Random(30)
+    roots = []
+    for i in range(30):
+        model = randgen.random_model(rng, name=f"in{i}")
+        # trees built twice from one seed are one object each
+        seed = rng.random()
+        once, twice = (_random_trees(random.Random(seed), model, 20)
+                       for _ in range(2))
+        for a, b in zip(once, twice):
+            assert a is b and same_tree(a, b)
+        # trees built by hand are the ones parsed from their text
+        parsed = parse_model(serialize_model(model))
+        for a, b in zip(_model_trees(model), _model_trees(parsed)):
+            assert a is b and same_tree(a, b)
+        reqs = [Requirement(f"R{j}", tree) for j, tree in enumerate(once)
+                if isinstance(tree, Formula)]
+        for a, b in zip(reqs, parse_reqs(serialize_reqs(reqs), model)):
+            assert a.formula is b.formula and same_tree(a.formula, b.formula)
+        roots += once + _model_trees(model)
+    # no two live nodes are equal in structure
+    groups = {}
+    for node in _distinct_nodes(roots):
+        groups.setdefault(_shape(node), []).append(node)
+    assert len(groups) > 300
+    for group in groups.values():
+        for i, a in enumerate(group):
+            assert not any(same_tree(a, b) for b in group[i + 1:]), a
+    # 10,000 trees built and dropped, so that new nodes take the places of
+    # dead ones: each is one object with a live tree exactly when the two
+    # are equal in structure, and one rebuilt from a live tree's seed is it
+    model = randgen.random_model(rng, name="churn")
+    live = []
+    for _ in range(50):
+        seed = rng.random()
+        live.append((seed, _random_trees(random.Random(seed), model, 1)[0]))
+    equal = 0
+    for i in range(10000):
+        tree, = _random_trees(rng, model, 1, depth=2)
+        for seed, other in rng.sample(live, 3):
+            assert (tree is other) == same_tree(tree, other)
+            equal += tree is other
+        if i % 10 == 0:
+            seed, other = rng.choice(live)
+            assert _random_trees(random.Random(seed), model, 1)[0] is other
+            seed = rng.random()
+            live[rng.randrange(len(live))] = (
+                seed, _random_trees(random.Random(seed), model, 1)[0])
+    assert equal > 100
+
+
+def test_same_shaped_keys_of_different_classes_stay_apart():
+    a, b, x = Atom(Ref("a")), Atom(Ref("b")), Ref("x")
+    pairs = [(Not(a), Finally(a)), (Next(a), Globally(a)),
+             (And(a, b), Or(a, b)), (Until(a, b), Implies(a, b)),
+             (Unary("!", x), Unary("-", x)), (Lit("on"), Ref("on")),
+             (Lit(True), Lit(1)), (Lit(False), Lit(0))]
+    for one, other in pairs:
+        assert one is not other and not same_tree(one, other)
+        for node in (one, other):
+            args = [getattr(node, name) for name in node._fields
+                    if name != "kids"]
+            assert type(node)(*args) is node
 
 
 def test_deep_trees_compare_without_recursion():
